@@ -21,6 +21,7 @@ from .estimators import (
     NuSolveResult,
     e_step,
     fit,
+    fit_many,
     init_params,
     m_step_ml,
     m_step_mlq,
@@ -78,6 +79,7 @@ __all__ = [
     "NuSolveResult",
     "e_step",
     "fit",
+    "fit_many",
     "init_params",
     "m_step_ml",
     "m_step_mlq",

@@ -38,6 +38,7 @@ _INPUT_ERRORS = (
     DimensionMismatch,
     DomainError,
     NotPositiveDefinite,
+    OSError,
 )
 
 DEFAULT_Q = 0.85
@@ -206,6 +207,8 @@ def _fit_config_from(args, method: str, q: float) -> FitConfig:
 def cmd_fit(args) -> int:
     data = read_matrix_csv(args.input)
     method = args.method
+    if method == METHOD_ML and args.q is not None:
+        raise _UsageError("--q applies to --method mlq only")
     q = args.q if args.q is not None else (DEFAULT_Q if method == METHOD_MLQ else 1.0)
     if args.nu is not None and args.estimate_nu:
         raise _UsageError("--nu fixes the degrees of freedom; drop it or --estimate-nu")
@@ -361,6 +364,8 @@ def cmd_density_grid(args) -> int:
     data = read_matrix_csv(args.input)
     if data.shape[1] != 2:
         raise _UsageError("contours require bivariate data")
+    if args.grid_points < 2:
+        raise _UsageError("--grid-points must be at least 2")
     q = args.q if args.q is not None else DEFAULT_Q
     config = _fit_config_from(args, METHOD_ML, 1.0)
     ml_fit = fit(data, config)

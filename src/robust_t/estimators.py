@@ -1,50 +1,69 @@
 """Fitting the multivariate t distribution by plain and q-weighted likelihood.
 
-Both fits share one outer loop. Each iteration refreshes the conditional
-expectations of the latent chi-squared mixing variable at the current
-parameters, updates location and scatter by closed-form weighted sums, and
-(optionally) updates the degrees of freedom by a bracketed scalar root
-solve. The plain branch is the classical EM algorithm for the t
-distribution, whose observed-data log-likelihood never decreases. The
-q-weighted branch multiplies every observation's contribution by its
+Every fit runs through one engine, fit_many, which advances a batch of fits
+on the same observations in lockstep: all of a simulation replicate's fits
+(the plain fit and the whole q grid), or the single fit behind fit(). Each
+iteration refreshes the conditional expectations of the latent
+chi-squared mixing variable at the current parameters, updates location
+and scatter by closed-form weighted sums, and (optionally) updates the
+degrees of freedom by a bracketed root solve. A fit leaves the batch when
+it converges, fails or reaches max_iter.
+
+The q-weighted step multiplies every observation's contribution by its
 density raised to (1 - q) on top of the EM weight, so outlying points are
 downweighted twice; it has no ascent guarantee, and convergence is judged
-on the parameter-change norm alone, exactly as for the plain branch.
+on the parameter-change norm alone. The plain step is the q = 1 case with
+its weights exactly (nu + p) / (nu + s) and its scatter centered on the
+updated location: the classical EM algorithm for the t distribution, whose
+observed-data log-likelihood never decreases.
 
 Conventions pinned here and recorded in FitResult so runs are reproducible:
 
 * the stopping norm is the unweighted Euclidean norm over the concatenation
   of mu, the upper triangle of sigma, and nu (nu omitted when held fixed);
-* the plain-likelihood scatter update re-centers on the freshly updated
-  location, while the q-weighted scatter update centers on the previous
-  iterate's location (the form its estimating equation is written in); an
-  option flips the latter to the updated location;
+* the q-weighted scatter update centers on the previous iterate's location
+  (the form its estimating equation is written in); an option flips it to
+  the updated location;
 * the nu solve clamps to the nearer bracket endpoint when the score does
   not change sign on the bracket, which happens for near-normal data, and
   the result is flagged rather than treated as an error.
 
-All reductions over observations are performed in a value-sorted order, so
-permuting the rows of the dataset cannot change the fitted result even at
-the level of floating-point rounding.
+The engine sorts the rows into lexicographic order once and then uses
+plain sums along the observation axis. Every fit of a batch goes through
+the same elementwise operations, so a fit's result is bitwise the same
+whatever the batch holds and however the input rows are permuted.
+
+e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq perform one
+step of one fit; they are the reference that the engine is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+import math
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import zeta
 
 from .errors import DegenerateData, DomainError
-from .linalg import cholesky_lower, mahalanobis_sq_from_chol, spd_repair, symmetrize
-from .special import digamma, log_gamma
+from .linalg import (
+    cholesky_lower,
+    cholesky_many,
+    mahalanobis_sq_from_chol,
+    mahalanobis_sq_many,
+    spd_repair,
+    spd_repair_many,
+    symmetrize,
+)
+from .special import digamma
 from .tdist import (
     MvtParams,
+    _log_norm_const,
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
-    log_pdf_rows,
+    log_pdf_from_dist,
     lq_from_log,
 )
 
@@ -65,22 +84,19 @@ __all__ = [
     "m_step_mlq",
     "solve_nu_mlq",
     "fit",
+    "fit_many",
 ]
 
 METHOD_ML = "ml"
 METHOD_MLQ = "mlq"
 
-NORM_DEFINITION = "euclidean(mu, upper_triangle(sigma), nuif estimated)"
+NORM_DEFINITION = "euclidean(mu, upper_triangle(sigma), nu if estimated)"
 
-
-def _stable_sum(a, axis: int = 0):
-    """Sum with a value-sorted reduction order.
-
-    Sorting first fixes the summation order regardless of how the input
-    rows were arranged, which is what makes fits bitwise invariant under
-    dataset row permutations.
-    """
-    return np.sort(np.asarray(a, dtype=float), axis=axis).sum(axis=axis)
+# Fields in which the configs of one fit_many batch may differ.
+_PER_FIT_FIELDS = ("method", "q", "mlq_scatter_uses_updated_mu")
+# Absolute tolerance on the nu root, and the most Newton/false-position steps.
+_NU_XTOL = 1e-10
+_NU_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -142,7 +158,11 @@ class NuSolveResult(NamedTuple):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged parameters plus the iteration trace and diagnostics."""
+    """Converged parameters plus the iteration trace and diagnostics.
+
+    nu_clamped is True when the last nu solve found no sign change on the
+    bracket and returned an endpoint.
+    """
 
     params: MvtParams
     iterations: int
@@ -163,10 +183,9 @@ def init_params(data, spd_floor: float = 1e-10) -> MvtParams:
     n, _ = rows.shape
     if n < 2:
         raise DegenerateData("initialization needs at least two observations")
-    mu = _stable_sum(rows, axis=0) / n
+    mu = np.sum(rows, axis=0) / n
     centered = rows - mu
-    outer = centered[:, :, None] * centered[:, None, :]
-    cov = _stable_sum(outer, axis=0) / (n - 1)
+    cov = np.sum(centered[:, :, None] * centered[:, None, :], axis=0) / (n - 1)
     if float(np.max(np.abs(cov))) == 0.0:
         raise DegenerateData("all observations are identical")
     return MvtParams(mu, spd_repair(cov, spd_floor), 3.0)
@@ -186,9 +205,9 @@ def e_step(data, params: MvtParams, need_log: bool = True) -> EStepQuantities:
 
 
 def _weighted_location_scatter(rows, w_mu, center, w_sigma, denom, spd_floor):
-    mu = _stable_sum(w_mu[:, None] * rows, axis=0) / _stable_sum(w_mu)
+    mu = np.sum(w_mu[:, None] * rows, axis=0) / np.sum(w_mu)
     d = rows - (mu if center is None else center)
-    sigma = _stable_sum(w_sigma[:, None, None] * d[:, :, None] * d[:, None, :], axis=0)
+    sigma = np.sum(w_sigma[:, None, None] * d[:, :, None] * d[:, None, :], axis=0)
     sigma = sigma / denom
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
         raise DegenerateData("weighted update produced non-finite parameters")
@@ -203,24 +222,89 @@ def m_step_ml(data, est: EStepQuantities, prev: MvtParams,
     the step a genuine conditional maximization.
     """
     rows = as_data_matrix(data)
-    if not float(_stable_sum(est.u1)) > 0.0:
+    if not float(np.sum(est.u1)) > 0.0:
         raise DegenerateData("EM weights sum to zero")
     return _weighted_location_scatter(
         rows, est.u1, None, est.u1, rows.shape[0], spd_floor
     )
 
 
-def _bracketed_root(g, lo: float, hi: float) -> NuSolveResult:
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo == 0.0:
-        return NuSolveResult(lo, True)
-    if g_hi == 0.0:
-        return NuSolveResult(hi, True)
-    if (g_lo < 0.0) != (g_hi < 0.0):
-        root = brentq(g, lo, hi, xtol=1e-10, maxiter=200)
-        return NuSolveResult(float(root), True)
-    return NuSolveResult(lo if abs(g_lo) <= abs(g_hi) else hi, False)
+def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
+    """Roots of B scalar equations on the common bracket [lo, hi].
+
+    g maps candidate values of shape (B, k) to the B equations' values and
+    slopes there, both (B, k). Where the value does not change sign on the
+    bracket, the endpoint with the smaller |value| is returned and flagged
+    unbracketed. Otherwise the root is found by Newton's method from start;
+    a Newton step that leaves the current sign-change interval is replaced
+    by an Illinois false-position step. A root is accepted after a Newton
+    step of at most _NU_XTOL, once its interval is that narrow, or at an
+    exact zero. Every equation's iterates depend on its own values only.
+    Returns (roots, bracketed), both of shape (B,).
+    """
+    count = start.shape[0]
+    x = np.clip(start, lo, hi)
+    value, slope = g(np.column_stack([np.full(count, lo), np.full(count, hi), x]))
+    f_lo, f_hi, fx, dfx = value[:, 0], value[:, 1], value[:, 2], slope[:, 2]
+    # an endpoint that is an exact root is also the one with the smaller |value|
+    root = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+    todo = np.sign(f_lo) * np.sign(f_hi) < 0.0
+    bracketed = todo | (f_lo == 0.0) | (f_hi == 0.0)
+    # the sign-change interval is [a, b], with f(a) of the sign of f(lo)
+    a, fa = np.full(count, lo), f_lo
+    b, fb = np.full(count, hi), f_hi
+    last_low = np.zeros(count, dtype=bool)
+    last_high = np.zeros(count, dtype=bool)
+    for _ in range(_NU_MAX_STEPS):
+        hit = todo & (fx == 0.0)
+        root = np.where(hit, x, root)
+        todo = todo & ~hit
+        if not todo.any():
+            break
+        low = todo & ((fx < 0.0) == (fa < 0.0))
+        high = todo & ~low
+        # Illinois: an end kept twice in a row has its value halved
+        fb = np.where(low & last_low, 0.5 * fb, fb)
+        fa = np.where(high & last_high, 0.5 * fa, fa)
+        a, fa = np.where(low, x, a), np.where(low, fx, fa)
+        b, fb = np.where(high, x, b), np.where(high, fx, fb)
+        last_low, last_high = low, high
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - fx / dfx
+            secant = (a * fb - b * fa) / (fb - fa)
+        use_newton = (newton > a) & (newton < b)
+        step = np.where(use_newton, newton, secant)
+        done = todo & ((use_newton & (np.abs(step - x) <= _NU_XTOL)) | (b - a <= _NU_XTOL))
+        root = np.where(done, step, root)
+        todo = todo & ~done
+        if not todo.any():
+            break
+        x = np.where(todo, step, x)
+        value, slope = g(x[:, None])
+        fx, dfx = value[:, 0], slope[:, 0]
+    root = np.where(todo, x, root)
+    return root, bracketed
+
+
+def _solve_one(g, bracket) -> NuSolveResult:
+    """One nu equation on the bracket, started at its geometric midpoint."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    root, bracketed = _bracketed_root(g, lo, hi, np.array([math.sqrt(lo * hi)]))
+    return NuSolveResult(float(root[0]), bool(bracketed[0]))
+
+
+def _check_bracket(bracket):
+    if not (0.0 < float(bracket[0]) < float(bracket[1])):
+        raise DomainError("nu bracket must satisfy 0 < low < high")
+
+
+def _nu_terms(nu):
+    """log(nu/2) - digamma(nu/2), the nu-part of every nu equation, and its slope.
+
+    The slope needs the trigamma function, polygamma(1, x) = zeta(2, x).
+    """
+    half = 0.5 * nu
+    return np.log(half) - digamma(half), 1.0 / nu - 0.5 * zeta(2.0, half)
 
 
 def solve_nu_ml(est: EStepQuantities, bracket: tuple[float, float]) -> NuSolveResult:
@@ -231,43 +315,79 @@ def solve_nu_ml(est: EStepQuantities, bracket: tuple[float, float]) -> NuSolveRe
     bracket the nearer endpoint is returned with bracketed=False (the
     near-normal case when the data want nu -> infinity).
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise DomainError("nu bracket must satisfy 0 < low < high")
+    _check_bracket(bracket)
     if est.u2 is None:
         raise DomainError("expected-log quantities are required for the nu solve")
     n = est.u1.shape[0]
-    offset = float(_stable_sum(est.u2 - est.u1))
+    offset = float(np.sum(est.u2 - est.u1))
 
-    def g(nu: float) -> float:
-        return n * (np.log(0.5 * nu) - digamma(0.5 * nu) + 1.0) + offset
+    def g(nu):
+        h, slope = _nu_terms(nu)
+        return n * (h + 1.0) + offset, n * slope
 
-    return _bracketed_root(g, lo, hi)
+    return _solve_one(g, bracket)
 
 
-def mlq_weights(s, nu: float, p: int, q: float):
+def _weighted_nu_score(s, base, one_minus_q, log_det, p: int):
+    """The q-weighted nu equations of B fits, with their slopes in nu.
+
+    Observation i of fit b contributes (base + log(nu/2) - digamma(nu/2))
+    times its density to the power 1 - q. The density is taken at the
+    fit's previous location and scatter (squared distances s and log
+    determinant log_det) and at the candidate nu, so the weight moves with
+    nu. At q = 1 the weight is exactly 1 and this is the plain equation.
+    s and base are (B, n); the returned function maps nu values of shape
+    (B, k) to values and slopes of shape (B, k).
+    """
+    s = s[:, None, :]
+    base = base[:, None, :]
+    one_minus_q = one_minus_q[:, None, None]
+    log_det = log_det[:, None]
+
+    def g(nu):
+        h, dh = _nu_terms(nu)
+        const = _log_norm_const(nu, p, log_det)[:, :, None]
+        # d const / d nu, for the slope of the weights
+        dconst = (0.5 * (digamma(0.5 * (nu + p)) - digamma(0.5 * nu)) - 0.5 * p / nu)[:, :, None]
+        v = nu[:, :, None]
+        ratio = s / v
+        log1p_ratio = np.log1p(ratio)
+        weight = np.exp(one_minus_q * (const - 0.5 * (v + p) * log1p_ratio))
+        dlog_f = dconst + 0.5 * ((v + p) / (v + s) * ratio - log1p_ratio)
+        terms = base + h[:, :, None]
+        value = np.sum(terms * weight, axis=2)
+        slope = np.sum(weight * (dh[:, :, None] + one_minus_q * terms * dlog_f), axis=2)
+        return value, slope
+
+    return g
+
+
+def mlq_weights(s, nu, p: int, q):
     """The two q-weighted step weights at squared distance s.
 
     With a = (1 - q)(nu + p)/2 these are w = (nu + p) * (nu + s)^-(1 + a)
     for the location/scatter numerators and v = (nu + s)^-a for the
-    scatter denominator; both are computed through exp/log. At q = 1 they
-    reduce exactly to the plain EM weight and 1.
+    scatter denominator; both are computed through exp/log. Where q = 1
+    they are exactly the plain EM weight (nu + p)/(nu + s) and 1. nu and q
+    may be arrays broadcasting against s, one value per fit of a batch.
     """
-    if not 0.0 < q <= 1.0:
+    q = np.asarray(q, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    if not ((0.0 < q) & (q <= 1.0)).all():
         raise DomainError("q must lie in (0, 1]")
-    if not nu > 0.0:
+    if not (nu > 0.0).all():
         raise DomainError("degrees of freedom must be positive")
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+    if not (arr >= 0.0).all():
         raise DomainError("squared distances must be nonnegative")
     a = 0.5 * (1.0 - q) * (nu + p)
-    if a == 0.0:
-        w = (nu + p) / (nu + arr)
-        v = np.ones_like(arr)
-    else:
+    plain = a == 0.0
+    w = (nu + p) / (nu + arr)
+    v = np.ones_like(w)
+    if not plain.all():
         log_ns = np.log(nu + arr)
-        w = (nu + p) * np.exp(-(1.0 + a) * log_ns)
-        v = np.exp(-a * log_ns)
+        w = np.where(plain, w, (nu + p) * np.exp(-(1.0 + a) * log_ns))
+        v = np.where(plain, v, np.exp(-a * log_ns))
     if np.isscalar(s):
         return float(w), float(v)
     return w, v
@@ -287,8 +407,8 @@ def m_step_mlq(data, prev: MvtParams, q: float, spd_floor: float = 1e-10,
     if s is None:
         s = mahalanobis_sq_from_chol(rows, prev.mu, prev.chol_lower)
     w, v = mlq_weights(s, prev.nu, prev.dim, q)
-    sum_w = float(_stable_sum(w))
-    sum_v = float(_stable_sum(v))
+    sum_w = float(np.sum(w))
+    sum_v = float(np.sum(v))
     if not (sum_w > 0.0 and sum_v > 0.0):
         raise DegenerateData("q-weighted weights sum to zero")
     center = None if use_updated_mu else prev.mu
@@ -305,9 +425,7 @@ def solve_nu_mlq(data, current: tuple[np.ndarray, np.ndarray],
     weight, is re-evaluated at each candidate nu. Bracketing and clamping
     follow the plain solve.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise DomainError("nu bracket must satisfy 0 < low < high")
+    _check_bracket(bracket)
     if not 0.0 < q <= 1.0:
         raise DomainError("q must lie in (0, 1]")
     if est.u2 is None:
@@ -318,101 +436,155 @@ def solve_nu_mlq(data, current: tuple[np.ndarray, np.ndarray],
     s = est.s
     if s is None or s.shape[0] != rows.shape[0]:
         s = mahalanobis_sq_from_chol(rows, mu_c, chol)
-    p = mu_c.shape[0]
-    log_det = float(2.0 * np.sum(np.log(np.diag(chol))))
-    base = est.u2 - est.u1 + 1.0
-    half_p_log_pi = 0.5 * p * np.log(np.pi)
-    one_minus_q = 1.0 - q
-
-    def g(nu: float) -> float:
-        log_f = (
-            log_gamma(0.5 * (nu + p))
-            - log_gamma(0.5 * nu)
-            - half_p_log_pi
-            - 0.5 * p * np.log(nu)
-            - 0.5 * log_det
-            - 0.5 * (nu + p) * np.log1p(s / nu)
-        )
-        weights = np.exp(one_minus_q * log_f)
-        bracket_terms = base + (np.log(0.5 * nu) - digamma(0.5 * nu))
-        return float(_stable_sum(bracket_terms * weights))
-
-    return _bracketed_root(g, lo, hi)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    g = _weighted_nu_score(s[None, :], (est.u2 - est.u1 + 1.0)[None, :],
+                           np.array([1.0 - q]), np.array([log_det]), mu_c.shape[0])
+    return _solve_one(g, bracket)
 
 
-def _pack(params: MvtParams, with_nu: bool) -> np.ndarray:
-    iu = np.triu_indices(params.dim)
-    parts = [params.mu, params.sigma[iu]]
+def _shared_config(configs: list[FitConfig]) -> FitConfig:
+    """The settings common to a batch; raises unless only per-fit fields differ."""
+    if not configs:
+        raise DomainError("fit_many needs at least one config")
+    first = configs[0]
+    same = {name: getattr(first, name) for name in _PER_FIT_FIELDS}
+    for config in configs:
+        if replace(config, **same) != first:
+            raise DomainError(
+                "configs fitted together may differ only in " + ", ".join(_PER_FIT_FIELDS)
+            )
+    return first
+
+
+def _pack(mu, sigma, nu, upper, with_nu: bool) -> np.ndarray:
+    parts = [mu, sigma[:, upper[0], upper[1]]]
     if with_nu:
-        parts.append(np.array([params.nu]))
-    return np.concatenate(parts)
+        parts.append(nu[:, None])
+    return np.concatenate(parts, axis=1)
 
 
-def _objective(rows, params: MvtParams, method: str, q: float) -> float:
-    log_f = log_pdf_rows(rows, params)
-    if method == METHOD_MLQ:
-        return float(_stable_sum(lq_from_log(log_f, q)))
-    return float(_stable_sum(log_f))
+def _log_det_many(chol) -> np.ndarray:
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+
+
+FitOutcome = Union[FitResult, DegenerateData]
+
+
+def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
+    """Run one fit per config on the same data, all in lockstep.
+
+    The configs may differ only in method, q and
+    mlq_scatter_uses_updated_mu; anything else raises DomainError. Returns
+    one entry per config, in order: its FitResult, or the DegenerateData
+    error that ended it. Data that cannot be initialized give that error
+    for every config. Hitting max_iter is not an error: the result comes
+    back with converged=False and the full trace. Each result is bitwise
+    the one the config gets when fitted alone.
+    """
+    configs = list(configs)
+    shared = _shared_config(configs)
+    rows = as_data_matrix(data)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    try:
+        start = init_params(rows, shared.spd_floor)
+    except DegenerateData as exc:
+        return [exc] * len(configs)
+    p = rows.shape[1]
+    columns = np.ascontiguousarray(rows.T)
+    upper = np.triu_indices(p)
+    lo, hi = shared.nu_bracket
+    estimate_nu = shared.estimate_nu
+    count = len(configs)
+
+    # per-fit state of the fits still running, one row per fit
+    chol = np.tile(start.chol_lower, (count, 1, 1))
+    mu = np.tile(start.mu, (count, 1))
+    state = {
+        "index": np.arange(count),
+        "q": np.array([c.q if c.method == METHOD_MLQ else 1.0 for c in configs]),
+        "recenter": np.array([c.method == METHOD_ML or c.mlq_scatter_uses_updated_mu
+                              for c in configs]),
+        "mu": mu,
+        "sigma": np.tile(start.sigma, (count, 1, 1)),
+        "log_det": _log_det_many(chol),
+        "nu": np.full(count, 3.0 if estimate_nu else shared.fixed_nu),
+        "s": mahalanobis_sq_many(columns, mu, chol),
+    }
+    state["vec"] = _pack(state["mu"], state["sigma"], state["nu"], upper, estimate_nu)
+    traces: list[list[IterationRecord]] = [[] for _ in configs]
+    outcomes: list[Optional[FitOutcome]] = [None] * count
+
+    for iteration in range(1, shared.max_iter + 1):
+        q, s, nu = state["q"], state["s"], state["nu"]
+        w, v = mlq_weights(s, nu[:, None], p, q[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = np.sum(w[:, None, :] * columns, axis=2) / np.sum(w, axis=1)[:, None]
+            center = np.where(state["recenter"][:, None], mu, state["mu"])
+            d = columns - center[:, :, None]
+            tri = np.sum(w[:, None, :] * d[:, upper[0]] * d[:, upper[1]], axis=2)
+            tri = tri / np.sum(v, axis=1)[:, None]
+        ok = np.all(np.isfinite(mu), axis=1) & np.all(np.isfinite(tri), axis=1)
+        sigma = np.empty_like(state["sigma"])
+        sigma[:, upper[0], upper[1]] = tri
+        sigma[:, upper[1], upper[0]] = tri
+        # a failed fit keeps its old scatter, which the repair can handle;
+        # it leaves the batch at the end of this iteration
+        sigma = spd_repair_many(np.where(ok[:, None, None], sigma, state["sigma"]),
+                                shared.spd_floor)
+        bracketed = np.ones_like(ok)
+        if estimate_nu:
+            u1 = cond_expect_u(s, nu[:, None], p)
+            u2 = cond_expect_log_u(s, nu[:, None], p)
+            score = _weighted_nu_score(s, u2 - u1 + 1.0, 1.0 - q, state["log_det"], p)
+            nu, bracketed = _bracketed_root(score, lo, hi, nu)
+        chol = cholesky_many(sigma)
+        ok &= np.all(np.isfinite(chol), axis=(1, 2))
+        log_det = _log_det_many(chol)
+        s = mahalanobis_sq_many(columns, mu, chol)
+        log_f = log_pdf_from_dist(s, nu[:, None], p, log_det[:, None])
+        objective = np.sum(lq_from_log(log_f, q[:, None]), axis=1)
+        vec = _pack(mu, sigma, nu, upper, estimate_nu)
+        change = np.linalg.norm(vec - state["vec"], axis=1)
+
+        converged = change < shared.epsilon
+        stop = converged | ~ok | (iteration == shared.max_iter)
+        for row in range(stop.shape[0]):
+            i = int(state["index"][row])
+            if not ok[row]:
+                outcomes[i] = DegenerateData("weighted update produced non-finite parameters")
+                continue
+            traces[i].append(IterationRecord(iteration, float(change[row]),
+                                             float(objective[row])))
+            if stop[row]:
+                config = configs[i]
+                outcomes[i] = FitResult(
+                    params=MvtParams(mu[row], sigma[row], float(nu[row])),
+                    iterations=iteration,
+                    converged=bool(converged[row]),
+                    trace=tuple(traces[i]),
+                    objective=float(objective[row]),
+                    method=config.method,
+                    q=config.q if config.method == METHOD_MLQ else None,
+                    nu_estimated=estimate_nu,
+                    nu_clamped=not bool(bracketed[row]),
+                    change_norm=float(change[row]),
+                )
+        state.update(mu=mu, sigma=sigma, log_det=log_det, nu=nu, s=s, vec=vec)
+        if stop.all():
+            break
+        if stop.any():
+            keep = ~stop
+            state = {key: value[keep] for key, value in state.items()}
+    return outcomes
 
 
 def fit(data, config: FitConfig) -> FitResult:
     """Run the chosen estimator to convergence.
 
-    Iterates expectation and update steps until the parameter-change norm
-    drops below epsilon or max_iter is reached. Hitting the iteration cap
-    is not an error: the result comes back with converged=False and the
-    full trace.
+    The single-fit case of fit_many; a fit that fails raises its
+    DegenerateData error.
     """
-    rows = as_data_matrix(data)
-    start = init_params(rows, config.spd_floor)
-    nu0 = 3.0 if config.estimate_nu else config.fixed_nu
-    params = MvtParams(start.mu, start.sigma, nu0)
-
-    weighted = config.method == METHOD_MLQ
-    trace: list[IterationRecord] = []
-    converged = False
-    clamped = False
-    prev_vec = _pack(params, config.estimate_nu)
-
-    for iteration in range(1, config.max_iter + 1):
-        est = e_step(rows, params, need_log=config.estimate_nu)
-        if weighted:
-            mu, sigma = m_step_mlq(
-                rows, params, config.q, config.spd_floor, s=est.s,
-                use_updated_mu=config.mlq_scatter_uses_updated_mu,
-            )
-        else:
-            mu, sigma = m_step_ml(rows, est, params, config.spd_floor)
-        if config.estimate_nu:
-            if weighted:
-                solved = solve_nu_mlq(
-                    rows, (params.mu, params.sigma), est, config.q, config.nu_bracket
-                )
-            else:
-                solved = solve_nu_ml(est, config.nu_bracket)
-            nu = solved.nu
-            clamped = clamped or not solved.bracketed
-        else:
-            nu = params.nu
-        params = MvtParams(mu, sigma, nu)
-        vec = _pack(params, config.estimate_nu)
-        change = float(np.linalg.norm(vec - prev_vec))
-        prev_vec = vec
-        objective = _objective(rows, params, config.method, config.q)
-        trace.append(IterationRecord(iteration, change, objective))
-        if change < config.epsilon:
-            converged = True
-            break
-
-    return FitResult(
-        params=params,
-        iterations=len(trace),
-        converged=converged,
-        trace=tuple(trace),
-        objective=trace[-1].objective,
-        method=config.method,
-        q=config.q if weighted else None,
-        nu_estimated=config.estimate_nu,
-        nu_clamped=clamped,
-        change_norm=trace[-1].change_norm,
-    )
+    (outcome,) = fit_many(data, [config])
+    if isinstance(outcome, DegenerateData):
+        raise outcome
+    return outcome

@@ -1,26 +1,33 @@
 """Small dense SPD linear algebra used by the density and the estimators.
 
 Everything is routed through Cholesky factors: log-determinants come from
-the factor diagonal and quadratic forms from one triangular solve. No
+the factor diagonal and quadratic forms from one forward substitution. No
 explicit matrix inverse is formed anywhere, which keeps the per-observation
 weights stable when Mahalanobis distances get very large.
+
+The *_many functions work on a stack of B parameter sets at once, for the
+lockstep fits. Each stack member is computed by the same elementwise
+operations and last-axis sums as a stack of one, so a member's result does
+not depend on what else is in the stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
 __all__ = [
     "symmetrize",
     "cholesky_lower",
+    "cholesky_many",
     "log_det",
     "mahalanobis_sq",
     "mahalanobis_sq_rows",
     "mahalanobis_sq_from_chol",
+    "mahalanobis_sq_many",
     "spd_repair",
+    "spd_repair_many",
 ]
 
 
@@ -47,6 +54,18 @@ def cholesky_lower(m) -> np.ndarray:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
 
 
+def cholesky_many(stack: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (B, p, p) stack; NaN where a pivot fails."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        out = np.full_like(stack, np.nan)
+        for b, m in enumerate(stack):
+            if _chol_succeeds(m):
+                out[b] = np.linalg.cholesky(m)
+        return out
+
+
 def log_det(m) -> float:
     """log determinant of an SPD matrix, as 2 * sum(log diag(L))."""
     chol = cholesky_lower(m)
@@ -62,8 +81,24 @@ def mahalanobis_sq_from_chol(rows, mu, chol: np.ndarray) -> np.ndarray:
             f"rows of width {rows.shape[1]} incompatible with location of "
             f"length {mu.shape[0]} and factor of order {chol.shape[0]}"
         )
-    z = solve_triangular(chol, (rows - mu).T, lower=True, check_finite=False)
-    return np.einsum("ij,ij->j", z, z)
+    return mahalanobis_sq_many(rows.T, mu[None, :], chol[None, :, :])[0]
+
+
+def mahalanobis_sq_many(columns, mu, chol) -> np.ndarray:
+    """Squared distances of the p x n observation columns under B parameter sets.
+
+    mu is (B, p) and chol the (B, p, p) lower factors; the result is (B, n).
+    L z = x - mu is solved by forward substitution one coordinate at a
+    time, so the work is elementwise over (B, n) and needs no BLAS.
+    """
+    d = columns[None, :, :] - mu[:, :, None]
+    z = np.empty_like(d)
+    for j in range(d.shape[1]):
+        acc = d[:, j]
+        for k in range(j):
+            acc = acc - chol[:, j, k, None] * z[:, k]
+        z[:, j] = acc / chol[:, j, j, None]
+    return np.sum(z * z, axis=1)
 
 
 def mahalanobis_sq_rows(rows, mu, sigma) -> np.ndarray:
@@ -79,9 +114,9 @@ def mahalanobis_sq(x, mu, sigma) -> float:
     return float(mahalanobis_sq_rows(x[None, :], mu, sigma)[0])
 
 
-def _lambda_min_2x2(m: np.ndarray) -> float:
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
-    return float(0.5 * (a + c) - np.hypot(0.5 * (a - c), b))
+def _lambda_min_2x2(m: np.ndarray):
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
+    return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
 
 
 def _chol_succeeds(m: np.ndarray) -> bool:
@@ -131,21 +166,26 @@ def spd_repair(m, floor: float = 1e-10) -> np.ndarray:
     involved. An input that is already comfortably positive definite comes
     back unchanged apart from symmetrization.
     """
-    if not floor > 0:
-        raise DomainError("floor must be positive")
     sym = symmetrize(m)
     if not np.all(np.isfinite(sym)):
         raise DomainError("matrix entries must be finite")
-    p = sym.shape[0]
+    return spd_repair_many(sym[None, :, :], floor)[0]
+
+
+def spd_repair_many(stack: np.ndarray, floor: float = 1e-10) -> np.ndarray:
+    """spd_repair of each matrix in a (B, p, p) stack of finite symmetric matrices."""
+    if not floor > 0:
+        raise DomainError("floor must be positive")
+    p = stack.shape[-1]
+    eye = np.eye(p)
     if p == 1:
-        lam = float(sym[0, 0])
+        lam = stack[:, 0, 0]
     elif p == 2:
-        lam = _lambda_min_2x2(sym)
+        lam = _lambda_min_2x2(stack)
     else:
-        if _chol_succeeds(sym - floor * np.eye(p)):
-            return sym
-        lam = _lambda_min_bisect(sym)
-    shift = max(0.0, floor - lam)
-    if shift > 0.0:
-        sym = sym + shift * np.eye(p)
-    return sym
+        if _chol_succeeds(stack - floor * eye):
+            return stack
+        lam = np.array([floor if _chol_succeeds(m - floor * eye) else _lambda_min_bisect(m)
+                        for m in stack])
+    shift = np.maximum(0.0, floor - lam)
+    return stack + shift[:, None, None] * eye

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, DomainError
-from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit
+from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit, fit_many
 from .tdist import MvtParams, as_data_matrix, log_pdf_rows, sample
 
 __all__ = [
@@ -199,30 +199,25 @@ def _upper_triangle(sigma: np.ndarray) -> tuple[float, ...]:
     return tuple(float(v) for v in sigma[iu])
 
 
-def _fit_record(index: int, method: str, q: Optional[float], data,
+def _fit_record(index: int, method: str, q: Optional[float], outcome,
                 spec: SimulationSpec) -> ReplicateRecord:
-    p = spec.true_params.dim
-    config = replace(
-        spec.fit_config, method=method, q=(q if q is not None else 1.0)
-    )
-    try:
-        result = fit(data, config)
-    except DegenerateData:
+    if isinstance(outcome, DegenerateData):
+        p = spec.true_params.dim
         nan_mu = (math.nan,) * p
         nan_sig = (math.nan,) * (p * (p + 1) // 2)
         return ReplicateRecord(index, method, q, True, False, 0, nan_mu,
                                nan_sig, math.nan, math.nan, math.nan, math.nan)
-    dist = distance_metrics(result.params, spec.true_params)
+    dist = distance_metrics(outcome.params, spec.true_params)
     return ReplicateRecord(
         replicate=index,
         method=method,
         q=q,
         failed=False,
-        converged=result.converged,
-        iterations=result.iterations,
-        mu=tuple(float(v) for v in result.params.mu),
-        sigma=_upper_triangle(result.params.sigma),
-        nu=result.params.nu,
+        converged=outcome.converged,
+        iterations=outcome.iterations,
+        mu=tuple(float(v) for v in outcome.params.mu),
+        sigma=_upper_triangle(outcome.params.sigma),
+        nu=outcome.params.nu,
         d_mu=dist.d_mu,
         d_sigma=dist.d_sigma,
         sq_err_nu=dist.sq_err_nu,
@@ -230,12 +225,15 @@ def _fit_record(index: int, method: str, q: Optional[float], data,
 
 
 def _replicate_records(args) -> list[ReplicateRecord]:
+    """Fit one replicate by ML and across the q grid, all in one lockstep batch."""
     spec, index = args
     data = contaminate(generate_replicate(spec, index), spec, index)
-    records = [_fit_record(index, METHOD_ML, None, data, spec)]
-    for q in spec.q_grid:
-        records.append(_fit_record(index, METHOD_MLQ, q, data, spec))
-    return records
+    labels = [(METHOD_ML, None)] + [(METHOD_MLQ, q) for q in spec.q_grid]
+    configs = [replace(spec.fit_config, method=method, q=(1.0 if q is None else q))
+               for method, q in labels]
+    outcomes = fit_many(data, configs)
+    return [_fit_record(index, method, q, outcome, spec)
+            for (method, q), outcome in zip(labels, outcomes)]
 
 
 def _summarize(records: list[ReplicateRecord], method: str, q: Optional[float],

@@ -1,80 +1,33 @@
-"""Scalar log-gamma and digamma.
+"""Log-gamma and digamma on the positive reals.
 
-Both use the classic recurrence-plus-asymptotic-series scheme: arguments
-below 10 are shifted upward with the functional equations, then the
-Stirling series (log-gamma) or its derivative (digamma) is evaluated at
-the shifted point. With the shift threshold at 10 the truncated series
-contributes less than 1e-14, so accuracy is limited by rounding in the
-recurrence only. The degrees-of-freedom root solves difference two
-digamma values, which is why the tight tolerance matters here.
+Thin checked wrappers over scipy.special, whose versions work elementwise
+on arrays, which the batched degrees-of-freedom solves need. The wrappers
+only add the domain check, so a non-positive or NaN argument raises
+DomainError instead of returning inf or NaN.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
+import scipy.special
 
 from .errors import DomainError
 
 __all__ = ["log_gamma", "digamma"]
 
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-# Stirling series coefficients for log Gamma: sum c_k / x^(2k-1).
-_LOG_GAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-)
-
-# Asymptotic tail of digamma: -sum d_k / x^(2k), from the Bernoulli numbers.
-_DIGAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
-
-_SHIFT_THRESHOLD = 10.0
+def _positive(x, name: str):
+    arr = np.asarray(x, dtype=float)
+    if not (arr > 0.0).all():
+        raise DomainError(f"{name} requires x > 0, got {x}")
+    return arr
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    x = float(x)
-    if not x > 0.0 or math.isnan(x):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if math.isinf(x):
-        return math.inf
-    acc = 0.0
-    while x < _SHIFT_THRESHOLD:
-        acc -= math.log(x)
-        x += 1.0
-    # Horner in 1/x^2, then one division by x for the odd powers.
-    r = 1.0 / (x * x)
-    series = 0.0
-    for c in reversed(_LOG_GAMMA_COEFFS):
-        series = series * r + c
-    series /= x
-    return acc + (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + series
+def log_gamma(x):
+    """Natural log of the Gamma function for x > 0 (scalar or array)."""
+    return scipy.special.gammaln(_positive(x, "log_gamma"))
 
 
-def digamma(x: float) -> float:
-    """Logarithmic derivative of Gamma for x > 0."""
-    x = float(x)
-    if not x > 0.0 or math.isnan(x):
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    if math.isinf(x):
-        return math.inf
-    acc = 0.0
-    while x < _SHIFT_THRESHOLD:
-        acc -= 1.0 / x
-        x += 1.0
-    r = 1.0 / (x * x)
-    tail = 0.0
-    for d in reversed(_DIGAMMA_COEFFS):
-        tail = tail * r + d
-    return acc + math.log(x) - 0.5 / x - tail * r
+def digamma(x):
+    """Logarithmic derivative of Gamma for x > 0 (scalar or array)."""
+    return scipy.special.digamma(_positive(x, "digamma"))

@@ -25,6 +25,7 @@ __all__ = [
     "MvtParams",
     "as_data_matrix",
     "log_pdf",
+    "log_pdf_from_dist",
     "log_pdf_rows",
     "lq_transform",
     "lq_from_log",
@@ -100,21 +101,31 @@ def as_data_matrix(data) -> np.ndarray:
     return rows
 
 
-def _log_norm_const(nu: float, p: int, log_det_sigma: float) -> float:
+def _log_norm_const(nu, p: int, log_det_sigma):
+    """Log of the t normalizing constant; nu and log_det_sigma broadcast."""
     return (
         log_gamma(0.5 * (nu + p))
         - log_gamma(0.5 * nu)
-        - 0.5 * p * math.log(math.pi * nu)
+        - 0.5 * p * np.log(np.pi * nu)
         - 0.5 * log_det_sigma
     )
+
+
+def log_pdf_from_dist(s, nu, p: int, log_det_sigma):
+    """Log density at squared Mahalanobis distance s.
+
+    nu and log_det_sigma broadcast against s, so one call evaluates many
+    parameter sets, or many candidate nu values, at once.
+    """
+    nu = np.asarray(nu, dtype=float)
+    const = _log_norm_const(nu, p, log_det_sigma)
+    return const - 0.5 * (nu + p) * np.log1p(s / nu)
 
 
 def log_pdf_rows(rows, params: MvtParams) -> np.ndarray:
     """Log density of each row under the t distribution."""
     s = mahalanobis_sq_from_chol(rows, params.mu, params.chol_lower)
-    nu, p = params.nu, params.dim
-    const = _log_norm_const(nu, p, params.log_det_sigma)
-    return const - 0.5 * (nu + p) * np.log1p(s / nu)
+    return log_pdf_from_dist(s, params.nu, params.dim, params.log_det_sigma)
 
 
 def log_pdf(x, params: MvtParams) -> float:
@@ -143,15 +154,20 @@ def lq_transform(u, q: float):
     return float(out) if np.isscalar(u) else out
 
 
-def lq_from_log(log_u, q: float):
-    """lq_transform evaluated from log(u), avoiding the intermediate power."""
-    q = float(q)
-    if not q > 0.0:
+def lq_from_log(log_u, q):
+    """lq_transform evaluated from log(u), avoiding the intermediate power.
+
+    q may be an array broadcasting against log_u, one q per row of a batch.
+    """
+    q = np.asarray(q, dtype=float)
+    if not (q > 0.0).all():
         raise DomainError("q must be positive")
     log_u = np.asarray(log_u, dtype=float)
-    if abs(q - 1.0) < _Q_ONE_TOL:
+    plain = np.abs(q - 1.0) < _Q_ONE_TOL
+    if plain.all():
         return log_u
-    return np.expm1((1.0 - q) * log_u) / (1.0 - q)
+    one_minus_q = np.where(plain, 1.0, 1.0 - q)
+    return np.where(plain, log_u, np.expm1(one_minus_q * log_u) / one_minus_q)
 
 
 def sample(params: MvtParams, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,24 +187,27 @@ def sample(params: MvtParams, n: int, rng: np.random.Generator) -> np.ndarray:
     return params.mu + (z @ params.chol_lower.T) / scale[:, None]
 
 
-def _check_s_nu(s, nu: float):
+def _check_s_nu(s, nu):
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+    if not (arr >= 0.0).all():
         raise DomainError("squared Mahalanobis distance must be nonnegative")
-    if not nu > 0.0:
+    if not (np.asarray(nu) > 0.0).all():
         raise DomainError("degrees of freedom must be positive")
     return arr
 
 
-def cond_expect_u(s, nu: float, p: int):
-    """E(U | x): the multiplicative downweight (nu + p) / (nu + s)."""
+def cond_expect_u(s, nu, p: int):
+    """E(U | x): the multiplicative downweight (nu + p) / (nu + s).
+
+    nu may be an array broadcasting against s, as in a batch of fits.
+    """
     arr = _check_s_nu(s, nu)
     out = (nu + p) / (nu + arr)
     return float(out) if np.isscalar(s) else out
 
 
-def cond_expect_log_u(s, nu: float, p: int):
-    """E(log U | x) = digamma((nu + p)/2) - log((nu + s)/2)."""
+def cond_expect_log_u(s, nu, p: int):
+    """E(log U | x) = digamma((nu + p)/2) - log((nu + s)/2); nu broadcasts."""
     arr = _check_s_nu(s, nu)
     out = digamma(0.5 * (nu + p)) - np.log(0.5 * (nu + arr))
     return float(out) if np.isscalar(s) else out

@@ -1,0 +1,84 @@
+import json
+
+import numpy as np
+import pytest
+
+from robust_t import cli
+from robust_t.estimators import NORM_DEFINITION
+
+
+@pytest.fixture
+def data_csv(tmp_path):
+    path = tmp_path / "data.csv"
+    code = cli.main(["sample", "--n", "80", "--mu", "2,1", "--sigma", "1,0;0,1",
+                     "--nu", "3", "--seed", "4", "--output", str(path)])
+    assert code == 0
+    return path
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_one_line_error(err):
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestFit:
+    def test_ml_fit_writes_json(self, capsys, data_csv):
+        code, out, err = run(capsys, "fit", str(data_csv))
+        assert code == 0 and err == ""
+        result = json.loads(out)
+        assert result["method"] == "ml" and result["q"] is None
+        assert result["stopping_norm_definition"] == NORM_DEFINITION
+        assert "nu if estimated" in NORM_DEFINITION
+
+    def test_q_with_ml_rejected(self, capsys, data_csv):
+        code, out, err = run(capsys, "fit", str(data_csv), "--method", "ml", "--q", "0.5")
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert "--q" in err
+
+    def test_q_with_mlq_accepted(self, capsys, data_csv):
+        code, out, _ = run(capsys, "fit", str(data_csv), "--method", "mlq", "--q", "0.5")
+        assert code == 0
+        assert json.loads(out)["q"] == 0.5
+
+
+class TestSimulate:
+    def test_unwritable_output_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report"
+        code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30", "--replications", "1",
+                           "--q-grid", "0.9", "--output", str(target))
+        assert code == 1
+        assert_one_line_error(err)
+
+    def test_writes_report(self, capsys, tmp_path):
+        target = tmp_path / "report.csv"
+        code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30", "--replications", "2",
+                           "--q-grid", "0.85:0.95:0.05", "--output", str(target))
+        assert code == 0 and err == ""
+        summary = json.loads(target.with_suffix(".json").read_text())
+        assert summary["q_grid"] == [0.85, 0.9, 0.95]
+        assert summary["ml"]["n_replications"] == 2
+
+
+class TestDensityGrid:
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_fewer_than_two_grid_points_rejected(self, capsys, tmp_path, data_csv, points):
+        code, _, err = run(capsys, "density-grid", str(data_csv), "--grid-points", points,
+                           "--out", str(tmp_path / "grid"))
+        assert code == 1
+        assert_one_line_error(err)
+        assert not (tmp_path / "grid_grid.csv").exists()
+
+    def test_two_grid_points_accepted(self, capsys, tmp_path, data_csv):
+        code, _, err = run(capsys, "density-grid", str(data_csv), "--grid-points", "2",
+                           "--out", str(tmp_path / "grid"))
+        assert code == 0 and err == ""
+        grid = np.loadtxt(tmp_path / "grid_grid.csv", delimiter=",", skiprows=1)
+        assert grid.shape == (4, 4)

@@ -254,6 +254,19 @@ class TestFit:
         assert result.params.nu == 3.0
         assert not result.nu_clamped
 
+    def test_nu_clamped_reports_the_final_solve(self):
+        # contaminated data: the first nu solve wants about 3, above the
+        # bracket, and later ones fall to about 1.3, inside it
+        rows = contaminated_data(n=100, seed=0)
+        config = FitConfig(method="ml", nu_bracket=(0.1, 2.5))
+        first = fit(rows, replace(config, max_iter=1))
+        assert first.nu_clamped
+        assert first.params.nu == 2.5
+        result = fit(rows, config)
+        assert result.converged
+        assert not result.nu_clamped
+        assert result.params.nu < 2.0
+
     def test_trace_structure(self):
         rows = clean_data(150, seed=14)
         result = fit(rows, FitConfig(method="ml"))
