@@ -25,13 +25,15 @@ from .errors import (
 )
 from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit
 from .simulation import (
+    ShowcaseResult,
     SimulationReport,
     SimulationSpec,
+    fit_and_grid,
     preset_case,
     run_simulation,
     run_single_showcase,
 )
-from .tdist import MvtParams, log_pdf_rows, sample, score_curve
+from .tdist import MvtParams, sample, score_curve
 
 _INPUT_ERRORS = (
     DegenerateData,
@@ -180,12 +182,16 @@ def _result_dict(result: FitResult) -> dict:
     }
 
 
+def _dump_json(payload: dict, handle):
+    handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _write_json(path: str | None, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
-        Path(path).write_text(text + "\n")
+        with open(path, "w") as handle:
+            _dump_json(payload, handle)
     else:
-        print(text)
+        _dump_json(payload, sys.stdout)
 
 
 def _fit_config_from(args, method: str, q: float) -> FitConfig:
@@ -255,8 +261,8 @@ def _jobs(args) -> int:
         raise _UsageError(f"ROBUST_T_JOBS={env!r} is not an integer") from None
 
 
-def _spec_from(args, q_grid: tuple[float, ...], n_replications: int) -> SimulationSpec:
-    truth = preset_case(args.case)
+def _spec_from(args, truth: MvtParams, q_grid: tuple[float, ...],
+               n_replications: int) -> SimulationSpec:
     low, high = args.outlier_range
     return SimulationSpec(
         true_params=truth,
@@ -316,75 +322,55 @@ def _report_rows(report: SimulationReport) -> list[list[str]]:
 
 def cmd_simulate(args) -> int:
     q_grid = parse_q_grid(args.q_grid)
-    spec = _spec_from(args, q_grid, args.replications)
-    report = run_simulation(spec, jobs=_jobs(args))
-
+    spec = _spec_from(args, preset_case(args.case), q_grid, args.replications)
+    jobs = _jobs(args)
     out = Path(args.output)
     csv_path = out if out.suffix == ".csv" else Path(str(out) + ".csv")
-    json_path = csv_path.with_suffix(".json")
-    with open(csv_path, "w", newline="") as handle:
-        handle.write("parameter,true,ml_mean,ml_distance,mlq_mean,mlq_distance\n")
+    # both outputs are opened before the run, so an unwritable path fails at once
+    with (open(csv_path, "w", newline="") as csv_out,
+          open(csv_path.with_suffix(".json"), "w") as json_out):
+        report = run_simulation(spec, jobs=jobs)
+        csv_out.write("parameter,true,ml_mean,ml_distance,mlq_mean,mlq_distance\n")
         for row in _report_rows(report):
-            handle.write(",".join(row) + "\n")
-    _write_json(str(json_path), {
-        "case": args.case,
-        "n": args.n,
-        "outliers": args.outliers,
-        "replications": args.replications,
-        "seed": args.seed,
-        "outlier_range": list(args.outlier_range),
-        "selected_q": report.selected_q,
-        "q_grid": list(report.spec.q_grid),
-        "ml": _summary_dict(report.ml),
-        "mlq": _summary_dict(report.mlq),
-        "q_sweep": [_summary_dict(s) for s in report.q_sweep],
-    })
+            csv_out.write(",".join(row) + "\n")
+        _dump_json({
+            "case": args.case,
+            "n": args.n,
+            "outliers": args.outliers,
+            "replications": args.replications,
+            "seed": args.seed,
+            "outlier_range": list(args.outlier_range),
+            "selected_q": report.selected_q,
+            "q_grid": list(report.spec.q_grid),
+            "ml": _summary_dict(report.ml),
+            "mlq": _summary_dict(report.mlq),
+            "q_sweep": [_summary_dict(s) for s in report.q_sweep],
+        }, json_out)
     return 0
 
 
-def _write_showcase_outputs(prefix: str, data, ml_fit, mlq_fit, grid_x, grid_y,
-                            ml_density, mlq_density, extra: dict | None = None) -> int:
-    write_matrix_csv(f"{prefix}_data.csv", data)
-    payload = {"ml": _result_dict(ml_fit), "mlq": _result_dict(mlq_fit)}
+def _write_showcase_outputs(prefix: str, show: ShowcaseResult, extra: dict | None = None) -> int:
+    write_matrix_csv(f"{prefix}_data.csv", show.data)
+    payload = {"ml": _result_dict(show.ml_fit), "mlq": _result_dict(show.mlq_fit)}
     if extra:
         payload.update(extra)
     _write_json(f"{prefix}_fits.json", payload)
     with open(f"{prefix}_grid.csv", "w", newline="") as handle:
         handle.write("x,y,ml_density,mlq_density\n")
-        for iy in range(grid_y.shape[0]):
-            for ix in range(grid_x.shape[0]):
+        for iy in range(show.grid_y.shape[0]):
+            for ix in range(show.grid_x.shape[0]):
                 handle.write(",".join([
-                    _fmt(grid_x[ix]), _fmt(grid_y[iy]),
-                    _fmt(ml_density[iy, ix]), _fmt(mlq_density[iy, ix]),
+                    _fmt(show.grid_x[ix]), _fmt(show.grid_y[iy]),
+                    _fmt(show.ml_density[iy, ix]), _fmt(show.mlq_density[iy, ix]),
                 ]) + "\n")
-    return 0 if (ml_fit.converged and mlq_fit.converged) else 2
+    return 0 if (show.ml_fit.converged and show.mlq_fit.converged) else 2
 
 
 def cmd_density_grid(args) -> int:
     data = read_matrix_csv(args.input)
-    if data.shape[1] != 2:
-        raise _UsageError("contours require bivariate data")
-    if args.grid_points < 2:
-        raise _UsageError("--grid-points must be at least 2")
     q = args.q if args.q is not None else DEFAULT_Q
-    config = _fit_config_from(args, METHOD_ML, 1.0)
-    ml_fit = fit(data, config)
-    mlq_fit = fit(data, FitConfig(
-        method=METHOD_MLQ, q=q, estimate_nu=config.estimate_nu,
-        fixed_nu=config.fixed_nu, epsilon=config.epsilon, max_iter=config.max_iter,
-    ))
-    sd = np.std(data, axis=0, ddof=1)
-    lo = data.min(axis=0) - 2.0 * sd
-    hi = data.max(axis=0) + 2.0 * sd
-    grid_x = np.linspace(lo[0], hi[0], args.grid_points)
-    grid_y = np.linspace(lo[1], hi[1], args.grid_points)
-    xx, yy = np.meshgrid(grid_x, grid_y)
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    ml_density = np.exp(log_pdf_rows(points, ml_fit.params)).reshape(xx.shape)
-    mlq_density = np.exp(log_pdf_rows(points, mlq_fit.params)).reshape(xx.shape)
-    return _write_showcase_outputs(
-        args.out, data, ml_fit, mlq_fit, grid_x, grid_y, ml_density, mlq_density
-    )
+    show = fit_and_grid(data, _fit_config_from(args, METHOD_ML, 1.0), q, args.grid_points)
+    return _write_showcase_outputs(args.out, show)
 
 
 def cmd_showcase(args) -> int:
@@ -394,22 +380,8 @@ def cmd_showcase(args) -> int:
         if args.mu is None or args.sigma is None or args.nu is None:
             raise _UsageError("showcase needs --case or all of --mu/--sigma/--nu")
         truth = MvtParams(parse_vector(args.mu), parse_matrix(args.sigma), args.nu)
-    if truth.dim != 2:
-        raise _UsageError("contours require bivariate data")
     q = args.q if args.q is not None else DEFAULT_Q
-    low, high = args.outlier_range
-    spec = SimulationSpec(
-        true_params=truth,
-        n=args.n,
-        n_outliers=args.outliers,
-        n_replications=1,
-        q_grid=(q,),
-        outlier_low=low,
-        outlier_high=high,
-        seed=args.seed,
-        fit_config=FitConfig(epsilon=args.epsilon, max_iter=args.max_iter),
-    )
-    show = run_single_showcase(spec, grid_points=args.grid_points)
+    show = run_single_showcase(_spec_from(args, truth, (q,), 1), grid_points=args.grid_points)
     truth_dict = {
         "truth": {
             "mu": [float(v) for v in truth.mu],
@@ -417,10 +389,7 @@ def cmd_showcase(args) -> int:
             "nu": float(truth.nu),
         }
     }
-    return _write_showcase_outputs(
-        args.out, show.data, show.ml_fit, show.mlq_fit, show.grid_x,
-        show.grid_y, show.ml_density, show.mlq_density, truth_dict,
-    )
+    return _write_showcase_outputs(args.out, show, truth_dict)
 
 
 def _add_fit_flags(sub):

@@ -21,12 +21,13 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
 
 * the stopping norm is the unweighted Euclidean norm over the concatenation
   of mu, the upper triangle of sigma, and nu (nu omitted when held fixed);
-* the q-weighted scatter update centers on the previous iterate's location
-  (the form its estimating equation is written in); an option flips it to
-  the updated location;
-* the nu solve clamps to the nearer bracket endpoint when the score does
-  not change sign on the bracket, which happens for near-normal data, and
-  the result is flagged rather than treated as an error.
+* the q-weighted scatter update centers on the previous iterate's location,
+  the form its estimating equation is written in; centering on the updated
+  location reaches the same fixed point in about as many iterations, so
+  nothing is gained by offering it;
+* the nu solve searches NU_BRACKET and clamps to the nearer endpoint when
+  the score does not change sign on it, which happens for near-normal
+  data, and the result is flagged rather than treated as an error.
 
 The engine sorts the rows into lexicographic order once and then uses
 plain sums along the observation axis. Every fit of a batch goes through
@@ -44,12 +45,12 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DegenerateData, DomainError
 from .linalg import (
     cholesky_lower,
     cholesky_many,
+    log_det_from_chol,
     mahalanobis_sq_from_chol,
     mahalanobis_sq_many,
     spd_repair,
@@ -60,6 +61,7 @@ from .special import digamma
 from .tdist import (
     MvtParams,
     _log_norm_const,
+    _nu_terms,
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
@@ -71,6 +73,8 @@ __all__ = [
     "METHOD_ML",
     "METHOD_MLQ",
     "NORM_DEFINITION",
+    "NU_BRACKET",
+    "SPD_FLOOR",
     "FitConfig",
     "FitResult",
     "EStepQuantities",
@@ -92,8 +96,13 @@ METHOD_MLQ = "mlq"
 
 NORM_DEFINITION = "euclidean(mu, upper_triangle(sigma), nu if estimated)"
 
+# The degrees-of-freedom solves search this interval.
+NU_BRACKET = (0.1, 200.0)
+# Every scatter update is repaired to a smallest eigenvalue of at least this.
+SPD_FLOOR = 1e-10
+
 # Fields in which the configs of one fit_many batch may differ.
-_PER_FIT_FIELDS = ("method", "q", "mlq_scatter_uses_updated_mu")
+_PER_FIT_FIELDS = ("method", "q")
 # Absolute tolerance on the nu root, and the most Newton/false-position steps.
 _NU_XTOL = 1e-10
 _NU_MAX_STEPS = 200
@@ -104,7 +113,9 @@ class FitConfig:
     """Estimator controls.
 
     q is only meaningful for the q-weighted method; fixed_nu is only used
-    when estimate_nu is False.
+    when estimate_nu is False. epsilon bounds the stopping norm
+    (NORM_DEFINITION) and max_iter the iterations. The nu bracket and the
+    scatter floor are the module constants NU_BRACKET and SPD_FLOOR.
     """
 
     method: str = METHOD_ML
@@ -113,11 +124,6 @@ class FitConfig:
     fixed_nu: float = 3.0
     epsilon: float = 1e-6
     max_iter: int = 1000
-    nu_bracket: tuple[float, float] = (0.1, 200.0)
-    spd_floor: float = 1e-10
-    # scatter update of the q-weighted step centers on the previous
-    # location as written; set True to use the updated one instead
-    mlq_scatter_uses_updated_mu: bool = False
 
     def __post_init__(self):
         if self.method not in (METHOD_ML, METHOD_MLQ):
@@ -128,20 +134,15 @@ class FitConfig:
             raise DomainError("epsilon must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
-        lo, hi = self.nu_bracket
-        if not (0.0 < lo < hi):
-            raise DomainError("nu bracket must satisfy 0 < low < high")
         if not self.fixed_nu > 0.0:
             raise DomainError("fixed_nu must be positive")
-        if not self.spd_floor > 0.0:
-            raise DomainError("spd_floor must be positive")
 
 
 class EStepQuantities(NamedTuple):
     """Per-observation conditional expectations and squared distances."""
 
     u1: np.ndarray
-    u2: Optional[np.ndarray]
+    u2: np.ndarray
     s: np.ndarray
 
 
@@ -177,7 +178,7 @@ class FitResult:
     norm_definition: str = field(default=NORM_DEFINITION)
 
 
-def init_params(data, spd_floor: float = 1e-10) -> MvtParams:
+def init_params(data) -> MvtParams:
     """Starting point: column means, repaired sample covariance, nu = 3."""
     rows = as_data_matrix(data)
     n, _ = rows.shape
@@ -188,34 +189,29 @@ def init_params(data, spd_floor: float = 1e-10) -> MvtParams:
     cov = np.sum(centered[:, :, None] * centered[:, None, :], axis=0) / (n - 1)
     if float(np.max(np.abs(cov))) == 0.0:
         raise DegenerateData("all observations are identical")
-    return MvtParams(mu, spd_repair(cov, spd_floor), 3.0)
+    return MvtParams(mu, spd_repair(cov, SPD_FLOOR), 3.0)
 
 
-def e_step(data, params: MvtParams, need_log: bool = True) -> EStepQuantities:
-    """Conditional expectations of the mixing variable at the current iterate.
-
-    u2 (the expected log) only feeds the degrees-of-freedom equations, so
-    it is skipped when need_log is False.
-    """
+def e_step(data, params: MvtParams) -> EStepQuantities:
+    """Conditional expectations of the mixing variable at the current iterate."""
     rows = as_data_matrix(data)
     s = mahalanobis_sq_from_chol(rows, params.mu, params.chol_lower)
     u1 = cond_expect_u(s, params.nu, params.dim)
-    u2 = cond_expect_log_u(s, params.nu, params.dim) if need_log else None
+    u2 = cond_expect_log_u(s, params.nu, params.dim)
     return EStepQuantities(u1, u2, s)
 
 
-def _weighted_location_scatter(rows, w_mu, center, w_sigma, denom, spd_floor):
-    mu = np.sum(w_mu[:, None] * rows, axis=0) / np.sum(w_mu)
+def _weighted_location_scatter(rows, w, center, denom):
+    mu = np.sum(w[:, None] * rows, axis=0) / np.sum(w)
     d = rows - (mu if center is None else center)
-    sigma = np.sum(w_sigma[:, None, None] * d[:, :, None] * d[:, None, :], axis=0)
+    sigma = np.sum(w[:, None, None] * d[:, :, None] * d[:, None, :], axis=0)
     sigma = sigma / denom
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
         raise DegenerateData("weighted update produced non-finite parameters")
-    return mu, spd_repair(sigma, spd_floor)
+    return mu, spd_repair(sigma, SPD_FLOOR)
 
 
-def m_step_ml(data, est: EStepQuantities, prev: MvtParams,
-              spd_floor: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def m_step_ml(data, est: EStepQuantities) -> tuple[np.ndarray, np.ndarray]:
     """Weighted-mean and weighted-covariance update of the plain EM step.
 
     The scatter is centered on the freshly updated location, which keeps
@@ -224,9 +220,7 @@ def m_step_ml(data, est: EStepQuantities, prev: MvtParams,
     rows = as_data_matrix(data)
     if not float(np.sum(est.u1)) > 0.0:
         raise DegenerateData("EM weights sum to zero")
-    return _weighted_location_scatter(
-        rows, est.u1, None, est.u1, rows.shape[0], spd_floor
-    )
+    return _weighted_location_scatter(rows, est.u1, None, rows.shape[0])
 
 
 def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
@@ -289,22 +283,10 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
 def _solve_one(g, bracket) -> NuSolveResult:
     """One nu equation on the bracket, started at its geometric midpoint."""
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0.0 < lo < hi:
+        raise DomainError("nu bracket must satisfy 0 < low < high")
     root, bracketed = _bracketed_root(g, lo, hi, np.array([math.sqrt(lo * hi)]))
     return NuSolveResult(float(root[0]), bool(bracketed[0]))
-
-
-def _check_bracket(bracket):
-    if not (0.0 < float(bracket[0]) < float(bracket[1])):
-        raise DomainError("nu bracket must satisfy 0 < low < high")
-
-
-def _nu_terms(nu):
-    """log(nu/2) - digamma(nu/2), the nu-part of every nu equation, and its slope.
-
-    The slope needs the trigamma function, polygamma(1, x) = zeta(2, x).
-    """
-    half = 0.5 * nu
-    return np.log(half) - digamma(half), 1.0 / nu - 0.5 * zeta(2.0, half)
 
 
 def solve_nu_ml(est: EStepQuantities, bracket: tuple[float, float]) -> NuSolveResult:
@@ -315,9 +297,6 @@ def solve_nu_ml(est: EStepQuantities, bracket: tuple[float, float]) -> NuSolveRe
     bracket the nearer endpoint is returned with bracketed=False (the
     near-normal case when the data want nu -> infinity).
     """
-    _check_bracket(bracket)
-    if est.u2 is None:
-        raise DomainError("expected-log quantities are required for the nu solve")
     n = est.u1.shape[0]
     offset = float(np.sum(est.u2 - est.u1))
 
@@ -393,15 +372,13 @@ def mlq_weights(s, nu, p: int, q):
     return w, v
 
 
-def m_step_mlq(data, prev: MvtParams, q: float, spd_floor: float = 1e-10,
-               s: Optional[np.ndarray] = None,
-               use_updated_mu: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def m_step_mlq(data, prev: MvtParams, q: float,
+               s: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Doubly weighted location/scatter update.
 
     Distances come from the previous iterate. The scatter numerator is
-    centered on the previous location (pass use_updated_mu=True for the
-    freshly updated one) and its denominator is the sum of the v weights
-    rather than n.
+    centered on the previous location and its denominator is the sum of
+    the v weights rather than n.
     """
     rows = as_data_matrix(data)
     if s is None:
@@ -411,8 +388,7 @@ def m_step_mlq(data, prev: MvtParams, q: float, spd_floor: float = 1e-10,
     sum_v = float(np.sum(v))
     if not (sum_w > 0.0 and sum_v > 0.0):
         raise DegenerateData("q-weighted weights sum to zero")
-    center = None if use_updated_mu else prev.mu
-    return _weighted_location_scatter(rows, w, center, w, sum_v, spd_floor)
+    return _weighted_location_scatter(rows, w, prev.mu, sum_v)
 
 
 def solve_nu_mlq(data, current: tuple[np.ndarray, np.ndarray],
@@ -425,20 +401,16 @@ def solve_nu_mlq(data, current: tuple[np.ndarray, np.ndarray],
     weight, is re-evaluated at each candidate nu. Bracketing and clamping
     follow the plain solve.
     """
-    _check_bracket(bracket)
     if not 0.0 < q <= 1.0:
         raise DomainError("q must lie in (0, 1]")
-    if est.u2 is None:
-        raise DomainError("expected-log quantities are required for the nu solve")
     mu_c = np.atleast_1d(np.asarray(current[0], dtype=float))
     chol = cholesky_lower(symmetrize(current[1]))
     rows = as_data_matrix(data)
     s = est.s
     if s is None or s.shape[0] != rows.shape[0]:
         s = mahalanobis_sq_from_chol(rows, mu_c, chol)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
     g = _weighted_nu_score(s[None, :], (est.u2 - est.u1 + 1.0)[None, :],
-                           np.array([1.0 - q]), np.array([log_det]), mu_c.shape[0])
+                           np.array([1.0 - q]), log_det_from_chol(chol[None]), mu_c.shape[0])
     return _solve_one(g, bracket)
 
 
@@ -463,20 +435,16 @@ def _pack(mu, sigma, nu, upper, with_nu: bool) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def _log_det_many(chol) -> np.ndarray:
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-
-
 FitOutcome = Union[FitResult, DegenerateData]
 
 
 def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
     """Run one fit per config on the same data, all in lockstep.
 
-    The configs may differ only in method, q and
-    mlq_scatter_uses_updated_mu; anything else raises DomainError. Returns
-    one entry per config, in order: its FitResult, or the DegenerateData
-    error that ended it. Data that cannot be initialized give that error
+    The configs may differ only in method and q; anything else raises
+    DomainError. Returns one entry per config, in order: its FitResult, or
+    the DegenerateData error that ended it. Data that cannot be initialized,
+    or whose centered rows have rank below the dimension, give that error
     for every config. Hitting max_iter is not an error: the result comes
     back with converged=False and the full trace. Each result is bitwise
     the one the config gets when fitted alone.
@@ -485,14 +453,21 @@ def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
     shared = _shared_config(configs)
     rows = as_data_matrix(data)
     rows = rows[np.lexsort(rows.T[::-1])]
+    p = rows.shape[1]
     try:
-        start = init_params(rows, shared.spd_floor)
+        start = init_params(rows)
+        # rank of the centered rows, judged on the p x p Gram matrix of their
+        # unit-length columns so that the units of the columns do not matter
+        centered = rows - start.mu
+        scale = np.sqrt(np.sum(centered * centered, axis=0))
+        unit = centered / np.where(scale > 0.0, scale, 1.0)
+        if np.linalg.matrix_rank(unit.T @ unit, hermitian=True) < p:
+            raise DegenerateData(f"the observations span fewer than {p} dimensions")
     except DegenerateData as exc:
         return [exc] * len(configs)
-    p = rows.shape[1]
     columns = np.ascontiguousarray(rows.T)
     upper = np.triu_indices(p)
-    lo, hi = shared.nu_bracket
+    lo, hi = NU_BRACKET
     estimate_nu = shared.estimate_nu
     count = len(configs)
 
@@ -502,11 +477,10 @@ def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
     state = {
         "index": np.arange(count),
         "q": np.array([c.q if c.method == METHOD_MLQ else 1.0 for c in configs]),
-        "recenter": np.array([c.method == METHOD_ML or c.mlq_scatter_uses_updated_mu
-                              for c in configs]),
+        "recenter": np.array([c.method == METHOD_ML for c in configs]),
         "mu": mu,
         "sigma": np.tile(start.sigma, (count, 1, 1)),
-        "log_det": _log_det_many(chol),
+        "log_det": log_det_from_chol(chol),
         "nu": np.full(count, 3.0 if estimate_nu else shared.fixed_nu),
         "s": mahalanobis_sq_many(columns, mu, chol),
     }
@@ -529,8 +503,7 @@ def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
         sigma[:, upper[1], upper[0]] = tri
         # a failed fit keeps its old scatter, which the repair can handle;
         # it leaves the batch at the end of this iteration
-        sigma = spd_repair_many(np.where(ok[:, None, None], sigma, state["sigma"]),
-                                shared.spd_floor)
+        sigma = spd_repair_many(np.where(ok[:, None, None], sigma, state["sigma"]), SPD_FLOOR)
         bracketed = np.ones_like(ok)
         if estimate_nu:
             u1 = cond_expect_u(s, nu[:, None], p)
@@ -539,7 +512,7 @@ def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
             nu, bracketed = _bracketed_root(score, lo, hi, nu)
         chol = cholesky_many(sigma)
         ok &= np.all(np.isfinite(chol), axis=(1, 2))
-        log_det = _log_det_many(chol)
+        log_det = log_det_from_chol(chol)
         s = mahalanobis_sq_many(columns, mu, chol)
         log_f = log_pdf_from_dist(s, nu[:, None], p, log_det[:, None])
         objective = np.sum(lq_from_log(log_f, q[:, None]), axis=1)

@@ -22,6 +22,7 @@ __all__ = [
     "cholesky_lower",
     "cholesky_many",
     "log_det",
+    "log_det_from_chol",
     "mahalanobis_sq",
     "mahalanobis_sq_rows",
     "mahalanobis_sq_from_chol",
@@ -67,9 +68,13 @@ def cholesky_many(stack: np.ndarray) -> np.ndarray:
 
 
 def log_det(m) -> float:
-    """log determinant of an SPD matrix, as 2 * sum(log diag(L))."""
-    chol = cholesky_lower(m)
-    return float(2.0 * np.sum(np.log(np.diag(chol))))
+    """log determinant of an SPD matrix."""
+    return float(log_det_from_chol(cholesky_lower(m)))
+
+
+def log_det_from_chol(chol):
+    """log determinant 2 * sum(log diag(L)) from lower factors, one per stack member."""
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
 def mahalanobis_sq_from_chol(rows, mu, chol: np.ndarray) -> np.ndarray:

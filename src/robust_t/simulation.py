@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, DomainError
-from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit, fit_many
+from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit_many
 from .tdist import MvtParams, as_data_matrix, log_pdf_rows, sample
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "contaminate",
     "distance_metrics",
     "run_simulation",
+    "fit_and_grid",
     "run_single_showcase",
 ]
 
@@ -308,21 +309,25 @@ def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
     )
 
 
-def run_single_showcase(spec: SimulationSpec, grid_points: int = 60) -> ShowcaseResult:
-    """Fit one contaminated replicate with both methods and export densities.
+def fit_and_grid(data, config: FitConfig, q: float, grid_points: int) -> ShowcaseResult:
+    """Fit bivariate data by ML and by MLq at q, and evaluate both densities.
 
-    Besides the two fits, a rectangular grid covering the data bounding box
-    padded by two marginal standard deviations is evaluated under each
-    fitted density, ready for external contour plotting. Bivariate data
-    only.
+    Both fits run in one fit_many batch with config's shared settings; a
+    fit that fails raises its DegenerateData error. The grid has
+    grid_points values per axis and covers the data bounding box padded by
+    two marginal standard deviations, ready for external contour plotting.
     """
-    if spec.true_params.dim != 2:
+    data = as_data_matrix(data)
+    if data.shape[1] != 2:
         raise DimensionMismatch("density grids require bivariate data")
     if grid_points < 2:
         raise DomainError("grid needs at least 2 points per axis")
-    data = contaminate(generate_replicate(spec, 0), spec, 0)
-    ml_fit = fit(data, replace(spec.fit_config, method=METHOD_ML, q=1.0))
-    mlq_fit = fit(data, replace(spec.fit_config, method=METHOD_MLQ, q=spec.q_grid[0]))
+    outcomes = fit_many(data, [replace(config, method=METHOD_ML, q=1.0),
+                               replace(config, method=METHOD_MLQ, q=q)])
+    for outcome in outcomes:
+        if isinstance(outcome, DegenerateData):
+            raise outcome
+    ml_fit, mlq_fit = outcomes
 
     sd = np.std(data, axis=0, ddof=1)
     lo = data.min(axis=0) - 2.0 * sd
@@ -342,3 +347,9 @@ def run_single_showcase(spec: SimulationSpec, grid_points: int = 60) -> Showcase
         ml_density=ml_density,
         mlq_density=mlq_density,
     )
+
+
+def run_single_showcase(spec: SimulationSpec, grid_points: int = 60) -> ShowcaseResult:
+    """fit_and_grid on replicate 0 of spec at its first q value."""
+    data = contaminate(generate_replicate(spec, 0), spec, 0)
+    return fit_and_grid(data, spec.fit_config, spec.q_grid[0], grid_points)

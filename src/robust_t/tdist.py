@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import DimensionMismatch, DomainError
-from .linalg import cholesky_lower, mahalanobis_sq_from_chol, symmetrize
+from .linalg import cholesky_lower, log_det_from_chol, mahalanobis_sq_from_chol, symmetrize
 from .special import digamma, log_gamma
 
 __all__ = [
@@ -86,7 +87,7 @@ class MvtParams:
 
     @property
     def log_det_sigma(self) -> float:
-        return float(2.0 * np.sum(np.log(np.diag(self.chol_lower))))
+        return float(log_det_from_chol(self.chol_lower))
 
 
 def as_data_matrix(data) -> np.ndarray:
@@ -140,17 +141,11 @@ def lq_transform(u, q: float):
     Accepts scalars or arrays. u must be nonnegative; u = 0 with q = 1
     yields -inf.
     """
-    q = float(q)
-    if not q > 0.0:
-        raise DomainError("q must be positive")
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise DomainError("lq_transform requires nonnegative u")
     with np.errstate(divide="ignore"):
-        if abs(q - 1.0) < _Q_ONE_TOL:
-            out = np.log(arr)
-        else:
-            out = np.expm1((1.0 - q) * np.log(arr)) / (1.0 - q)
+        out = lq_from_log(np.log(arr), float(q))
     return float(out) if np.isscalar(u) else out
 
 
@@ -213,22 +208,37 @@ def cond_expect_log_u(s, nu, p: int):
     return float(out) if np.isscalar(s) else out
 
 
+def _nu_terms(nu):
+    """log(nu/2) - digamma(nu/2), the nu-part of every nu equation, and its slope.
+
+    The slope needs the trigamma function, polygamma(1, x) = zeta(2, x).
+    """
+    half = 0.5 * nu
+    return np.log(half) - digamma(half), 1.0 / nu - 0.5 * zeta(2.0, half)
+
+
 def ml_score_nu(s, nu: float, p: int):
     """Per-observation likelihood score in nu at squared distance s.
 
+    It is half of 1 + E(log U | x) - E(U | x) + log(nu/2) - digamma(nu/2).
     Diverges to -inf like -log(s)/2, which is the unbounded-influence
     problem the reweighted estimator addresses.
     """
-    arr = _check_s_nu(s, nu)
-    out = 0.5 * (
-        math.log(nu)
-        + 1.0
-        + digamma(0.5 * (nu + p))
-        - digamma(0.5 * nu)
-        - np.log(nu + arr)
-        - (nu + p) / (nu + arr)
-    )
+    out = 0.5 * (1.0 + cond_expect_log_u(s, nu, p) - cond_expect_u(s, nu, p) + _nu_terms(nu)[0])
     return float(out) if np.isscalar(s) else out
+
+
+def _weighted_score_nu(s, params: MvtParams, q: float):
+    """The q-weighted nu-score summand at squared distances s.
+
+    Twice the plain score, times the density there raised to (1 - q).
+    """
+    q = float(q)
+    if not 0.0 < q < 1.0:
+        raise DomainError("q must lie strictly between 0 and 1")
+    nu, p = params.nu, params.dim
+    log_f = log_pdf_from_dist(s, nu, p, params.log_det_sigma)
+    return 2.0 * ml_score_nu(s, nu, p) * np.exp((1.0 - q) * log_f)
 
 
 def mlq_score_nu(x, params: MvtParams, q: float) -> float:
@@ -238,29 +248,16 @@ def mlq_score_nu(x, params: MvtParams, q: float) -> float:
     polynomially in the Mahalanobis distance so the product stays bounded
     and tends to zero far from the center.
     """
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise DomainError("q must lie strictly between 0 and 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = float(mahalanobis_sq_from_chol(x[None, :], params.mu, params.chol_lower)[0])
-    nu, p = params.nu, params.dim
-    bracket = (
-        -digamma(0.5 * nu)
-        + digamma(0.5 * (nu + p))
-        + math.log(nu)
-        - math.log(nu + s)
-        - (nu + p) / (nu + s)
-        + 1.0
-    )
-    return bracket * math.exp((1.0 - q) * log_pdf(x, params))
+    s = mahalanobis_sq_from_chol(x, params.mu, params.chol_lower)
+    return float(_weighted_score_nu(s, params, q)[0])
 
 
 def score_curve(params: MvtParams, s_grid, q: float | None = None) -> np.ndarray:
     """Evaluate the nu-score along a grid of squared Mahalanobis distances.
 
-    Returns an array of (s, value) pairs. Without q the plain likelihood
-    score is used; with q the weighted summand is evaluated at the point
-    sitting at that distance along the first principal axis of the scatter.
+    Returns an array of (s, value) pairs: the plain likelihood score, or
+    with q the weighted summand of mlq_score_nu, which depends on an
+    observation only through its squared distance.
     """
     grid = np.asarray(s_grid, dtype=float)
     if grid.size == 0:
@@ -274,8 +271,5 @@ def score_curve(params: MvtParams, s_grid, q: float | None = None) -> np.ndarray
     if q is None:
         values = ml_score_nu(grid, params.nu, params.dim)
     else:
-        axis = params.chol_lower[:, 0]
-        values = np.array(
-            [mlq_score_nu(params.mu + math.sqrt(s) * axis, params, q) for s in grid]
-        )
+        values = _weighted_score_nu(grid, params, q)
     return np.column_stack([grid, values])

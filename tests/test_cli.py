@@ -28,6 +28,16 @@ def assert_one_line_error(err):
     assert "Traceback" not in err
 
 
+def fit_csv(capsys, tmp_path, text):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    return run(capsys, "fit", str(path))
+
+
+def no_simulation(*args, **kwargs):
+    raise AssertionError("run_simulation must not be called")
+
+
 class TestFit:
     def test_ml_fit_writes_json(self, capsys, data_csv):
         code, out, err = run(capsys, "fit", str(data_csv))
@@ -48,12 +58,76 @@ class TestFit:
         assert code == 0
         assert json.loads(out)["q"] == 0.5
 
+    @pytest.mark.parametrize("text", ["1,2\n3,4\n5,6\n", "0,0\n2,2\n"])
+    def test_rank_deficient_data_is_an_error(self, capsys, tmp_path, text):
+        code, out, err = fit_csv(capsys, tmp_path, text)
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+
+
+class TestReadMatrixCsv:
+    def test_header_row_and_blank_lines_skipped(self, capsys, tmp_path, data_csv):
+        lines = data_csv.read_text().splitlines()
+        _, plain, _ = run(capsys, "fit", str(data_csv))
+        for text in ("x,y\n" + "\n".join(lines) + "\n",
+                     "\n".join(lines[:3] + ["", " , "] + lines[3:]) + "\n\n"):
+            code, out, err = fit_csv(capsys, tmp_path, text)
+            assert code == 0 and err == ""
+            assert out == plain
+
+    def test_ragged_row_named(self, capsys, tmp_path):
+        code, _, err = fit_csv(capsys, tmp_path, "1,2\n3,4\n\n5\n6,7\n")
+        assert code == 1
+        assert_one_line_error(err)
+        assert "row 4" in err
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf"])
+    def test_bad_cell_named_by_row_and_column(self, capsys, tmp_path, cell):
+        code, _, err = fit_csv(capsys, tmp_path, f"1,2\n3,4\n5,{cell}\n6,7\n")
+        assert code == 1
+        assert_one_line_error(err)
+        assert "row 3, column 2" in err
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "x,y\n"])
+    def test_no_observations(self, capsys, tmp_path, text):
+        code, _, err = fit_csv(capsys, tmp_path, text)
+        assert code == 1
+        assert_one_line_error(err)
+
+
+class TestParseQGrid:
+    def test_float_steps(self):
+        grid = cli.parse_q_grid("0.8:0.98:0.02")
+        assert grid == tuple(round(0.8 + 0.02 * k, 2) for k in range(10))
+        assert grid[-1] == 0.98
+        assert cli.parse_q_grid("0.8:0.95:0.1") == (0.8, 0.9)
+        assert cli.parse_q_grid("0.9") == (0.9,)
+
+    @pytest.mark.parametrize("text", ["0.9:0.8:0.1", "0.8:0.9:0", "a:b"])
+    def test_invalid_grid_exits_1(self, capsys, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(cli, "run_simulation", no_simulation)
+        code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30",
+                           "--q-grid", text, "--output", str(tmp_path / "report"))
+        assert code == 1
+        assert_one_line_error(err)
+
 
 class TestSimulate:
     def test_unwritable_output_is_an_error_not_a_traceback(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report"
         code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30", "--replications", "1",
                            "--q-grid", "0.9", "--output", str(target))
+        assert code == 1
+        assert_one_line_error(err)
+
+    @pytest.mark.parametrize("output", ["missing/report", "report"])
+    def test_unwritable_output_is_reported_before_the_run(self, capsys, tmp_path, monkeypatch,
+                                                          output):
+        # the JSON path of "report" is a directory, so only its CSV is writable
+        (tmp_path / "report.json").mkdir()
+        monkeypatch.setattr(cli, "run_simulation", no_simulation)
+        code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30",
+                           "--output", str(tmp_path / output))
         assert code == 1
         assert_one_line_error(err)
 

@@ -81,14 +81,17 @@ class TestRunSimulation:
         assert report.ml.n_failed == spec.n_replications
         assert all(s.n_failed == spec.n_replications and s.n_used == 0 for s in report.q_sweep)
 
+    def test_rank_deficient_replicates_recorded_as_failed(self, monkeypatch):
+        spec = small_spec(n_outliers=0, n_replications=2)
+        line = np.outer(np.arange(spec.n), [1.0, 2.0])
+        monkeypatch.setattr(simulation, "generate_replicate", lambda spec, index: line)
+        assert all(r.failed for r in rt.run_simulation(spec).records)
+
 
 class TestFitMany:
     def test_each_result_equals_its_single_fit(self):
         data = replicate_data(small_spec(), 0)
-        configs = batch_configs() + [
-            FitConfig(method="mlq", q=0.9, mlq_scatter_uses_updated_mu=True),
-            FitConfig(method="mlq", q=1.0),
-        ]
+        configs = batch_configs() + [FitConfig(method="mlq", q=1.0)]
         for result, config in zip(fit_many(data, configs), configs):
             assert same_fit(result, fit(data, config))
 
@@ -121,7 +124,7 @@ class TestFitMany:
 
     @pytest.mark.parametrize("change", [
         {"epsilon": 1e-8}, {"max_iter": 50}, {"estimate_nu": False},
-        {"fixed_nu": 5.0}, {"nu_bracket": (0.5, 100.0)}, {"spd_floor": 1e-9},
+        {"fixed_nu": 5.0},
     ])
     def test_rejects_configs_differing_in_shared_settings(self, change):
         data = replicate_data(small_spec(), 0)
@@ -133,23 +136,18 @@ class TestFitMany:
         with pytest.raises(DomainError):
             fit_many(replicate_data(small_spec(), 0), [])
 
-    @pytest.mark.parametrize("use_updated_mu", [False, True])
-    def test_one_batched_iteration_matches_the_scalar_steps(self, use_updated_mu):
+    def test_one_batched_iteration_matches_the_scalar_steps(self):
         rows = replicate_data(small_spec(), 2)
-        configs = [
-            replace(config, max_iter=1, mlq_scatter_uses_updated_mu=use_updated_mu)
-            for config in batch_configs()
-        ]
+        configs = batch_configs(FitConfig(max_iter=1))
         start = init_params(rows)
         est = e_step(rows, start)
-        bracket = configs[0].nu_bracket
+        bracket = estimators.NU_BRACKET
         for result, config in zip(fit_many(rows, configs), configs):
             if config.method == "ml":
-                mu, sigma = m_step_ml(rows, est, start)
+                mu, sigma = m_step_ml(rows, est)
                 nu = solve_nu_ml(est, bracket).nu
             else:
-                mu, sigma = m_step_mlq(rows, start, config.q, s=est.s,
-                                       use_updated_mu=use_updated_mu)
+                mu, sigma = m_step_mlq(rows, start, config.q, s=est.s)
                 nu = solve_nu_mlq(rows, (start.mu, start.sigma), est, config.q, bracket).nu
             assert result.iterations == 1
             assert np.allclose(result.params.mu, mu, rtol=1e-12, atol=1e-12)
