@@ -78,17 +78,24 @@ def _parse_csv_row(path: str, row: list[str], number: int) -> list[float]:
     return values
 
 
-def _is_numeric_row(row: list[str]) -> bool:
-    try:
-        for cell in row:
+def _is_header_row(row: list[str]) -> bool:
+    """True when no cell of the row parses as a number."""
+    for cell in row:
+        try:
             float(cell)
-    except ValueError:
+        except ValueError:
+            continue
         return False
     return True
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    """Read an n x p numeric CSV, auto-detecting a single header row."""
+    """Read an n x p numeric CSV, auto-detecting a single header row.
+
+    The first non-blank row is a header only when none of its cells is a
+    number; a first row with some numeric cells is data, so a bad cell in
+    it is reported like one in any other row.
+    """
     try:
         with open(path, newline="") as handle:
             raw = [
@@ -98,7 +105,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
             ]
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    if raw and not _is_numeric_row(raw[0][1]):
+    if raw and _is_header_row(raw[0][1]):
         raw = raw[1:]  # header row
     if not raw:
         raise _UsageError(f"{path}: no observations")
@@ -242,6 +249,8 @@ def cmd_score_curve(args) -> int:
     params = MvtParams(np.zeros(args.p), np.eye(args.p), args.nu)
     grid = np.geomspace(args.s_min, args.s_max, args.points)
     q = None
+    if args.method == METHOD_ML and args.q is not None:
+        raise _UsageError("--q applies to --method mlq only")
     if args.method == METHOD_MLQ:
         q = args.q if args.q is not None else DEFAULT_Q
         if not 0.0 < q < 1.0:

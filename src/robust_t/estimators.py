@@ -1,13 +1,15 @@
 """Fitting the multivariate t distribution by plain and q-weighted likelihood.
 
-Every fit runs through one engine, fit_many, which advances a batch of fits
-on the same observations in lockstep: all of a simulation replicate's fits
-(the plain fit and the whole q grid), or the single fit behind fit(). Each
-iteration refreshes the conditional expectations of the latent
-chi-squared mixing variable at the current parameters, updates location
-and scatter by closed-form weighted sums, and (optionally) updates the
-degrees of freedom by a bracketed root solve. A fit leaves the batch when
-it converges, fails or reaches max_iter.
+Every fit runs through one engine, which advances a batch of fits in
+lockstep: the same configs on each of a stack of same-shape datasets.
+run_simulation hands it a group of replicates, each with the plain fit
+and the whole q grid; fit_many is its one-dataset case and fit() its
+one-fit case. Each iteration refreshes the conditional expectations of
+the latent chi-squared mixing variable at the current parameters,
+updates location and scatter by closed-form weighted sums, and
+(optionally) updates the degrees of freedom by a bracketed root solve
+whose every step evaluates only the fits still solving. A fit leaves the
+batch when it converges, fails or reaches max_iter.
 
 The q-weighted step multiplies every observation's contribution by its
 density raised to (1 - q) on top of the EM weight, so outlying points are
@@ -27,12 +29,15 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   nothing is gained by offering it;
 * the nu solve searches NU_BRACKET and clamps to the nearer endpoint when
   the score does not change sign on it, which happens for near-normal
-  data, and the result is flagged rather than treated as an error.
+  data, and the result is flagged rather than treated as an error;
+* every scatter is floored at SPD_FLOOR on the correlation scale, so a
+  change of the units of a column moves no fit.
 
-The engine sorts the rows into lexicographic order once and then uses
-plain sums along the observation axis. Every fit of a batch goes through
-the same elementwise operations, so a fit's result is bitwise the same
-whatever the batch holds and however the input rows are permuted.
+The engine sorts each dataset's rows into lexicographic order once and
+then uses plain sums along the observation axis. Every fit of a batch
+goes through the same elementwise operations, so a fit's result is
+bitwise the same whatever the batch holds, datasets and configs alike,
+and however the input rows are permuted.
 
 e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq perform one
 step of one fit; they are the reference that the engine is tested against.
@@ -46,15 +51,14 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateData, DomainError
+from .errors import DegenerateData, DimensionMismatch, DomainError
 from .linalg import (
     cholesky_lower,
     cholesky_many,
     log_det_from_chol,
     mahalanobis_sq_from_chol,
     mahalanobis_sq_many,
-    spd_repair,
-    spd_repair_many,
+    spd_shift_many,
     symmetrize,
 )
 from .special import digamma
@@ -98,7 +102,8 @@ NORM_DEFINITION = "euclidean(mu, upper_triangle(sigma), nu if estimated)"
 
 # The degrees-of-freedom solves search this interval.
 NU_BRACKET = (0.1, 200.0)
-# Every scatter update is repaired to a smallest eigenvalue of at least this.
+# Every scatter is repaired so that its correlation matrix has a smallest
+# eigenvalue of at least this (see _repair_scatter).
 SPD_FLOOR = 1e-10
 
 # Fields in which the configs of one fit_many batch may differ.
@@ -178,6 +183,25 @@ class FitResult:
     norm_definition: str = field(default=NORM_DEFINITION)
 
 
+def _repair_scatter(sigma: np.ndarray) -> np.ndarray:
+    """Floor a (B, p, p) stack of symmetric scatters at SPD_FLOOR, unit-free.
+
+    The shift t that spd_repair would add to the correlation matrix
+    D^-1/2 sigma D^-1/2 (D the diagonal of sigma) is added as t * D, so the
+    repair scales with each column's variance and a change of units moves
+    no fit. A scatter with a diagonal entry <= 0 is floored absolutely, as
+    spd_repair does. A scatter needing no shift comes back unchanged.
+    """
+    diag = np.diagonal(sigma, axis1=1, axis2=2)
+    scale = np.where(np.all(diag > 0.0, axis=1, keepdims=True), diag, 1.0)
+    root = np.sqrt(scale)
+    shift = spd_shift_many(sigma / (root[:, :, None] * root[:, None, :]), SPD_FLOOR)
+    if not shift.any():
+        return sigma
+    eye = np.eye(sigma.shape[-1])
+    return sigma + (shift[:, None] * scale)[:, :, None] * eye
+
+
 def init_params(data) -> MvtParams:
     """Starting point: column means, repaired sample covariance, nu = 3."""
     rows = as_data_matrix(data)
@@ -189,7 +213,7 @@ def init_params(data) -> MvtParams:
     cov = np.sum(centered[:, :, None] * centered[:, None, :], axis=0) / (n - 1)
     if float(np.max(np.abs(cov))) == 0.0:
         raise DegenerateData("all observations are identical")
-    return MvtParams(mu, spd_repair(cov, SPD_FLOOR), 3.0)
+    return MvtParams(mu, _repair_scatter(cov[None])[0], 3.0)
 
 
 def e_step(data, params: MvtParams) -> EStepQuantities:
@@ -208,7 +232,7 @@ def _weighted_location_scatter(rows, w, center, denom):
     sigma = sigma / denom
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
         raise DegenerateData("weighted update produced non-finite parameters")
-    return mu, spd_repair(sigma, SPD_FLOOR)
+    return mu, _repair_scatter(symmetrize(sigma)[None])[0]
 
 
 def m_step_ml(data, est: EStepQuantities) -> tuple[np.ndarray, np.ndarray]:
@@ -226,20 +250,25 @@ def m_step_ml(data, est: EStepQuantities) -> tuple[np.ndarray, np.ndarray]:
 def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
     """Roots of B scalar equations on the common bracket [lo, hi].
 
-    g maps candidate values of shape (B, k) to the B equations' values and
-    slopes there, both (B, k). Where the value does not change sign on the
-    bracket, the endpoint with the smaller |value| is returned and flagged
-    unbracketed. Otherwise the root is found by Newton's method from start;
-    a Newton step that leaves the current sign-change interval is replaced
-    by an Illinois false-position step. A root is accepted after a Newton
-    step of at most _NU_XTOL, once its interval is that narrow, or at an
-    exact zero. Every equation's iterates depend on its own values only.
-    Returns (roots, bracketed), both of shape (B,).
+    g maps candidate values of shape (B, k) to the B equations' values
+    there, (B, k), and their slopes at the last candidate, (B, 1): the
+    first call asks for the values at lo, hi and start but the slope at
+    start only. After the first call, the rows of equations whose root is
+    already accepted are NaN: g skips them and returns NaN there (see
+    _open_rows), so each step costs only the equations still open. Where
+    the value does not change sign on the bracket, the endpoint with the
+    smaller |value| is returned and flagged unbracketed. Otherwise the root
+    is found by Newton's method from start; a Newton step that leaves the
+    current sign-change interval is replaced by an Illinois false-position
+    step. A root is accepted after a Newton step of at most _NU_XTOL, once
+    its interval is that narrow, or at an exact zero. Every equation's
+    iterates depend on its own values only. Returns (roots, bracketed),
+    both of shape (B,).
     """
     count = start.shape[0]
     x = np.clip(start, lo, hi)
     value, slope = g(np.column_stack([np.full(count, lo), np.full(count, hi), x]))
-    f_lo, f_hi, fx, dfx = value[:, 0], value[:, 1], value[:, 2], slope[:, 2]
+    f_lo, f_hi, fx, dfx = value[:, 0], value[:, 1], value[:, 2], slope[:, 0]
     # an endpoint that is an exact root is also the one with the smaller |value|
     root = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
     todo = np.sign(f_lo) * np.sign(f_hi) < 0.0
@@ -274,10 +303,33 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
         if not todo.any():
             break
         x = np.where(todo, step, x)
-        value, slope = g(x[:, None])
+        value, slope = g(np.where(todo, x, np.nan)[:, None])
         fx, dfx = value[:, 0], slope[:, 0]
     root = np.where(todo, x, root)
     return root, bracketed
+
+
+def _open_rows(evaluate):
+    """The g of _bracketed_root for B equations, from evaluate(rows, nu).
+
+    A row of nu that is NaN belongs to an equation whose root is already
+    accepted. It is dropped before evaluate, and so before any special
+    function, sees it; its values and slopes come back NaN. evaluate gets
+    the open rows (a slice when every row is open) and their candidates,
+    and returns their values and slopes.
+    """
+
+    def g(nu):
+        is_open = ~np.isnan(nu[:, 0])
+        if is_open.all():
+            return evaluate(slice(None), nu)
+        rows = np.flatnonzero(is_open)
+        value = np.full(nu.shape, np.nan)
+        slope = np.full((nu.shape[0], 1), np.nan)
+        value[rows], slope[rows] = evaluate(rows, nu[rows])
+        return value, slope
+
+    return g
 
 
 def _solve_one(g, bracket) -> NuSolveResult:
@@ -300,11 +352,11 @@ def solve_nu_ml(est: EStepQuantities, bracket: tuple[float, float]) -> NuSolveRe
     n = est.u1.shape[0]
     offset = float(np.sum(est.u2 - est.u1))
 
-    def g(nu):
+    def evaluate(rows, nu):
         h, slope = _nu_terms(nu)
-        return n * (h + 1.0) + offset, n * slope
+        return n * (h + 1.0) + offset, n * slope[:, -1:]
 
-    return _solve_one(g, bracket)
+    return _solve_one(_open_rows(evaluate), bracket)
 
 
 def _weighted_nu_score(s, base, one_minus_q, log_det, p: int):
@@ -316,29 +368,31 @@ def _weighted_nu_score(s, base, one_minus_q, log_det, p: int):
     determinant log_det) and at the candidate nu, so the weight moves with
     nu. At q = 1 the weight is exactly 1 and this is the plain equation.
     s and base are (B, n); the returned function maps nu values of shape
-    (B, k) to values and slopes of shape (B, k).
+    (B, k) to values of shape (B, k) and slopes at the last value, (B, 1),
+    skipping NaN rows.
     """
-    s = s[:, None, :]
-    base = base[:, None, :]
-    one_minus_q = one_minus_q[:, None, None]
-    log_det = log_det[:, None]
 
-    def g(nu):
+    def evaluate(rows, nu):
         h, dh = _nu_terms(nu)
-        const = _log_norm_const(nu, p, log_det)[:, :, None]
+        const = _log_norm_const(nu, p, log_det[rows, None])[:, :, None]
+        v = nu[:, :, None]
+        dist = s[rows, None, :]
+        tilt = one_minus_q[rows, None, None]
+        ratio = dist / v
+        log1p_ratio = np.log1p(ratio)
+        weight = np.exp(tilt * (const - 0.5 * (v + p) * log1p_ratio))
+        terms = base[rows, None, :] + h[:, :, None]
+        value = np.sum(terms * weight, axis=2)
+        # the slope, at the last candidate only
+        nu, v, ratio, log1p_ratio, weight, terms = (
+            a[:, -1:] for a in (nu, v, ratio, log1p_ratio, weight, terms))
         # d const / d nu, for the slope of the weights
         dconst = (0.5 * (digamma(0.5 * (nu + p)) - digamma(0.5 * nu)) - 0.5 * p / nu)[:, :, None]
-        v = nu[:, :, None]
-        ratio = s / v
-        log1p_ratio = np.log1p(ratio)
-        weight = np.exp(one_minus_q * (const - 0.5 * (v + p) * log1p_ratio))
-        dlog_f = dconst + 0.5 * ((v + p) / (v + s) * ratio - log1p_ratio)
-        terms = base + h[:, :, None]
-        value = np.sum(terms * weight, axis=2)
-        slope = np.sum(weight * (dh[:, :, None] + one_minus_q * terms * dlog_f), axis=2)
+        dlog_f = dconst + 0.5 * ((v + p) / (v + dist) * ratio - log1p_ratio)
+        slope = np.sum(weight * (dh[:, -1:, None] + tilt * terms * dlog_f), axis=2)
         return value, slope
 
-    return g
+    return _open_rows(evaluate)
 
 
 def mlq_weights(s, nu, p: int, q):
@@ -438,58 +492,83 @@ def _pack(mu, sigma, nu, upper, with_nu: bool) -> np.ndarray:
 FitOutcome = Union[FitResult, DegenerateData]
 
 
-def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
-    """Run one fit per config on the same data, all in lockstep.
+def _checked_start(rows) -> MvtParams:
+    """init_params of the rows, after checking that they span all p dimensions."""
+    start = init_params(rows)
+    p = rows.shape[1]
+    # rank of the centered rows, judged on the p x p Gram matrix of their
+    # unit-length columns so that the units of the columns do not matter
+    centered = rows - start.mu
+    scale = np.sqrt(np.sum(centered * centered, axis=0))
+    unit = centered / np.where(scale > 0.0, scale, 1.0)
+    if np.linalg.matrix_rank(unit.T @ unit, hermitian=True) < p:
+        raise DegenerateData(f"the observations span fewer than {p} dimensions")
+    return start
 
-    The configs may differ only in method and q; anything else raises
-    DomainError. Returns one entry per config, in order: its FitResult, or
-    the DegenerateData error that ended it. Data that cannot be initialized,
-    or whose centered rows have rank below the dimension, give that error
-    for every config. Hitting max_iter is not an error: the result comes
-    back with converged=False and the full trace. Each result is bitwise
-    the one the config gets when fitted alone.
+
+def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[FitOutcome]]:
+    """Run every config on every dataset, all fits in lockstep.
+
+    The datasets must have the same shape, and the configs may differ only
+    in method and q. Returns one outcome list per dataset, each what
+    fit_many returns for that dataset alone. A dataset that cannot be
+    initialized, or whose centered rows have rank below the dimension,
+    gives that error for each of its configs and leaves the others alone.
+    Every fit carries its own copy of its dataset's sorted columns.
     """
     configs = list(configs)
     shared = _shared_config(configs)
-    rows = as_data_matrix(data)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    p = rows.shape[1]
-    try:
-        start = init_params(rows)
-        # rank of the centered rows, judged on the p x p Gram matrix of their
-        # unit-length columns so that the units of the columns do not matter
-        centered = rows - start.mu
-        scale = np.sqrt(np.sum(centered * centered, axis=0))
-        unit = centered / np.where(scale > 0.0, scale, 1.0)
-        if np.linalg.matrix_rank(unit.T @ unit, hermitian=True) < p:
-            raise DegenerateData(f"the observations span fewer than {p} dimensions")
-    except DegenerateData as exc:
-        return [exc] * len(configs)
-    columns = np.ascontiguousarray(rows.T)
+    count = len(configs)
+    matrices = [as_data_matrix(data) for data in datasets]
+    if len({rows.shape for rows in matrices}) > 1:
+        raise DimensionMismatch("datasets fitted together must have the same shape")
+    # one entry per fit, dataset by dataset; a fit's index is its place here
+    outcomes: list[Optional[FitOutcome]] = []
+    live, starts, columns = [], [], []
+    for slot, rows in enumerate(matrices):
+        rows = rows[np.lexsort(rows.T[::-1])]
+        try:
+            starts.append(_checked_start(rows))
+        except DegenerateData as exc:
+            outcomes.extend([exc] * count)
+            continue
+        outcomes.extend([None] * count)
+        live.append(slot)
+        columns.append(rows.T)
+
+    def per_dataset():
+        return [outcomes[k:k + count] for k in range(0, len(outcomes), count)]
+
+    if not live:
+        return per_dataset()
+    p = columns[0].shape[0]
     upper = np.triu_indices(p)
     lo, hi = NU_BRACKET
     estimate_nu = shared.estimate_nu
-    count = len(configs)
+
+    def per_fit(values):
+        return np.repeat(np.array(values), count, axis=0)
 
     # per-fit state of the fits still running, one row per fit
-    chol = np.tile(start.chol_lower, (count, 1, 1))
-    mu = np.tile(start.mu, (count, 1))
+    chol = per_fit([start.chol_lower for start in starts])
+    mu = per_fit([start.mu for start in starts])
+    columns = per_fit(columns)
     state = {
-        "index": np.arange(count),
-        "q": np.array([c.q if c.method == METHOD_MLQ else 1.0 for c in configs]),
-        "recenter": np.array([c.method == METHOD_ML for c in configs]),
+        "index": (np.array(live)[:, None] * count + np.arange(count)).ravel(),
+        "columns": columns,
+        "q": np.tile([c.q if c.method == METHOD_MLQ else 1.0 for c in configs], len(live)),
+        "recenter": np.tile([c.method == METHOD_ML for c in configs], len(live)),
         "mu": mu,
-        "sigma": np.tile(start.sigma, (count, 1, 1)),
+        "sigma": per_fit([start.sigma for start in starts]),
         "log_det": log_det_from_chol(chol),
-        "nu": np.full(count, 3.0 if estimate_nu else shared.fixed_nu),
+        "nu": np.full(chol.shape[0], 3.0 if estimate_nu else shared.fixed_nu),
         "s": mahalanobis_sq_many(columns, mu, chol),
     }
     state["vec"] = _pack(state["mu"], state["sigma"], state["nu"], upper, estimate_nu)
-    traces: list[list[IterationRecord]] = [[] for _ in configs]
-    outcomes: list[Optional[FitOutcome]] = [None] * count
+    traces: list[list[IterationRecord]] = [[] for _ in outcomes]
 
     for iteration in range(1, shared.max_iter + 1):
-        q, s, nu = state["q"], state["s"], state["nu"]
+        columns, q, s, nu = state["columns"], state["q"], state["s"], state["nu"]
         w, v = mlq_weights(s, nu[:, None], p, q[:, None])
         with np.errstate(divide="ignore", invalid="ignore"):
             mu = np.sum(w[:, None, :] * columns, axis=2) / np.sum(w, axis=1)[:, None]
@@ -503,7 +582,7 @@ def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
         sigma[:, upper[1], upper[0]] = tri
         # a failed fit keeps its old scatter, which the repair can handle;
         # it leaves the batch at the end of this iteration
-        sigma = spd_repair_many(np.where(ok[:, None, None], sigma, state["sigma"]), SPD_FLOOR)
+        sigma = _repair_scatter(np.where(ok[:, None, None], sigma, state["sigma"]))
         bracketed = np.ones_like(ok)
         if estimate_nu:
             u1 = cond_expect_u(s, nu[:, None], p)
@@ -521,26 +600,27 @@ def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
 
         converged = change < shared.epsilon
         stop = converged | ~ok | (iteration == shared.max_iter)
-        for row in range(stop.shape[0]):
-            i = int(state["index"][row])
-            if not ok[row]:
+        nu_values, clamped = nu.tolist(), (~bracketed).tolist()
+        fits = zip(state["index"].tolist(), ok.tolist(), stop.tolist(), converged.tolist(),
+                   change.tolist(), objective.tolist())
+        for row, (i, fine, stopped, done, step, value) in enumerate(fits):
+            if not fine:
                 outcomes[i] = DegenerateData("weighted update produced non-finite parameters")
                 continue
-            traces[i].append(IterationRecord(iteration, float(change[row]),
-                                             float(objective[row])))
-            if stop[row]:
-                config = configs[i]
+            traces[i].append(IterationRecord(iteration, step, value))
+            if stopped:
+                config = configs[i % count]
                 outcomes[i] = FitResult(
-                    params=MvtParams(mu[row], sigma[row], float(nu[row])),
+                    params=MvtParams(mu[row], sigma[row], nu_values[row]),
                     iterations=iteration,
-                    converged=bool(converged[row]),
+                    converged=done,
                     trace=tuple(traces[i]),
-                    objective=float(objective[row]),
+                    objective=value,
                     method=config.method,
                     q=config.q if config.method == METHOD_MLQ else None,
                     nu_estimated=estimate_nu,
-                    nu_clamped=not bool(bracketed[row]),
-                    change_norm=float(change[row]),
+                    nu_clamped=clamped[row],
+                    change_norm=step,
                 )
         state.update(mu=mu, sigma=sigma, log_det=log_det, nu=nu, s=s, vec=vec)
         if stop.all():
@@ -548,6 +628,22 @@ def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
         if stop.any():
             keep = ~stop
             state = {key: value[keep] for key, value in state.items()}
+    return per_dataset()
+
+
+def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
+    """Run one fit per config on the same data, all in lockstep.
+
+    The configs may differ only in method and q; anything else raises
+    DomainError. Returns one entry per config, in order: its FitResult, or
+    the DegenerateData error that ended it. Data that cannot be initialized,
+    or whose centered rows have rank below the dimension, give that error
+    for every config. Hitting max_iter is not an error: the result comes
+    back with converged=False and the full trace. Each result is bitwise
+    the one the config gets when fitted alone, and the one it gets in a
+    batch of several datasets (simulation.run_simulation).
+    """
+    (outcomes,) = _fit_batch([data], configs)
     return outcomes
 
 

@@ -28,7 +28,7 @@ __all__ = [
     "mahalanobis_sq_from_chol",
     "mahalanobis_sq_many",
     "spd_repair",
-    "spd_repair_many",
+    "spd_shift_many",
 ]
 
 
@@ -90,13 +90,14 @@ def mahalanobis_sq_from_chol(rows, mu, chol: np.ndarray) -> np.ndarray:
 
 
 def mahalanobis_sq_many(columns, mu, chol) -> np.ndarray:
-    """Squared distances of the p x n observation columns under B parameter sets.
+    """Squared distances of p x n observation columns under B parameter sets.
 
-    mu is (B, p) and chol the (B, p, p) lower factors; the result is (B, n).
+    columns is (p, n), shared by every set, or (B, p, n), one per set; mu is
+    (B, p) and chol the (B, p, p) lower factors; the result is (B, n).
     L z = x - mu is solved by forward substitution one coordinate at a
     time, so the work is elementwise over (B, n) and needs no BLAS.
     """
-    d = columns[None, :, :] - mu[:, :, None]
+    d = columns - mu[:, :, None]
     z = np.empty_like(d)
     for j in range(d.shape[1]):
         acc = d[:, j]
@@ -174,23 +175,26 @@ def spd_repair(m, floor: float = 1e-10) -> np.ndarray:
     sym = symmetrize(m)
     if not np.all(np.isfinite(sym)):
         raise DomainError("matrix entries must be finite")
-    return spd_repair_many(sym[None, :, :], floor)[0]
+    return sym + spd_shift_many(sym[None, :, :], floor)[0] * np.eye(sym.shape[0])
 
 
-def spd_repair_many(stack: np.ndarray, floor: float = 1e-10) -> np.ndarray:
-    """spd_repair of each matrix in a (B, p, p) stack of finite symmetric matrices."""
+def spd_shift_many(stack: np.ndarray, floor: float = 1e-10) -> np.ndarray:
+    """The diagonal shift spd_repair adds to each matrix of a (B, p, p) stack.
+
+    The matrices must be finite and symmetric; the result is
+    max(0, floor - smallest eigenvalue), one value per matrix.
+    """
     if not floor > 0:
         raise DomainError("floor must be positive")
     p = stack.shape[-1]
-    eye = np.eye(p)
     if p == 1:
         lam = stack[:, 0, 0]
     elif p == 2:
         lam = _lambda_min_2x2(stack)
     else:
+        eye = np.eye(p)
         if _chol_succeeds(stack - floor * eye):
-            return stack
+            return np.zeros(stack.shape[0])
         lam = np.array([floor if _chol_succeeds(m - floor * eye) else _lambda_min_bisect(m)
                         for m in stack])
-    shift = np.maximum(0.0, floor - lam)
-    return stack + shift[:, None, None] * eye
+    return np.maximum(0.0, floor - lam)

@@ -7,9 +7,11 @@ q-weighted one across a grid of q values), and aggregate means, Euclidean
 parameter distances and the squared-error of the degrees of freedom over
 replications. The q minimizing the combined mean distance is selected.
 
-Every replicate derives its own generator streams from (seed, index), so
-reports are bitwise reproducible and independent of how many worker
-processes execute the replicates.
+Replicates are fitted in groups, each group one lockstep batch of the
+estimators' engine. Every replicate derives its own generator streams
+from (seed, index), and a fit's result does not depend on its batch, so
+reports are bitwise reproducible and independent of the grouping and of
+how many worker processes execute the groups.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, DomainError
-from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit_many
+from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, _fit_batch, fit_many
 from .tdist import MvtParams, as_data_matrix, log_pdf_rows, sample
 
 __all__ = [
@@ -43,6 +45,9 @@ __all__ = [
 
 # Stream tag separating the contamination draws from the data draws.
 _CONTAMINATION_STREAM = 1
+# Most fit x row elements in one lockstep batch of replicates: about 116
+# replicates of the paper's design (11 fits of 205 rows), one at n = 20,000.
+GROUP_ELEMENTS = 2**18
 
 
 def preset_case(case: int) -> MvtParams:
@@ -225,15 +230,30 @@ def _fit_record(index: int, method: str, q: Optional[float], outcome,
     )
 
 
-def _replicate_records(args) -> list[ReplicateRecord]:
-    """Fit one replicate by ML and across the q grid, all in one lockstep batch."""
-    spec, index = args
-    data = contaminate(generate_replicate(spec, index), spec, index)
+def _replicate_groups(spec: SimulationSpec, jobs: int) -> list[range]:
+    """Contiguous runs of replicate indices, each one lockstep batch.
+
+    A group holds at most GROUP_ELEMENTS fit x row elements (but at least
+    one replicate), and there are at least as many groups as jobs, up to one
+    per replicate; the groups differ in size by at most one replicate.
+    """
+    count = spec.n_replications
+    elements = (1 + len(spec.q_grid)) * (spec.n + spec.n_outliers)
+    per_group = max(1, GROUP_ELEMENTS // elements)
+    groups = min(count, max(-(-count // per_group), jobs))
+    bounds = [count * k // groups for k in range(groups + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _group_records(args) -> list[ReplicateRecord]:
+    """Fit a group of replicates by ML and across the q grid, all in one lockstep batch."""
+    spec, indices = args
+    datasets = [contaminate(generate_replicate(spec, index), spec, index) for index in indices]
     labels = [(METHOD_ML, None)] + [(METHOD_MLQ, q) for q in spec.q_grid]
     configs = [replace(spec.fit_config, method=method, q=(1.0 if q is None else q))
                for method, q in labels]
-    outcomes = fit_many(data, configs)
     return [_fit_record(index, method, q, outcome, spec)
+            for index, outcomes in zip(indices, _fit_batch(datasets, configs))
             for (method, q), outcome in zip(labels, outcomes)]
 
 
@@ -281,16 +301,20 @@ def _summarize(records: list[ReplicateRecord], method: str, q: Optional[float],
 def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
     """Run all replicates, fit both methods, and aggregate.
 
-    Replicates are independent; jobs > 1 runs them on a process pool.
-    Aggregation happens in replicate order, so the report is identical for
-    any worker count.
+    The replicates go through the lockstep engine in contiguous groups
+    (_replicate_groups): every fit of every replicate in a group, ML and the
+    whole q grid, advances in one batch, so a group costs as many
+    iterations as its slowest fit. jobs > 1 runs the groups on a process
+    pool. A fit's result does not depend on its batch, and aggregation
+    happens in replicate order, so the report is identical for any worker
+    count and any grouping.
     """
-    tasks = [(spec, index) for index in range(spec.n_replications)]
+    tasks = [(spec, group) for group in _replicate_groups(spec, jobs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_replicate_records, tasks, chunksize=4))
+            chunks = list(pool.map(_group_records, tasks))
     else:
-        chunks = [_replicate_records(t) for t in tasks]
+        chunks = [_group_records(t) for t in tasks]
     records = [record for chunk in chunks for record in chunk]
 
     truth = spec.true_params

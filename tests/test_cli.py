@@ -88,6 +88,13 @@ class TestReadMatrixCsv:
         assert_one_line_error(err)
         assert "row 3, column 2" in err
 
+    @pytest.mark.parametrize("first, column", [("1,abc", 2), ("abc,1", 1), ("1,", 2)])
+    def test_first_row_with_a_number_is_data(self, capsys, tmp_path, first, column):
+        code, out, err = fit_csv(capsys, tmp_path, f"{first}\n1,2\n3,5\n4,4\n6,7\n")
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert f"row 1, column {column}" in err
+
     @pytest.mark.parametrize("text", ["", "\n\n", "x,y\n"])
     def test_no_observations(self, capsys, tmp_path, text):
         code, _, err = fit_csv(capsys, tmp_path, text)
@@ -110,6 +117,24 @@ class TestParseQGrid:
                            "--q-grid", text, "--output", str(tmp_path / "report"))
         assert code == 1
         assert_one_line_error(err)
+
+
+class TestScoreCurve:
+    def test_q_with_ml_rejected(self, capsys, tmp_path):
+        target = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "score-curve", "--method", "ml", "--q", "0.5",
+                           "--output", str(target))
+        assert code == 1
+        assert_one_line_error(err)
+        assert "--q" in err
+        assert not target.exists()
+
+    def test_q_with_mlq_accepted(self, capsys, tmp_path):
+        target = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "score-curve", "--method", "mlq", "--q", "0.5",
+                           "--points", "5", "--output", str(target))
+        assert code == 0 and err == ""
+        assert np.loadtxt(target, delimiter=",", skiprows=1).shape == (5, 2)
 
 
 class TestSimulate:

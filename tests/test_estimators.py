@@ -280,6 +280,19 @@ class TestFit:
         rows = clean_data(200, seed=23) * [1e-6, 1e8]
         assert fit(rows, FitConfig(max_iter=5)).iterations == 5
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-9])
+    def test_scatter_floor_ignores_the_units_of_the_columns(self, scale):
+        # the scaled variance, about 1e-12 or 1e-18, is far below SPD_FLOOR
+        rows = sample(rt.preset_case(1), 500, np.random.default_rng(0))
+        base = fit(rows, FitConfig())
+        scaled = fit(rows * [scale, 1.0], FitConfig())
+        unscale = np.array([1.0 / scale, 1.0])
+        assert scaled.iterations == base.iterations
+        assert np.allclose(scaled.params.mu * unscale, base.params.mu, rtol=1e-9, atol=0.0)
+        assert np.allclose(scaled.params.sigma * np.outer(unscale, unscale), base.params.sigma,
+                           rtol=1e-9, atol=0.0)
+        assert scaled.params.nu == pytest.approx(base.params.nu, rel=1e-9)
+
     def test_trace_structure(self):
         rows = clean_data(150, seed=14)
         result = fit(rows, FitConfig(method="ml"))

@@ -5,7 +5,7 @@ import pytest
 
 import robust_t as rt
 from robust_t import estimators, simulation
-from robust_t.errors import DegenerateData, DomainError
+from robust_t.errors import DegenerateData, DimensionMismatch, DomainError
 from robust_t.estimators import (
     FitConfig,
     e_step,
@@ -81,6 +81,43 @@ class TestRunSimulation:
         assert report.ml.n_failed == spec.n_replications
         assert all(s.n_failed == spec.n_replications and s.n_used == 0 for s in report.q_sweep)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grouping_does_not_change_records(self, monkeypatch, jobs):
+        spec = small_spec(n_replications=5)
+        expected = rt.run_simulation(spec).records
+        # room for one replicate's fits per group: five groups
+        monkeypatch.setattr(simulation, "GROUP_ELEMENTS", (1 + len(Q_GRID)) * (spec.n + 3))
+        assert len(simulation._replicate_groups(spec, jobs)) == 5
+        assert rt.run_simulation(spec, jobs=jobs).records == expected
+
+    def test_groups_cover_the_replicates_in_order(self, monkeypatch):
+        spec = small_spec(n_replications=7)
+        assert simulation._replicate_groups(spec, 1) == [range(7)]
+        assert simulation._replicate_groups(spec, 2) == [range(3), range(3, 7)]
+        assert simulation._replicate_groups(spec, 20) == [range(k, k + 1) for k in range(7)]
+        monkeypatch.setattr(simulation, "GROUP_ELEMENTS", 2 * (1 + len(Q_GRID)) * (spec.n + 3))
+        groups = simulation._replicate_groups(spec, 1)
+        assert [len(g) for g in groups] == [1, 2, 2, 2]
+        assert [k for g in groups for k in g] == list(range(7))
+
+    def test_a_wrapped_nu_score_leaves_records_unchanged(self, monkeypatch):
+        # the benchmark's tracer counts score calls through a wrapper that
+        # takes one positional argument; the score must keep working that way
+        spec = small_spec(n_replications=2)
+        expected = rt.run_simulation(spec).records
+        original = estimators._bracketed_root
+        calls = []
+
+        def root(g, *args, **kwargs):
+            def counted(x):
+                calls.append(x.shape)
+                return g(x)
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_bracketed_root", root)
+        assert rt.run_simulation(spec).records == expected
+        assert calls
+
     def test_rank_deficient_replicates_recorded_as_failed(self, monkeypatch):
         spec = small_spec(n_outliers=0, n_replications=2)
         line = np.outer(np.arange(spec.n), [1.0, 2.0])
@@ -153,3 +190,89 @@ class TestFitMany:
             assert np.allclose(result.params.mu, mu, rtol=1e-12, atol=1e-12)
             assert np.allclose(result.params.sigma, sigma, rtol=1e-12, atol=1e-12)
             assert result.params.nu == pytest.approx(nu, abs=1e-9)
+
+
+class TestFitBatch:
+    def test_each_dataset_equals_its_own_fit_many(self):
+        spec = small_spec(n_replications=4)
+        datasets = [replicate_data(spec, k) for k in range(4)]
+        # identical rows: a degenerate dataset in the middle of the stack
+        datasets.insert(2, np.tile([1.0, 2.0], (datasets[0].shape[0], 1)))
+        configs = batch_configs()
+        batched = estimators._fit_batch(datasets, configs)
+        assert len(batched) == len(datasets)
+        for data, outcomes in zip(datasets, batched):
+            alone = fit_many(data, configs)
+            assert len(outcomes) == len(configs)
+            for got, want in zip(outcomes, alone):
+                if isinstance(want, DegenerateData):
+                    assert type(got) is DegenerateData and str(got) == str(want)
+                else:
+                    assert same_fit(got, want)
+                    assert got.iterations == want.iterations
+        assert all(isinstance(o, DegenerateData) for o in batched[2])
+        assert not any(isinstance(o, DegenerateData) for k in (0, 1, 3, 4) for o in batched[k])
+
+    def test_only_degenerate_datasets(self):
+        identical = np.tile([1.0, 2.0], (20, 1))
+        batched = estimators._fit_batch([identical, identical], batch_configs())
+        assert [len(o) for o in batched] == [1 + len(Q_GRID)] * 2
+        assert all(isinstance(o, DegenerateData) for outcomes in batched for o in outcomes)
+        assert estimators._fit_batch([], batch_configs()) == []
+
+    def test_rejects_datasets_of_different_shapes(self):
+        spec = small_spec()
+        data = replicate_data(spec, 0)
+        with pytest.raises(DimensionMismatch):
+            estimators._fit_batch([data, data[:-1]], batch_configs())
+
+
+def log_equations(targets):
+    """g for the equations log(x) = target, evaluated only on the open rows."""
+    evaluated = []
+
+    def evaluate(rows, x):
+        evaluated.append(np.arange(targets.shape[0])[rows])
+        value = targets[rows, None] - np.log(x)
+        return value, -1.0 / x[:, -1:]
+
+    return estimators._open_rows(evaluate), evaluated
+
+
+class TestBracketedRoot:
+    LO, HI = 0.1, 200.0
+
+    def test_each_row_equals_its_own_solve(self):
+        lo, hi = self.LO, self.HI
+        targets = np.array([
+            np.log(lo) - 1.0,  # below the bracket: no sign change, closed at once
+            np.log(hi) + 1.0,  # above it
+            np.log(lo),  # an exact zero at the lower endpoint
+            np.log(5.0),  # an exact zero at the start
+            0.3, 1.7, -1.2, 4.9, np.log(3.0) + 1e-13,
+        ])
+        start = np.array([3.0, 3.0, 3.0, 5.0, 3.0, 0.5, 150.0, 3.0, 3.0])
+        g, evaluated = log_equations(targets)
+        roots, bracketed = estimators._bracketed_root(g, lo, hi, start)
+        assert bracketed.tolist() == [False, False, True, True, True, True, True, True, True]
+        assert roots[0] == lo and roots[1] == hi and roots[2] == lo and roots[3] == 5.0
+        for b in range(targets.shape[0]):
+            g_one, _ = log_equations(targets[b:b + 1])
+            root, flag = estimators._bracketed_root(g_one, lo, hi, start[b:b + 1])
+            assert root[0] == roots[b] and flag[0] == bracketed[b]
+        # every row is evaluated on the first call, only the open ones after it
+        assert evaluated[0].tolist() == list(range(targets.shape[0]))
+        assert all(not set(rows) & {0, 1, 2, 3} for rows in evaluated[1:])
+        assert len(evaluated) > 2 and len(evaluated[-1]) < len(evaluated[1])
+
+    def test_closed_rows_reach_no_special_function(self):
+        data = replicate_data(small_spec(), 0)
+        est = e_step(data, init_params(data))
+        base = np.tile(est.u2 - est.u1 + 1.0, (3, 1))
+        score = estimators._weighted_nu_score(np.tile(est.s, (3, 1)), base,
+                                              np.array([0.0, 0.1, 0.2]), np.zeros(3), 2)
+        nu = np.array([[np.nan], [4.0], [np.nan]])
+        value, slope = score(nu)
+        assert np.isnan(value[[0, 2]]).all() and np.isnan(slope[[0, 2]]).all()
+        alone_value, alone_slope = score(np.array([[4.0], [4.0], [4.0]]))
+        assert value[1, 0] == alone_value[1, 0] and slope[1, 0] == alone_slope[1, 0]
