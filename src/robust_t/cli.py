@@ -262,12 +262,19 @@ def cmd_score_curve(args) -> int:
 
 def _jobs(args) -> int:
     if args.jobs is not None:
-        return max(1, args.jobs)
+        if args.jobs < 1:
+            raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+        return args.jobs
     env = os.environ.get("ROBUST_T_JOBS", "")
+    if not env:
+        return 1
     try:
-        return max(1, int(env)) if env else 1
+        jobs = int(env)
     except ValueError:
         raise _UsageError(f"ROBUST_T_JOBS={env!r} is not an integer") from None
+    if jobs < 1:
+        raise _UsageError(f"ROBUST_T_JOBS must be at least 1, got {jobs}")
+    return jobs
 
 
 def _spec_from(args, truth: MvtParams, q_grid: tuple[float, ...],

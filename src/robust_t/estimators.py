@@ -4,25 +4,52 @@ Every fit runs through one engine, which advances a batch of fits in
 lockstep: the same configs on each of a stack of same-shape datasets.
 run_simulation hands it a group of replicates, each with the plain fit
 and the whole q grid; fit_many is its one-dataset case and fit() its
-one-fit case. Each iteration refreshes the conditional expectations of
-the latent chi-squared mixing variable at the current parameters,
-updates location and scatter by closed-form weighted sums, and
-(optionally) updates the degrees of freedom by a bracketed root solve
-whose every step evaluates only the fits still solving. A fit leaves the
-batch when it converges, fails or reaches max_iter.
+one-fit case. An iteration is one evaluation of the EM map F: it
+refreshes the conditional expectations of the latent chi-squared mixing
+variable at the current parameters, updates location and scatter by
+closed-form weighted sums, and (optionally) updates the degrees of
+freedom by a bracketed root solve whose every step evaluates only the
+fits still solving. A fit leaves the batch when it converges, fails or
+reaches max_iter; iterations, max_iter and the trace all count
+evaluations of F.
+
+Two accelerations cut the evaluations a fit needs about 3-4 fold; both
+keep the fixed point of the paper's estimating equations.
+
+* PX-EM denominator (Kent, Tyler & Vardi 1994). Every scatter update is
+  divided by the sum of its numerator weights w instead of by the
+  estimating equation's denominator: n for the plain step, whose w are
+  the EM weights u, and the sum of the v weights for the q-weighted step.
+  At a fixed point the two agree. There the trace of sigma^-1 times the
+  scatter equation gives sum(w s) = p sum(v) (v = 1 for the plain step),
+  and since w (nu + s) = (nu + p) v, sum(w) = sum(v).
+* SQUAREM (Varadhan & Roland 2008, scheme S3). Every three iterations
+  form one cycle: from x0 the engine takes x1 = F(x0) and x2 = F(x1),
+  then moves to x' = x0 - 2 alpha r + alpha^2 v, with r = x1 - x0 and
+  v = x2 - 2 x1 + x0, and the third iteration evaluates F(x'). The step
+  length is alpha = min(-|r| / |v|, -1), both norms taken on x0's
+  unit-free scale (mu_j / sqrt(sigma_jj), sigma_jk / sqrt(sigma_jj
+  sigma_kk), nu as it is); alpha = -1 gives x2 itself. The extrapolation
+  acts on the packed (mu, upper triangle of sigma, nu). A fit falls back
+  to x2 when x' has a non-finite entry, a nu outside NU_BRACKET, a
+  scatter with no Cholesky factor, or an objective below the objective at
+  x2. For the plain method that last rule and EM's own ascent keep the
+  log-likelihood trace non-decreasing.
 
 The q-weighted step multiplies every observation's contribution by its
 density raised to (1 - q) on top of the EM weight, so outlying points are
 downweighted twice; it has no ascent guarantee, and convergence is judged
 on the parameter-change norm alone. The plain step is the q = 1 case with
 its weights exactly (nu + p) / (nu + s) and its scatter centered on the
-updated location: the classical EM algorithm for the t distribution, whose
-observed-data log-likelihood never decreases.
+updated location: the PX-EM form of the classical EM algorithm for the t
+distribution, whose observed-data log-likelihood never decreases.
 
 Conventions pinned here and recorded in FitResult so runs are reproducible:
 
 * the stopping norm is the unweighted Euclidean norm over the concatenation
-  of mu, the upper triangle of sigma, and nu (nu omitted when held fixed);
+  of mu, the upper triangle of sigma, and nu (nu omitted when held fixed),
+  taken over one evaluation of F, so a fit stops when F moves it by less
+  than epsilon;
 * the q-weighted scatter update centers on the previous iterate's location,
   the form its estimating equation is written in; centering on the updated
   location reaches the same fixed point in about as many iterations, so
@@ -35,9 +62,10 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
 
 The engine sorts each dataset's rows into lexicographic order once and
 then uses plain sums along the observation axis. Every fit of a batch
-goes through the same elementwise operations, so a fit's result is
-bitwise the same whatever the batch holds, datasets and configs alike,
-and however the input rows are permuted.
+goes through the same elementwise operations, the SQUAREM step and its
+fallback included, so a fit's result is bitwise the same whatever the
+batch holds, datasets and configs alike, and however the input rows are
+permuted.
 
 e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq perform one
 step of one fit; they are the reference that the engine is tested against.
@@ -166,8 +194,14 @@ class NuSolveResult(NamedTuple):
 class FitResult:
     """Converged parameters plus the iteration trace and diagnostics.
 
-    nu_clamped is True when the last nu solve found no sign change on the
-    bracket and returned an endpoint.
+    iterations counts evaluations of the EM map F, and trace holds one
+    record per evaluation: its change norm and the objective at its
+    result. Every third evaluation starts from a SQUAREM point, or from
+    the previous result where that point failed its checks; the scatter
+    step divides by the sum of its weights, which has the paper's fixed
+    point because that sum equals the paper's denominator there (see the
+    module docstring). nu_clamped is True when the last nu solve found no
+    sign change on the bracket and returned an endpoint.
     """
 
     params: MvtParams
@@ -225,11 +259,12 @@ def e_step(data, params: MvtParams) -> EStepQuantities:
     return EStepQuantities(u1, u2, s)
 
 
-def _weighted_location_scatter(rows, w, center, denom):
-    mu = np.sum(w[:, None] * rows, axis=0) / np.sum(w)
+def _weighted_location_scatter(rows, w, center):
+    sum_w = np.sum(w)
+    mu = np.sum(w[:, None] * rows, axis=0) / sum_w
     d = rows - (mu if center is None else center)
     sigma = np.sum(w[:, None, None] * d[:, :, None] * d[:, None, :], axis=0)
-    sigma = sigma / denom
+    sigma = sigma / sum_w
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
         raise DegenerateData("weighted update produced non-finite parameters")
     return mu, _repair_scatter(symmetrize(sigma)[None])[0]
@@ -238,13 +273,14 @@ def _weighted_location_scatter(rows, w, center, denom):
 def m_step_ml(data, est: EStepQuantities) -> tuple[np.ndarray, np.ndarray]:
     """Weighted-mean and weighted-covariance update of the plain EM step.
 
-    The scatter is centered on the freshly updated location, which keeps
-    the step a genuine conditional maximization.
+    The scatter is centered on the freshly updated location and divided by
+    the sum of the weights, not by n (the PX-EM step; see the module
+    docstring for why the fixed point is the same).
     """
     rows = as_data_matrix(data)
     if not float(np.sum(est.u1)) > 0.0:
         raise DegenerateData("EM weights sum to zero")
-    return _weighted_location_scatter(rows, est.u1, None, rows.shape[0])
+    return _weighted_location_scatter(rows, est.u1, None)
 
 
 def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
@@ -399,10 +435,12 @@ def mlq_weights(s, nu, p: int, q):
     """The two q-weighted step weights at squared distance s.
 
     With a = (1 - q)(nu + p)/2 these are w = (nu + p) * (nu + s)^-(1 + a)
-    for the location/scatter numerators and v = (nu + s)^-a for the
-    scatter denominator; both are computed through exp/log. Where q = 1
-    they are exactly the plain EM weight (nu + p)/(nu + s) and 1. nu and q
-    may be arrays broadcasting against s, one value per fit of a batch.
+    for the location/scatter numerators and v = (nu + s)^-a, whose sum is
+    the scatter denominator of the estimating equation (the steps divide by
+    the sum of w, equal to it at a fixed point). v is computed through
+    exp/log and w as v times the plain weight. Where q = 1 they are exactly
+    the plain EM weight (nu + p)/(nu + s) and 1. nu and q may be arrays
+    broadcasting against s, one value per fit of a batch.
     """
     q = np.asarray(q, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -418,9 +456,8 @@ def mlq_weights(s, nu, p: int, q):
     w = (nu + p) / (nu + arr)
     v = np.ones_like(w)
     if not plain.all():
-        log_ns = np.log(nu + arr)
-        w = np.where(plain, w, (nu + p) * np.exp(-(1.0 + a) * log_ns))
-        v = np.where(plain, v, np.exp(-a * log_ns))
+        v = np.where(plain, v, np.exp(-a * np.log(nu + arr)))
+        w = w * v
     if np.isscalar(s):
         return float(w), float(v)
     return w, v
@@ -431,18 +468,18 @@ def m_step_mlq(data, prev: MvtParams, q: float,
     """Doubly weighted location/scatter update.
 
     Distances come from the previous iterate. The scatter numerator is
-    centered on the previous location and its denominator is the sum of
-    the v weights rather than n.
+    centered on the previous location and divided by the sum of the w
+    weights, not by the sum of the v weights of the estimating equation
+    (the PX-EM step; see the module docstring for why the fixed point is
+    the same).
     """
     rows = as_data_matrix(data)
     if s is None:
         s = mahalanobis_sq_from_chol(rows, prev.mu, prev.chol_lower)
-    w, v = mlq_weights(s, prev.nu, prev.dim, q)
-    sum_w = float(np.sum(w))
-    sum_v = float(np.sum(v))
-    if not (sum_w > 0.0 and sum_v > 0.0):
+    w, _ = mlq_weights(s, prev.nu, prev.dim, q)
+    if not float(np.sum(w)) > 0.0:
         raise DegenerateData("q-weighted weights sum to zero")
-    return _weighted_location_scatter(rows, w, prev.mu, sum_v)
+    return _weighted_location_scatter(rows, w, prev.mu)
 
 
 def solve_nu_mlq(data, current: tuple[np.ndarray, np.ndarray],
@@ -487,6 +524,61 @@ def _pack(mu, sigma, nu, upper, with_nu: bool) -> np.ndarray:
     if with_nu:
         parts.append(nu[:, None])
     return np.concatenate(parts, axis=1)
+
+
+def _from_upper(tri, upper, p: int) -> np.ndarray:
+    """Symmetric (B, p, p) matrices from their packed upper triangles."""
+    sigma = np.empty((tri.shape[0], p, p))
+    sigma[:, upper[0], upper[1]] = tri
+    sigma[:, upper[1], upper[0]] = tri
+    return sigma
+
+
+def _where(mask, new, old):
+    """new for the fits (rows) where mask holds, old elsewhere."""
+    return np.where(mask.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+
+
+def _measure(columns, mu, sigma, nu, q):
+    """Cholesky factors, log determinants, squared distances and objectives."""
+    p = sigma.shape[-1]
+    chol = cholesky_many(sigma)
+    log_det = log_det_from_chol(chol)
+    s = mahalanobis_sq_many(columns, mu, chol)
+    log_f = log_pdf_from_dist(s, nu[:, None], p, log_det[:, None])
+    objective = np.sum(lq_from_log(log_f, q[:, None]), axis=1)
+    return chol, log_det, s, objective
+
+
+def _squarem_step(state: dict, upper, with_nu: bool):
+    """Move each fit of the state from x2 to its SQUAREM point x'.
+
+    The state holds x2 = F(x1) with its objective ("moved" is x2 - x1),
+    and the cycle's anchor x0, the anchor's unit-free scale and
+    r = x1 - x0. A fit whose x' fails a check of the module docstring
+    stays at x2.
+    """
+    r, scale = state["r"], state["scale"]
+    v = state["moved"] - r
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.linalg.norm(r / scale, axis=1) / np.linalg.norm(v / scale, axis=1)
+        alpha = np.minimum(-ratio, -1.0)[:, None]
+        vec = state["anchor"] - 2.0 * alpha * r + alpha * alpha * v
+    p = state["mu"].shape[1]
+    safe = np.all(np.isfinite(vec), axis=1)
+    nu = state["nu"]
+    if with_nu:
+        nu = vec[:, -1]
+        safe &= (NU_BRACKET[0] <= nu) & (nu <= NU_BRACKET[1])
+    point = {"mu": vec[:, :p], "sigma": _from_upper(vec[:, p:p + upper[0].shape[0]], upper, p),
+             "nu": nu}
+    # an unsafe point is not measured: its fit is measured at x2, where it stays
+    point = {key: _where(safe, value, state[key]) for key, value in point.items()}
+    chol, point["log_det"], point["s"], objective = _measure(
+        state["columns"], point["mu"], point["sigma"], point["nu"], state["q"])
+    safe &= np.all(np.isfinite(chol), axis=(1, 2)) & (objective >= state["objective"])
+    point["vec"] = vec
+    state.update({key: _where(safe, value, state[key]) for key, value in point.items()})
 
 
 FitOutcome = Union[FitResult, DegenerateData]
@@ -569,34 +661,28 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
 
     for iteration in range(1, shared.max_iter + 1):
         columns, q, s, nu = state["columns"], state["q"], state["s"], state["nu"]
-        w, v = mlq_weights(s, nu[:, None], p, q[:, None])
+        w, _ = mlq_weights(s, nu[:, None], p, q[:, None])
         with np.errstate(divide="ignore", invalid="ignore"):
-            mu = np.sum(w[:, None, :] * columns, axis=2) / np.sum(w, axis=1)[:, None]
+            sum_w = np.sum(w, axis=1)[:, None]
+            mu = np.sum(w[:, None, :] * columns, axis=2) / sum_w
             center = np.where(state["recenter"][:, None], mu, state["mu"])
             d = columns - center[:, :, None]
-            tri = np.sum(w[:, None, :] * d[:, upper[0]] * d[:, upper[1]], axis=2)
-            tri = tri / np.sum(v, axis=1)[:, None]
+            tri = np.sum(w[:, None, :] * d[:, upper[0]] * d[:, upper[1]], axis=2) / sum_w
         ok = np.all(np.isfinite(mu), axis=1) & np.all(np.isfinite(tri), axis=1)
-        sigma = np.empty_like(state["sigma"])
-        sigma[:, upper[0], upper[1]] = tri
-        sigma[:, upper[1], upper[0]] = tri
         # a failed fit keeps its old scatter, which the repair can handle;
         # it leaves the batch at the end of this iteration
-        sigma = _repair_scatter(np.where(ok[:, None, None], sigma, state["sigma"]))
+        sigma = _repair_scatter(_where(ok, _from_upper(tri, upper, p), state["sigma"]))
         bracketed = np.ones_like(ok)
         if estimate_nu:
             u1 = cond_expect_u(s, nu[:, None], p)
             u2 = cond_expect_log_u(s, nu[:, None], p)
             score = _weighted_nu_score(s, u2 - u1 + 1.0, 1.0 - q, state["log_det"], p)
             nu, bracketed = _bracketed_root(score, lo, hi, nu)
-        chol = cholesky_many(sigma)
+        chol, log_det, s, objective = _measure(columns, mu, sigma, nu, q)
         ok &= np.all(np.isfinite(chol), axis=(1, 2))
-        log_det = log_det_from_chol(chol)
-        s = mahalanobis_sq_many(columns, mu, chol)
-        log_f = log_pdf_from_dist(s, nu[:, None], p, log_det[:, None])
-        objective = np.sum(lq_from_log(log_f, q[:, None]), axis=1)
         vec = _pack(mu, sigma, nu, upper, estimate_nu)
-        change = np.linalg.norm(vec - state["vec"], axis=1)
+        moved = vec - state["vec"]
+        change = np.linalg.norm(moved, axis=1)
 
         converged = change < shared.epsilon
         stop = converged | ~ok | (iteration == shared.max_iter)
@@ -622,12 +708,21 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
                     nu_clamped=clamped[row],
                     change_norm=step,
                 )
-        state.update(mu=mu, sigma=sigma, log_det=log_det, nu=nu, s=s, vec=vec)
+        # every third iteration starts a SQUAREM cycle at the point it leaves
+        if iteration % 3 == 1:
+            root = np.sqrt(np.diagonal(state["sigma"], axis1=1, axis2=2))
+            scale = _pack(root, root[:, :, None] * root[:, None, :], np.ones(root.shape[0]),
+                          upper, estimate_nu)
+            state.update(anchor=state["vec"], r=moved, scale=scale)
+        state.update(mu=mu, sigma=sigma, log_det=log_det, nu=nu, s=s, vec=vec, moved=moved,
+                     objective=objective)
         if stop.all():
             break
         if stop.any():
             keep = ~stop
             state = {key: value[keep] for key, value in state.items()}
+        if iteration % 3 == 2:
+            _squarem_step(state, upper, estimate_nu)
     return per_dataset()
 
 

@@ -56,15 +56,19 @@ def cholesky_lower(m) -> np.ndarray:
 
 
 def cholesky_many(stack: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a (B, p, p) stack; NaN where a pivot fails."""
+    """Lower Cholesky factors of a (B, p, p) stack; NaN where a pivot fails.
+
+    A stack with a failing matrix is factored again in halves, so k failures
+    among B matrices cost about k log2(B) stacked calls; every factor is
+    the one its matrix gets alone.
+    """
     try:
         return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        out = np.full_like(stack, np.nan)
-        for b, m in enumerate(stack):
-            if _chol_succeeds(m):
-                out[b] = np.linalg.cholesky(m)
-        return out
+        if stack.shape[0] == 1:
+            return np.full_like(stack, np.nan)
+        half = stack.shape[0] // 2
+        return np.concatenate([cholesky_many(stack[:half]), cholesky_many(stack[half:])])
 
 
 def log_det(m) -> float:

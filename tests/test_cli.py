@@ -58,6 +58,12 @@ class TestFit:
         assert code == 0
         assert json.loads(out)["q"] == 0.5
 
+    def test_iteration_cap_exits_2_with_the_unconverged_fit(self, capsys, data_csv):
+        code, out, err = run(capsys, "fit", str(data_csv), "--max-iter", "1")
+        assert code == 2 and err == ""
+        result = json.loads(out)
+        assert result["converged"] is False and result["iterations"] == 1
+
     @pytest.mark.parametrize("text", ["1,2\n3,4\n5,6\n", "0,0\n2,2\n"])
     def test_rank_deficient_data_is_an_error(self, capsys, tmp_path, text):
         code, out, err = fit_csv(capsys, tmp_path, text)
@@ -155,6 +161,22 @@ class TestSimulate:
                            "--output", str(tmp_path / output))
         assert code == 1
         assert_one_line_error(err)
+
+    @pytest.mark.parametrize("flag, env", [("-3", None), ("0", None), (None, "0"), (None, "-2")],
+                             ids=["flag-3", "flag0", "env0", "env-2"])
+    def test_fewer_than_one_job_rejected(self, capsys, tmp_path, monkeypatch, flag, env):
+        monkeypatch.setattr(cli, "run_simulation", no_simulation)
+        if env is None:
+            monkeypatch.delenv("ROBUST_T_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("ROBUST_T_JOBS", env)
+        jobs = [] if flag is None else ["--jobs", flag]
+        code, out, err = run(capsys, "simulate", "--case", "1", "--n", "30", *jobs,
+                             "--output", str(tmp_path / "report"))
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert "jobs" in err.lower()
+        assert not (tmp_path / "report.csv").exists()
 
     def test_writes_report(self, capsys, tmp_path):
         target = tmp_path / "report.csv"

@@ -42,6 +42,27 @@ def contaminated_data(n=200, seed=0):
     return rt.contaminate(rt.generate_replicate(spec, 0), spec, 0)
 
 
+def paper_replicate(case, seed, replicate, low=80.0, high=160.0):
+    """One replicate of the paper's design: 200 rows plus 5 outliers low-high sd out."""
+    spec = rt.SimulationSpec(true_params=rt.preset_case(case), n=200, n_outliers=5,
+                             seed=seed, outlier_low=low, outlier_high=high)
+    return rt.contaminate(rt.generate_replicate(spec, replicate), spec, replicate)
+
+
+def near_normal_data():
+    return np.random.default_rng(3).standard_normal((205, 2))
+
+
+ASCENT_DATASETS = {
+    "clean": lambda: [clean_data(100, seed=seed) for seed in range(6)],
+    # outliers only 1-2 and 3-6 sd out: on these, taking every SQUAREM point
+    # without comparing its log-likelihood with x2's lowers the trace
+    "close_outliers": lambda: [paper_replicate(2, 18, 2, 1.0, 2.0),
+                               paper_replicate(1, 34, 1, 3.0, 6.0)],
+    "near_normal": lambda: [near_normal_data()],
+}
+
+
 class TestInitParams:
     def test_two_point_dataset(self):
         start = init_params(np.array([[0.0, 0.0], [2.0, 2.0]]))
@@ -293,6 +314,23 @@ class TestFit:
                            rtol=1e-9, atol=0.0)
         assert scaled.params.nu == pytest.approx(base.params.nu, rel=1e-9)
 
+    @pytest.mark.parametrize("data,method,q,nu", [
+        # replicate 1 of paper_sim's unit 49 at seed 806, where the plain EM
+        # step contracts by about 1 % per iteration
+        pytest.param("paper", "mlq", 0.8, 20.749285, id="paper-mlq-0.8"),
+        pytest.param("paper", "mlq", 0.78, 24.932352, id="paper-mlq-0.78"),
+        # nu drifts up a flat likelihood
+        pytest.param("near_normal", "ml", 1.0, 120.885025, id="near_normal-ml"),
+        pytest.param("near_normal", "mlq", 0.85, 98.157987, id="near_normal-mlq-0.85"),
+    ])
+    def test_slowly_contracting_fits_converge(self, data, method, q, nu):
+        # the plain EM step stops each of these at max_iter = 1000; nu is its
+        # fixed point, solved to epsilon = 1e-10 in 1,850 to 40,185 iterations
+        rows = paper_replicate(1, 336098422, 1) if data == "paper" else near_normal_data()
+        result = fit(rows, FitConfig(method=method, q=q))
+        assert result.converged
+        assert result.params.nu == pytest.approx(nu, abs=1e-4)
+
     def test_trace_structure(self):
         rows = clean_data(150, seed=14)
         result = fit(rows, FitConfig(method="ml"))
@@ -316,12 +354,17 @@ class TestFit:
 
 
 class TestAlgorithmicInvariants:
-    @pytest.mark.parametrize("estimate_nu", [True, False])
-    def test_ml_em_ascent(self, estimate_nu):
-        for seed in range(6):
-            rows = clean_data(100, seed=seed)
+    @pytest.mark.parametrize("datasets,estimate_nu", [
+        pytest.param("clean", True, id="True"),
+        pytest.param("clean", False, id="False"),
+        pytest.param("close_outliers", True, id="close_outliers"),
+        pytest.param("near_normal", True, id="near_normal"),
+    ])
+    def test_ml_em_ascent(self, datasets, estimate_nu):
+        for rows in ASCENT_DATASETS[datasets]():
             config = FitConfig(method="ml", estimate_nu=estimate_nu, fixed_nu=3.0)
             result = fit(rows, config)
+            assert result.converged
             objectives = [rec.objective for rec in result.trace]
             start = float(np.sum(log_pdf_rows(rows, init_params(rows) if estimate_nu
                                               else MvtParams(init_params(rows).mu,

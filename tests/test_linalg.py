@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from robust_t.errors import DimensionMismatch, NotPositiveDefinite
 from robust_t.linalg import (
     cholesky_lower,
+    cholesky_many,
     log_det,
     mahalanobis_sq,
     mahalanobis_sq_rows,
@@ -40,6 +41,21 @@ class TestCholesky:
     def test_non_square_raises(self):
         with pytest.raises(DimensionMismatch):
             cholesky_lower(np.ones((2, 3)))
+
+
+    def test_stack_with_failing_matrices(self):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((7, 3, 3))
+        stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        stack[[2, 3, 6]] = -np.eye(3)
+        stack[5, 0, 0] = np.nan
+        got = cholesky_many(stack)
+        for b, m in enumerate(stack):
+            if b in (2, 3, 6):
+                assert np.isnan(got[b]).all()
+            else:
+                assert np.array_equal(got[b], np.linalg.cholesky(m), equal_nan=True)
+        assert not np.isfinite(got[5]).all()
 
 
 class TestLogDet:

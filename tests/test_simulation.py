@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,30 @@ class TestRunSimulation:
             assert record.mu == tuple(single.params.mu)
             assert record.sigma == tuple(single.params.sigma[np.triu_indices(2)])
             assert record.nu == single.params.nu
+
+    def test_nonconverged_fits_are_counted_and_left_out_of_the_means(self):
+        spec = small_spec(n_replications=4, fit_config=FitConfig(max_iter=16))
+        report = rt.run_simulation(spec)
+        for summary in (report.ml, *report.q_sweep):
+            group = [r for r in report.records
+                     if (r.method, r.q) == (summary.method, summary.q)]
+            used = [r for r in group if r.converged]
+            assert summary.n_failed == 0
+            assert summary.n_nonconverged == len(group) - len(used)
+            assert summary.n_used == len(used)
+            if used:
+                assert summary.mean_nu == np.mean([r.nu for r in used])
+            else:
+                assert math.isnan(summary.mean_nu) and math.isnan(summary.mean_combined)
+        assert 0 < report.ml.n_nonconverged < spec.n_replications
+        # q = 0.95 is the only q with a converged fit, so the only finite summary
+        assert [s.n_used > 0 for s in report.q_sweep] == [False, False, False, True]
+        assert report.selected_q == 0.95 and report.mlq is report.q_sweep[-1]
+
+    def test_first_q_selected_when_every_summary_is_nan(self):
+        report = rt.run_simulation(small_spec(n_replications=2, fit_config=FitConfig(max_iter=1)))
+        assert all(s.n_used == 0 and math.isnan(s.mean_combined) for s in report.q_sweep)
+        assert report.selected_q == Q_GRID[0] and report.mlq is report.q_sweep[0]
 
     def test_jobs_do_not_change_records(self):
         spec = small_spec(n_replications=4)
