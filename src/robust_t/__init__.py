@@ -31,9 +31,6 @@ from .estimators import (
 )
 from .linalg import (
     cholesky_lower,
-    log_det,
-    mahalanobis_sq,
-    mahalanobis_sq_rows,
     spd_repair,
     symmetrize,
 )
@@ -87,9 +84,6 @@ __all__ = [
     "solve_nu_ml",
     "solve_nu_mlq",
     "cholesky_lower",
-    "log_det",
-    "mahalanobis_sq",
-    "mahalanobis_sq_rows",
     "spd_repair",
     "symmetrize",
     "MethodSummary",

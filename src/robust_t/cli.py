@@ -202,19 +202,8 @@ def _write_json(path: str | None, payload: dict):
 
 
 def _fit_config_from(args, method: str, q: float) -> FitConfig:
-    estimate_nu = True
-    fixed_nu = 3.0
-    if getattr(args, "nu", None) is not None and not getattr(args, "estimate_nu", False):
-        estimate_nu = False
-        fixed_nu = args.nu
-    return FitConfig(
-        method=method,
-        q=q,
-        estimate_nu=estimate_nu,
-        fixed_nu=fixed_nu,
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
-    )
+    return FitConfig(method=method, q=q, fixed_nu=args.nu, epsilon=args.epsilon,
+                     max_iter=args.max_iter)
 
 
 def cmd_fit(args) -> int:
@@ -223,8 +212,6 @@ def cmd_fit(args) -> int:
     if method == METHOD_ML and args.q is not None:
         raise _UsageError("--q applies to --method mlq only")
     q = args.q if args.q is not None else (DEFAULT_Q if method == METHOD_MLQ else 1.0)
-    if args.nu is not None and args.estimate_nu:
-        raise _UsageError("--nu fixes the degrees of freedom; drop it or --estimate-nu")
     config = _fit_config_from(args, method, q)
     result = fit(data, config)
     _write_json(args.output, _result_dict(result))
@@ -293,6 +280,12 @@ def _spec_from(args, truth: MvtParams, q_grid: tuple[float, ...],
     )
 
 
+def _number(value) -> float | None:
+    """value as a float, or None (JSON null) where it is NaN or infinite."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _summary_dict(summary) -> dict:
     return {
         "method": summary.method,
@@ -301,13 +294,13 @@ def _summary_dict(summary) -> dict:
         "n_failed": summary.n_failed,
         "n_nonconverged": summary.n_nonconverged,
         "n_used": summary.n_used,
-        "mean_mu": [float(v) for v in summary.mean_mu],
-        "mean_sigma": [[float(v) for v in row] for row in summary.mean_sigma],
-        "mean_nu": float(summary.mean_nu),
-        "mean_d_mu": float(summary.mean_d_mu),
-        "mean_d_sigma": float(summary.mean_d_sigma),
-        "mse_nu": float(summary.mse_nu),
-        "mean_combined_distance": float(summary.mean_combined),
+        "mean_mu": [_number(v) for v in summary.mean_mu],
+        "mean_sigma": [[_number(v) for v in row] for row in summary.mean_sigma],
+        "mean_nu": _number(summary.mean_nu),
+        "mean_d_mu": _number(summary.mean_d_mu),
+        "mean_d_sigma": _number(summary.mean_d_sigma),
+        "mse_nu": _number(summary.mse_nu),
+        "mean_combined_distance": _number(summary.mean_combined),
     }
 
 
@@ -362,6 +355,8 @@ def cmd_simulate(args) -> int:
             "mlq": _summary_dict(report.mlq),
             "q_sweep": [_summary_dict(s) for s in report.q_sweep],
         }, json_out)
+    if all(record.failed for record in report.records):
+        raise DegenerateData(f"all {len(report.records)} fits failed; counts in {json_out.name}")
     return 0
 
 
@@ -422,10 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("input")
     p_fit.add_argument("--method", choices=[METHOD_ML, METHOD_MLQ], default=METHOD_ML)
     p_fit.add_argument("--q", type=float, default=None)
-    p_fit.add_argument("--estimate-nu", action="store_true",
-                       help="estimate the degrees of freedom (default unless --nu)")
     p_fit.add_argument("--nu", type=float, default=None,
-                       help="hold the degrees of freedom fixed at this value")
+                       help="hold the degrees of freedom fixed at this value (default: estimate)")
     p_fit.add_argument("--output", default=None, help="result JSON path (stdout if omitted)")
     _add_fit_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
@@ -470,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = subs.add_parser("density-grid", help="fit a CSV and export contour data")
     p_grid.add_argument("input")
     p_grid.add_argument("--q", type=float, default=None)
-    p_grid.add_argument("--estimate-nu", action="store_true")
-    p_grid.add_argument("--nu", type=float, default=None)
+    p_grid.add_argument("--nu", type=float, default=None,
+                        help="hold the degrees of freedom fixed at this value (default: estimate)")
     p_grid.add_argument("--grid-points", type=int, default=60)
     p_grid.add_argument("--out", required=True, help="output file prefix")
     _add_fit_flags(p_grid)

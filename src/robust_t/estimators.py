@@ -68,7 +68,9 @@ batch holds, datasets and configs alike, and however the input rows are
 permuted.
 
 e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq perform one
-step of one fit; they are the reference that the engine is tested against.
+step of one fit, each from the previous iterate and its e_step; they are
+the reference that the engine is tested against. The nu solves search
+NU_BRACKET.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, DomainError
 from .linalg import (
-    cholesky_lower,
     cholesky_many,
     log_det_from_chol,
     mahalanobis_sq_from_chol,
@@ -145,16 +146,16 @@ _NU_MAX_STEPS = 200
 class FitConfig:
     """Estimator controls.
 
-    q is only meaningful for the q-weighted method; fixed_nu is only used
-    when estimate_nu is False. epsilon bounds the stopping norm
-    (NORM_DEFINITION) and max_iter the iterations. The nu bracket and the
-    scatter floor are the module constants NU_BRACKET and SPD_FLOOR.
+    q is only meaningful for the q-weighted method. fixed_nu holds the
+    degrees of freedom at that value; None estimates them, starting from 3.
+    epsilon bounds the stopping norm (NORM_DEFINITION) and max_iter the
+    iterations. The nu bracket and the scatter floor are the module
+    constants NU_BRACKET and SPD_FLOOR.
     """
 
     method: str = METHOD_ML
     q: float = 1.0
-    estimate_nu: bool = True
-    fixed_nu: float = 3.0
+    fixed_nu: Optional[float] = None
     epsilon: float = 1e-6
     max_iter: int = 1000
 
@@ -167,7 +168,7 @@ class FitConfig:
             raise DomainError("epsilon must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
-        if not self.fixed_nu > 0.0:
+        if self.fixed_nu is not None and not self.fixed_nu > 0.0:
             raise DomainError("fixed_nu must be positive")
 
 
@@ -368,17 +369,15 @@ def _open_rows(evaluate):
     return g
 
 
-def _solve_one(g, bracket) -> NuSolveResult:
-    """One nu equation on the bracket, started at its geometric midpoint."""
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
-        raise DomainError("nu bracket must satisfy 0 < low < high")
+def _solve_one(g) -> NuSolveResult:
+    """One nu equation on NU_BRACKET, started at its geometric midpoint."""
+    lo, hi = NU_BRACKET
     root, bracketed = _bracketed_root(g, lo, hi, np.array([math.sqrt(lo * hi)]))
     return NuSolveResult(float(root[0]), bool(bracketed[0]))
 
 
-def solve_nu_ml(est: EStepQuantities, bracket: tuple[float, float]) -> NuSolveResult:
-    """Root of the plain-likelihood degrees-of-freedom equation.
+def solve_nu_ml(est: EStepQuantities) -> NuSolveResult:
+    """Root of the plain-likelihood degrees-of-freedom equation on NU_BRACKET.
 
     The score per observation is log(nu/2) - digamma(nu/2) + 1 + u2 - u1;
     its sum is strictly decreasing in nu. Without a sign change on the
@@ -392,7 +391,7 @@ def solve_nu_ml(est: EStepQuantities, bracket: tuple[float, float]) -> NuSolveRe
         h, slope = _nu_terms(nu)
         return n * (h + 1.0) + offset, n * slope[:, -1:]
 
-    return _solve_one(_open_rows(evaluate), bracket)
+    return _solve_one(_open_rows(evaluate))
 
 
 def _weighted_nu_score(s, base, one_minus_q, log_det, p: int):
@@ -463,8 +462,7 @@ def mlq_weights(s, nu, p: int, q):
     return w, v
 
 
-def m_step_mlq(data, prev: MvtParams, q: float,
-               s: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+def m_step_mlq(data, prev: MvtParams, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Doubly weighted location/scatter update.
 
     Distances come from the previous iterate. The scatter numerator is
@@ -474,35 +472,26 @@ def m_step_mlq(data, prev: MvtParams, q: float,
     the same).
     """
     rows = as_data_matrix(data)
-    if s is None:
-        s = mahalanobis_sq_from_chol(rows, prev.mu, prev.chol_lower)
+    s = mahalanobis_sq_from_chol(rows, prev.mu, prev.chol_lower)
     w, _ = mlq_weights(s, prev.nu, prev.dim, q)
     if not float(np.sum(w)) > 0.0:
         raise DegenerateData("q-weighted weights sum to zero")
     return _weighted_location_scatter(rows, w, prev.mu)
 
 
-def solve_nu_mlq(data, current: tuple[np.ndarray, np.ndarray],
-                 est: EStepQuantities, q: float,
-                 bracket: tuple[float, float]) -> NuSolveResult:
-    """Root of the q-weighted degrees-of-freedom equation.
+def solve_nu_mlq(prev: MvtParams, est: EStepQuantities, q: float) -> NuSolveResult:
+    """Root of the q-weighted degrees-of-freedom equation on NU_BRACKET.
 
-    Every observation's score term is multiplied by its density at the
-    current location/scatter raised to (1 - q); the density, hence the
-    weight, is re-evaluated at each candidate nu. Bracketing and clamping
-    follow the plain solve.
+    est is e_step at prev. Every observation's score term is multiplied by
+    its density at prev's location and scatter raised to (1 - q); the
+    density, hence the weight, is re-evaluated at each candidate nu.
+    Bracketing and clamping follow the plain solve.
     """
     if not 0.0 < q <= 1.0:
         raise DomainError("q must lie in (0, 1]")
-    mu_c = np.atleast_1d(np.asarray(current[0], dtype=float))
-    chol = cholesky_lower(symmetrize(current[1]))
-    rows = as_data_matrix(data)
-    s = est.s
-    if s is None or s.shape[0] != rows.shape[0]:
-        s = mahalanobis_sq_from_chol(rows, mu_c, chol)
-    g = _weighted_nu_score(s[None, :], (est.u2 - est.u1 + 1.0)[None, :],
-                           np.array([1.0 - q]), log_det_from_chol(chol[None]), mu_c.shape[0])
-    return _solve_one(g, bracket)
+    g = _weighted_nu_score(est.s[None, :], (est.u2 - est.u1 + 1.0)[None, :], np.array([1.0 - q]),
+                           log_det_from_chol(prev.chol_lower[None]), prev.dim)
+    return _solve_one(g)
 
 
 def _shared_config(configs: list[FitConfig]) -> FitConfig:
@@ -636,7 +625,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     p = columns[0].shape[0]
     upper = np.triu_indices(p)
     lo, hi = NU_BRACKET
-    estimate_nu = shared.estimate_nu
+    estimate_nu = shared.fixed_nu is None
 
     def per_fit(values):
         return np.repeat(np.array(values), count, axis=0)
@@ -678,6 +667,9 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
             u2 = cond_expect_log_u(s, nu[:, None], p)
             score = _weighted_nu_score(s, u2 - u1 + 1.0, 1.0 - q, state["log_det"], p)
             nu, bracketed = _bracketed_root(score, lo, hi, nu)
+            # a score whose weights overflowed has no root: that fit fails
+            ok &= np.isfinite(nu)
+            nu = np.where(ok, nu, state["nu"])
         chol, log_det, s, objective = _measure(columns, mu, sigma, nu, q)
         ok &= np.all(np.isfinite(chol), axis=(1, 2))
         vec = _pack(mu, sigma, nu, upper, estimate_nu)

@@ -38,6 +38,13 @@ def no_simulation(*args, **kwargs):
     raise AssertionError("run_simulation must not be called")
 
 
+def strict_json(path):
+    """Parse path as JSON, failing on the NaN and Infinity tokens strict parsers reject."""
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestFit:
     def test_ml_fit_writes_json(self, capsys, data_csv):
         code, out, err = run(capsys, "fit", str(data_csv))
@@ -63,6 +70,11 @@ class TestFit:
         assert code == 2 and err == ""
         result = json.loads(out)
         assert result["converged"] is False and result["iterations"] == 1
+
+    def test_estimate_nu_flag_is_gone(self, capsys, data_csv):
+        code, out, err = run(capsys, "fit", str(data_csv), "--estimate-nu")
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
 
     @pytest.mark.parametrize("text", ["1,2\n3,4\n5,6\n", "0,0\n2,2\n"])
     def test_rank_deficient_data_is_an_error(self, capsys, tmp_path, text):
@@ -187,6 +199,26 @@ class TestSimulate:
         assert summary["q_grid"] == [0.85, 0.9, 0.95]
         assert summary["ml"]["n_replications"] == 2
 
+    def test_summaries_without_a_used_fit_write_null(self, capsys, tmp_path):
+        target = tmp_path / "report.csv"
+        run(capsys, "simulate", "--case", "1", "--n", "30", "--replications", "2",
+            "--q-grid", "0.9", "--max-iter", "1", "--output", str(target))
+        summary = strict_json(target.with_suffix(".json"))
+        for key in ("ml", "mlq"):
+            assert summary[key]["n_nonconverged"] == 2 and summary[key]["n_used"] == 0
+            assert summary[key]["mean_nu"] is None
+            assert summary[key]["mean_mu"] == [None, None]
+
+    def test_every_fit_failing_is_an_error(self, capsys, tmp_path):
+        target = tmp_path / "report.csv"
+        code, _, err = run(capsys, "simulate", "--case", "1", "--n", "2", "--outliers", "0",
+                           "--replications", "2", "--q-grid", "0.9", "--output", str(target))
+        assert code == 1
+        assert_one_line_error(err)
+        summary = strict_json(target.with_suffix(".json"))
+        assert summary["ml"]["n_failed"] == 2 and summary["mlq"]["n_failed"] == 2
+        assert summary["mlq"]["mean_combined_distance"] is None
+
 
 class TestDensityGrid:
     @pytest.mark.parametrize("points", ["1", "0", "-3"])
@@ -203,3 +235,31 @@ class TestDensityGrid:
         assert code == 0 and err == ""
         grid = np.loadtxt(tmp_path / "grid_grid.csv", delimiter=",", skiprows=1)
         assert grid.shape == (4, 4)
+
+    def test_nu_holds_both_fits(self, capsys, tmp_path, data_csv):
+        code, _, err = run(capsys, "density-grid", str(data_csv), "--nu", "5",
+                           "--out", str(tmp_path / "grid"))
+        assert code == 0 and err == ""
+        fits = json.loads((tmp_path / "grid_fits.json").read_text())
+        for key in ("ml", "mlq"):
+            assert fits[key]["nu"] == 5.0 and fits[key]["nu_estimated"] is False
+
+    def test_estimate_nu_flag_is_gone(self, capsys, tmp_path, data_csv):
+        code, _, err = run(capsys, "density-grid", str(data_csv), "--nu", "5", "--estimate-nu",
+                           "--out", str(tmp_path / "grid"))
+        assert code == 1
+        assert_one_line_error(err)
+        assert not (tmp_path / "grid_fits.json").exists()
+
+
+@pytest.mark.parametrize("command", [["density-grid", "DATA"], ["showcase", "--case", "1"]],
+                         ids=["density-grid", "showcase"])
+def test_iteration_cap_exits_2_and_still_writes_outputs(capsys, tmp_path, data_csv, command):
+    prefix = tmp_path / "out"
+    argv = [str(data_csv) if arg == "DATA" else arg for arg in command]
+    code, _, err = run(capsys, *argv, "--grid-points", "3", "--max-iter", "1", "--out", str(prefix))
+    assert code == 2 and err == ""
+    fits = json.loads((tmp_path / "out_fits.json").read_text())
+    assert fits["ml"]["converged"] is False and fits["mlq"]["converged"] is False
+    assert (tmp_path / "out_data.csv").exists()
+    assert np.loadtxt(tmp_path / "out_grid.csv", delimiter=",", skiprows=1).shape == (9, 4)

@@ -6,7 +6,7 @@ import pytest
 
 import robust_t as rt
 from robust_t import estimators
-from robust_t.errors import DegenerateData, DomainError
+from robust_t.errors import DegenerateData
 from robust_t.estimators import (
     EStepQuantities,
     FitConfig,
@@ -19,12 +19,11 @@ from robust_t.estimators import (
     solve_nu_ml,
     solve_nu_mlq,
 )
-from robust_t.linalg import mahalanobis_sq_rows
+from robust_t.linalg import mahalanobis_sq_from_chol
 from robust_t.special import digamma
 from robust_t.tdist import MvtParams, log_pdf_rows, sample
 
 PSI_1_5 = 0.03648997397857652  # 50-digit reference
-BRACKET = (0.1, 200.0)
 
 
 def case_i_params():
@@ -104,7 +103,7 @@ class TestEStep:
         params = MvtParams(np.array([0.5, -1.0]), np.array([[2.0, -0.5], [-0.5, 2.0]]), 4.0)
         rows = clean_data(9, seed=5, params=params)
         est = e_step(rows, params)
-        s = mahalanobis_sq_rows(rows, params.mu, params.sigma)
+        s = mahalanobis_sq_from_chol(rows, params.mu, params.chol_lower)
         assert np.array_equal(est.u1, rt.cond_expect_u(s, 4.0, 2))
         assert np.array_equal(est.u2, rt.cond_expect_log_u(s, 4.0, 2))
 
@@ -146,21 +145,16 @@ class TestSolveNuMl:
         c = -(-PSI_1_5 + math.log(1.5) + 1.0)
         u1 = np.full(7, 1.3)
         est = EStepQuantities(u1, u1 + c, np.zeros(7))
-        solved = solve_nu_ml(est, BRACKET)
+        solved = solve_nu_ml(est)
         assert solved.bracketed
         assert solved.nu == pytest.approx(3.0, abs=1e-8)
 
     def test_near_normal_clamps_to_upper_end(self):
         u1 = np.ones(11)
         est = EStepQuantities(u1, u1 - 1e-6, np.zeros(11))
-        solved = solve_nu_ml(est, BRACKET)
+        solved = solve_nu_ml(est)
         assert not solved.bracketed
-        assert solved.nu == BRACKET[1]
-
-    def test_invalid_bracket(self):
-        est = EStepQuantities(np.ones(3), np.zeros(3), np.zeros(3))
-        with pytest.raises(DomainError):
-            solve_nu_ml(est, (5.0, 1.0))
+        assert solved.nu == estimators.NU_BRACKET[1]
 
 
 class TestMlqWeights:
@@ -223,8 +217,8 @@ class TestSolveNuMlq:
         rows = clean_data(120, seed=8)
         params = init_params(rows)
         est = e_step(rows, params)
-        ml_root = solve_nu_ml(est, BRACKET)
-        mlq_root = solve_nu_mlq(rows, (params.mu, params.sigma), est, 1.0 - 1e-12, BRACKET)
+        ml_root = solve_nu_ml(est)
+        mlq_root = solve_nu_mlq(params, est, 1.0 - 1e-12)
         assert mlq_root.nu == pytest.approx(ml_root.nu, abs=1e-6)
 
     def test_common_distance_cancels_regardless_of_q(self):
@@ -234,17 +228,17 @@ class TestSolveNuMlq:
         angles = np.linspace(0, 2 * np.pi, 9, endpoint=False)
         rows = params.mu + 1.7 * np.column_stack([np.cos(angles), np.sin(angles)])
         est = e_step(rows, params)
-        ml_root = solve_nu_ml(est, BRACKET)
+        ml_root = solve_nu_ml(est)
         for q in (0.85, 0.95):
-            got = solve_nu_mlq(rows, (params.mu, params.sigma), est, q, BRACKET)
+            got = solve_nu_mlq(params, est, q)
             assert got.nu == pytest.approx(ml_root.nu, abs=1e-8)
 
     def test_outliers_downweighted_in_nu_equation(self):
         rows = contaminated_data(seed=3)
         params = case_i_params()
         est = e_step(rows, params)
-        ml_root = solve_nu_ml(est, BRACKET)
-        mlq_root = solve_nu_mlq(rows, (params.mu, params.sigma), est, 0.85, BRACKET)
+        ml_root = solve_nu_ml(est)
+        mlq_root = solve_nu_mlq(params, est, 0.85)
         assert mlq_root.nu > ml_root.nu
 
 
@@ -267,7 +261,7 @@ class TestFit:
 
     def test_fixed_nu_stays_fixed(self):
         rows = clean_data(200, seed=13)
-        result = fit(rows, FitConfig(method="ml", estimate_nu=False, fixed_nu=3.0))
+        result = fit(rows, FitConfig(method="ml", fixed_nu=3.0))
         assert result.params.nu == 3.0
         assert not result.nu_clamped
 
@@ -362,7 +356,7 @@ class TestAlgorithmicInvariants:
     ])
     def test_ml_em_ascent(self, datasets, estimate_nu):
         for rows in ASCENT_DATASETS[datasets]():
-            config = FitConfig(method="ml", estimate_nu=estimate_nu, fixed_nu=3.0)
+            config = FitConfig(method="ml", fixed_nu=None if estimate_nu else 3.0)
             result = fit(rows, config)
             assert result.converged
             objectives = [rec.objective for rec in result.trace]
@@ -404,7 +398,7 @@ class TestAlgorithmicInvariants:
         result = fit(rows, FitConfig(method="ml", epsilon=eps, max_iter=4000))
         assert result.converged
         params = result.params
-        s = mahalanobis_sq_rows(rows, params.mu, params.sigma)
+        s = mahalanobis_sq_from_chol(rows, params.mu, params.chol_lower)
         w = (params.nu + 2) / (params.nu + s)
         mu_hat = (w[:, None] * rows).sum(axis=0) / w.sum()
         d = rows - mu_hat
@@ -418,7 +412,7 @@ class TestAlgorithmicInvariants:
         result = fit(rows, FitConfig(method="mlq", q=0.9, epsilon=eps, max_iter=8000))
         assert result.converged
         params = result.params
-        s = mahalanobis_sq_rows(rows, params.mu, params.sigma)
+        s = mahalanobis_sq_from_chol(rows, params.mu, params.chol_lower)
         w, v = mlq_weights(s, params.nu, 2, 0.9)
         mu_hat = (w[:, None] * rows).sum(axis=0) / w.sum()
         d = rows - mu_hat

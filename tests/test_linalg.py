@@ -10,14 +10,21 @@ from robust_t.errors import DimensionMismatch, NotPositiveDefinite
 from robust_t.linalg import (
     cholesky_lower,
     cholesky_many,
-    log_det,
-    mahalanobis_sq,
-    mahalanobis_sq_rows,
+    log_det_from_chol,
+    mahalanobis_sq_from_chol,
     spd_repair,
     symmetrize,
 )
 
 CASE_II_SIGMA = np.array([[2.0, -0.5], [-0.5, 2.0]])
+
+
+def log_det(m):
+    return log_det_from_chol(cholesky_lower(m))
+
+
+def mahalanobis_sq(x, mu, sigma):
+    return mahalanobis_sq_from_chol(x, mu, cholesky_lower(sigma))[0]
 
 
 class TestCholesky:
@@ -91,7 +98,7 @@ class TestMahalanobis:
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(7, 2))
         mu = np.array([0.3, -0.1])
-        s = mahalanobis_sq_rows(rows, mu, CASE_II_SIGMA)
+        s = mahalanobis_sq_from_chol(rows, mu, cholesky_lower(CASE_II_SIGMA))
         for i in range(7):
             assert s[i] == pytest.approx(mahalanobis_sq(rows[i], mu, CASE_II_SIGMA), rel=1e-14)
 
@@ -146,7 +153,38 @@ def spd_and_vectors(draw, max_dim=6):
     return m, x, mu, t, b
 
 
+@st.composite
+def symmetric_near_floor(draw):
+    """A symmetric p x p matrix, p = 3..6, indefinite or near-singular, and a floor.
+
+    The eigenvalues are drawn around zero on a common scale and the matrix
+    is rotated by a random orthogonal factor, so the smallest one lands
+    below, at or just above the floor.
+    """
+    p = draw(st.integers(min_value=3, max_value=6))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    floor = 10.0 ** draw(st.floats(-10.0, -2.0))
+    lam = draw(arrays(np.float64, (p,), elements=st.floats(-1.0, 1.0)))
+    lam[0] = draw(st.sampled_from([-1.0, -1e-6, -1e-11, 0.0, 1e-13, 1e-9]))
+    rotation, _ = np.linalg.qr(draw(arrays(np.float64, (p, p), elements=st.floats(-1.0, 1.0))))
+    return symmetrize(rotation @ np.diag(lam * scale) @ rotation.T), floor
+
+
 class TestProperties:
+    @given(symmetric_near_floor())
+    @settings(max_examples=200, deadline=None)
+    def test_spd_repair_floor_above_order_2(self, bundle):
+        m, floor = bundle
+        out = spd_repair(m, floor=floor)
+        assert np.linalg.eigvalsh(out)[0] >= floor * (1 - 1e-9)
+
+    @given(spd_and_vectors(), st.floats(-10.0, -2.0))
+    @settings(max_examples=50, deadline=None)
+    def test_spd_repair_leaves_spd_input_unchanged(self, bundle, log_floor):
+        # the smallest eigenvalue of m is at least 0.5, far above the floor
+        m = symmetrize(bundle[0])
+        assert np.array_equal(spd_repair(m, floor=10.0 ** log_floor), m)
+
     @given(spd_and_vectors())
     @settings(max_examples=50, deadline=None)
     def test_cholesky_roundtrip(self, bundle):
