@@ -1,17 +1,20 @@
 """Command-line front end.
 
 Subcommands: fit, sample, score-curve, density-grid, simulate, showcase.
-All input and output is plain CSV and JSON. Exit codes: 0 success,
-1 input or usage error, 2 non-convergence.
+All input and output is plain CSV and JSON; numpy reads and writes every
+CSV, each number as %.17g so that it reads back bit for bit. A file numpy
+refuses is scanned again only to name its first bad row or cell. Exit codes:
+0 success; 1 input or usage error; 2 non-convergence: a fit of fit,
+density-grid or showcase stopped at --max-iter, or simulate ran fits and
+none converged. Every output is written before a 2 is returned.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
-import os
+import re
 import sys
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from .errors import (
     DomainError,
     NotPositiveDefinite,
 )
-from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit
+from .estimators import DEFAULT_Q, METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit
 from .simulation import (
     ShowcaseResult,
     SimulationReport,
@@ -43,7 +46,10 @@ _INPUT_ERRORS = (
     OSError,
 )
 
-DEFAULT_Q = 0.85
+# numpy's CSV dialect: '"' quotes a cell, and '#' is a cell like any other
+_CSV = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
+_ONLY_SPACES_COMMAS_QUOTES = re.compile(r'[\s,"]*').fullmatch
+_NUMBER = "%.17g"
 
 
 class _UsageError(Exception):
@@ -56,26 +62,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
+def _cells(line: str) -> list[str]:
+    """The cells of one non-empty line as numpy splits them, quotes removed."""
+    return np.loadtxt([line], dtype=str, **_CSV)[0].tolist()
 
 
-def _parse_csv_row(path: str, row: list[str], number: int) -> list[float]:
-    values = []
-    for column, cell in enumerate(row, start=1):
-        try:
-            value = float(cell)
-        except ValueError:
-            raise _UsageError(
-                f"{path}: non-numeric value {cell.strip()!r} "
-                f"at row {number}, column {column}"
-            ) from None
-        if not math.isfinite(value):
-            raise _UsageError(
-                f"{path}: non-finite value at row {number}, column {column}"
-            )
-        values.append(value)
-    return values
+def _is_blank(line: str) -> bool:
+    """True when every cell of the line is empty or whitespace."""
+    # a character other than these stays in a cell; a quote may too, as in ' "'
+    return _ONLY_SPACES_COMMAS_QUOTES(line) is not None and (
+        not line.strip() or not any(cell.strip() for cell in _cells(line)))
 
 
 def _is_header_row(row: list[str]) -> bool:
@@ -89,43 +85,69 @@ def _is_header_row(row: list[str]) -> bool:
     return True
 
 
+def _read_finite(lines: list[str]) -> np.ndarray | None:
+    """lines as a float matrix, or None where numpy refuses them or reads a NaN or infinity."""
+    try:
+        values = np.loadtxt(lines, **_CSV)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _bad_row_error(path: str, numbers: list[int], lines: list[str]) -> _UsageError:
+    """The error naming the first bad row or cell of lines by its number in numbers."""
+    # bisection; each half is read with the first line, whose width every row must have
+    good, bad = 0, len(lines)  # lines[:good] read, and a row of lines[good:bad] does not
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        if _read_finite(lines[:1] + lines[good:middle]) is None:
+            bad = middle
+        else:
+            good = middle
+    number, line = numbers[good], lines[good]
+    row, width = _cells(line), len(_cells(lines[0]))
+    if len(row) != width:
+        return _UsageError(f"{path}: row {number} has {len(row)} fields, expected {width}")
+    for column, cell in enumerate(row, start=1):
+        try:
+            value = np.loadtxt([line], usecols=column - 1, **_CSV)[0, 0]
+        except ValueError:
+            return _UsageError(f"{path}: non-numeric value {cell.strip()!r} "
+                               f"at row {number}, column {column}")
+        if not np.isfinite(value):
+            return _UsageError(f"{path}: non-finite value at row {number}, column {column}")
+    return _UsageError(f"{path}: unreadable row {number}")
+
+
 def read_matrix_csv(path: str) -> np.ndarray:
     """Read an n x p numeric CSV, auto-detecting a single header row.
 
-    The first non-blank row is a header only when none of its cells is a
-    number; a first row with some numeric cells is data, so a bad cell in
-    it is reported like one in any other row.
+    Rows whose cells are all blank are skipped. The first remaining row is a
+    header only when none of its cells is a number; a first row with some
+    numeric cells is data. numpy parses the rest in one call; only when it
+    refuses them or reads a NaN or infinity are they searched again, to name
+    the first bad row or cell by its row number in the file.
     """
     try:
-        with open(path, newline="") as handle:
-            raw = [
-                (number, row)
-                for number, row in enumerate(csv.reader(handle), start=1)
-                if any(cell.strip() for cell in row)
-            ]
-    except OSError as exc:
+        with open(path) as handle:
+            lines = handle.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    if raw and _is_header_row(raw[0][1]):
-        raw = raw[1:]  # header row
-    if not raw:
+    numbers = [number for number, line in enumerate(lines, start=1) if not _is_blank(line)]
+    if numbers and _is_header_row(_cells(lines[numbers[0] - 1])):
+        numbers = numbers[1:]
+    if not numbers:
         raise _UsageError(f"{path}: no observations")
-    width = len(raw[0][1])
-    body = []
-    for number, row in raw:
-        if len(row) != width:
-            raise _UsageError(
-                f"{path}: row {number} has {len(row)} fields, expected {width}"
-            )
-        body.append(_parse_csv_row(path, row, number))
-    return np.array(body, dtype=float)
+    body = [lines[number - 1] for number in numbers]
+    values = _read_finite(body)
+    if values is None:
+        raise _bad_row_error(path, numbers, body)
+    return values
 
 
-def write_matrix_csv(path: str, rows: np.ndarray, header: list[str] | None = None):
-    with open(path, "w", newline="") as handle:
-        if header:
-            handle.write(",".join(header) + "\n")
-        for row in np.atleast_2d(rows):
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+def write_matrix_csv(target, rows, header: str = "", fmt=_NUMBER):
+    """Write rows to a path or open file, each number as %.17g so it reads back exactly."""
+    np.savetxt(target, np.atleast_2d(rows), fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def parse_vector(text: str) -> np.ndarray:
@@ -206,14 +228,18 @@ def _fit_config_from(args, method: str, q: float) -> FitConfig:
                      max_iter=args.max_iter)
 
 
+def _q_for(args, method: str) -> float:
+    """q for method: --q, or DEFAULT_Q without it, for mlq; 1 for ml, which takes no --q."""
+    if method == METHOD_ML:
+        if args.q is not None:
+            raise _UsageError("--q applies to --method mlq only")
+        return 1.0
+    return DEFAULT_Q if args.q is None else args.q
+
+
 def cmd_fit(args) -> int:
     data = read_matrix_csv(args.input)
-    method = args.method
-    if method == METHOD_ML and args.q is not None:
-        raise _UsageError("--q applies to --method mlq only")
-    q = args.q if args.q is not None else (DEFAULT_Q if method == METHOD_MLQ else 1.0)
-    config = _fit_config_from(args, method, q)
-    result = fit(data, config)
+    result = fit(data, _fit_config_from(args, args.method, _q_for(args, args.method)))
     _write_json(args.output, _result_dict(result))
     return 0 if result.converged else 2
 
@@ -235,33 +261,12 @@ def cmd_score_curve(args) -> int:
         raise _UsageError("need 0 < --s-min < --s-max for the log-spaced grid")
     params = MvtParams(np.zeros(args.p), np.eye(args.p), args.nu)
     grid = np.geomspace(args.s_min, args.s_max, args.points)
-    q = None
-    if args.method == METHOD_ML and args.q is not None:
-        raise _UsageError("--q applies to --method mlq only")
-    if args.method == METHOD_MLQ:
-        q = args.q if args.q is not None else DEFAULT_Q
-        if not 0.0 < q < 1.0:
-            raise _UsageError("--q must lie strictly between 0 and 1")
-    curve = score_curve(params, grid, q=q)
-    write_matrix_csv(args.output, curve, header=["s", "value"])
+    q = _q_for(args, args.method)
+    if args.method == METHOD_MLQ and not 0.0 < q < 1.0:
+        raise _UsageError("--q must lie strictly between 0 and 1")
+    curve = score_curve(params, grid, q=q if args.method == METHOD_MLQ else None)
+    write_matrix_csv(args.output, curve, header="s,value")
     return 0
-
-
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-        return args.jobs
-    env = os.environ.get("ROBUST_T_JOBS", "")
-    if not env:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        raise _UsageError(f"ROBUST_T_JOBS={env!r} is not an integer") from None
-    if jobs < 1:
-        raise _UsageError(f"ROBUST_T_JOBS must be at least 1, got {jobs}")
-    return jobs
 
 
 def _spec_from(args, truth: MvtParams, q_grid: tuple[float, ...],
@@ -304,44 +309,39 @@ def _summary_dict(summary) -> dict:
     }
 
 
-def _report_rows(report: SimulationReport) -> list[list[str]]:
+def _report_rows(report: SimulationReport) -> np.ndarray:
+    """One row per parameter: its label, true value, and each method's mean and distance."""
     truth = report.spec.true_params
-    p = truth.dim
-    rows = []
-    for j in range(p):
-        rows.append([
-            f"mu_{j + 1}", _fmt(truth.mu[j]),
-            _fmt(report.ml.mean_mu[j]), _fmt(report.ml.mean_d_mu),
-            _fmt(report.mlq.mean_mu[j]), _fmt(report.mlq.mean_d_mu),
-        ])
-    for i in range(p):
-        for j in range(i, p):
-            rows.append([
-                f"sigma_{i + 1}_{j + 1}", _fmt(truth.sigma[i, j]),
-                _fmt(report.ml.mean_sigma[i, j]), _fmt(report.ml.mean_d_sigma),
-                _fmt(report.mlq.mean_sigma[i, j]), _fmt(report.mlq.mean_d_sigma),
-            ])
-    rows.append([
-        "nu", _fmt(truth.nu),
-        _fmt(report.ml.mean_nu), _fmt(report.ml.mse_nu),
-        _fmt(report.mlq.mean_nu), _fmt(report.mlq.mse_nu),
-    ])
-    return rows
+    upper = np.triu_indices(truth.dim)
+    counts = [truth.dim, len(upper[0]), 1]
+
+    def values(mu, sigma, nu):
+        return np.concatenate([mu, sigma[upper], [nu]])
+
+    columns = [values(truth.mu, truth.sigma, truth.nu)]
+    for summary in (report.ml, report.mlq):
+        columns.append(values(summary.mean_mu, summary.mean_sigma, summary.mean_nu))
+        columns.append(np.repeat([summary.mean_d_mu, summary.mean_d_sigma, summary.mse_nu],
+                                 counts))
+    labels = ([f"mu_{j + 1}" for j in range(truth.dim)]
+              + [f"sigma_{i + 1}_{j + 1}" for i, j in zip(*upper)] + ["nu"])
+    return np.column_stack([np.array(labels, dtype=object), *columns])
 
 
 def cmd_simulate(args) -> int:
     q_grid = parse_q_grid(args.q_grid)
     spec = _spec_from(args, preset_case(args.case), q_grid, args.replications)
-    jobs = _jobs(args)
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     out = Path(args.output)
     csv_path = out if out.suffix == ".csv" else Path(str(out) + ".csv")
     # both outputs are opened before the run, so an unwritable path fails at once
     with (open(csv_path, "w", newline="") as csv_out,
           open(csv_path.with_suffix(".json"), "w") as json_out):
-        report = run_simulation(spec, jobs=jobs)
-        csv_out.write("parameter,true,ml_mean,ml_distance,mlq_mean,mlq_distance\n")
-        for row in _report_rows(report):
-            csv_out.write(",".join(row) + "\n")
+        report = run_simulation(spec, jobs=args.jobs)
+        write_matrix_csv(csv_out, _report_rows(report),
+                         "parameter,true,ml_mean,ml_distance,mlq_mean,mlq_distance",
+                         fmt=["%s"] + 5 * [_NUMBER])
         _dump_json({
             "case": args.case,
             "n": args.n,
@@ -357,7 +357,7 @@ def cmd_simulate(args) -> int:
         }, json_out)
     if all(record.failed for record in report.records):
         raise DegenerateData(f"all {len(report.records)} fits failed; counts in {json_out.name}")
-    return 0
+    return 0 if any(record.converged for record in report.records) else 2
 
 
 def _write_showcase_outputs(prefix: str, show: ShowcaseResult, extra: dict | None = None) -> int:
@@ -366,21 +366,18 @@ def _write_showcase_outputs(prefix: str, show: ShowcaseResult, extra: dict | Non
     if extra:
         payload.update(extra)
     _write_json(f"{prefix}_fits.json", payload)
-    with open(f"{prefix}_grid.csv", "w", newline="") as handle:
-        handle.write("x,y,ml_density,mlq_density\n")
-        for iy in range(show.grid_y.shape[0]):
-            for ix in range(show.grid_x.shape[0]):
-                handle.write(",".join([
-                    _fmt(show.grid_x[ix]), _fmt(show.grid_y[iy]),
-                    _fmt(show.ml_density[iy, ix]), _fmt(show.mlq_density[iy, ix]),
-                ]) + "\n")
+    x, y = np.meshgrid(show.grid_x, show.grid_y)
+    write_matrix_csv(f"{prefix}_grid.csv",
+                     np.column_stack([x.ravel(), y.ravel(), show.ml_density.ravel(),
+                                      show.mlq_density.ravel()]),
+                     header="x,y,ml_density,mlq_density")
     return 0 if (show.ml_fit.converged and show.mlq_fit.converged) else 2
 
 
 def cmd_density_grid(args) -> int:
     data = read_matrix_csv(args.input)
-    q = args.q if args.q is not None else DEFAULT_Q
-    show = fit_and_grid(data, _fit_config_from(args, METHOD_ML, 1.0), q, args.grid_points)
+    show = fit_and_grid(data, _fit_config_from(args, METHOD_ML, 1.0), _q_for(args, METHOD_MLQ),
+                        args.grid_points)
     return _write_showcase_outputs(args.out, show)
 
 
@@ -391,22 +388,24 @@ def cmd_showcase(args) -> int:
         if args.mu is None or args.sigma is None or args.nu is None:
             raise _UsageError("showcase needs --case or all of --mu/--sigma/--nu")
         truth = MvtParams(parse_vector(args.mu), parse_matrix(args.sigma), args.nu)
-    q = args.q if args.q is not None else DEFAULT_Q
-    show = run_single_showcase(_spec_from(args, truth, (q,), 1), grid_points=args.grid_points)
-    truth_dict = {
-        "truth": {
-            "mu": [float(v) for v in truth.mu],
-            "sigma": [[float(v) for v in row] for row in truth.sigma],
-            "nu": float(truth.nu),
-        }
-    }
-    return _write_showcase_outputs(args.out, show, truth_dict)
+    show = run_single_showcase(_spec_from(args, truth, (_q_for(args, METHOD_MLQ),), 1),
+                               grid_points=args.grid_points)
+    truth_dict = {"mu": truth.mu.tolist(), "sigma": truth.sigma.tolist(), "nu": float(truth.nu)}
+    return _write_showcase_outputs(args.out, show, {"truth": truth_dict})
 
 
 def _add_fit_flags(sub):
-    sub.add_argument("--epsilon", type=float, default=1e-6,
+    sub.add_argument("--epsilon", type=float, default=FitConfig.epsilon,
                      help="stopping rule on the parameter-change norm")
-    sub.add_argument("--max-iter", type=int, default=1000)
+    sub.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
+
+
+def _add_contamination_flags(sub):
+    sub.add_argument("--outliers", type=int, default=SimulationSpec.n_outliers)
+    sub.add_argument("--seed", type=int, default=SimulationSpec.seed)
+    sub.add_argument("--outlier-range", type=parse_range,
+                     default=(SimulationSpec.outlier_low, SimulationSpec.outlier_high),
+                     help="lo:hi offsets in marginal standard deviations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,15 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = subs.add_parser("simulate", help="replicated contamination experiment")
     p_sim.add_argument("--case", type=int, choices=[1, 2], required=True)
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--outliers", type=int, default=5)
-    p_sim.add_argument("--replications", type=int, default=100)
-    p_sim.add_argument("--seed", type=int, default=0)
+    _add_contamination_flags(p_sim)
+    p_sim.add_argument("--replications", type=int, default=SimulationSpec.n_replications)
     p_sim.add_argument("--q-grid", default="0.8:0.98:0.02",
                        help="lo:hi:step sweep of q values")
-    p_sim.add_argument("--outlier-range", type=parse_range, default=(80.0, 160.0),
-                       help="lo:hi offsets in marginal standard deviations")
-    p_sim.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (env ROBUST_T_JOBS as fallback)")
+    p_sim.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_sim.add_argument("--output", required=True, help="report CSV path")
     _add_fit_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
@@ -476,10 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_show.add_argument("--sigma", default=None)
     p_show.add_argument("--nu", type=float, default=None, help="true degrees of freedom")
     p_show.add_argument("--n", type=int, default=100)
-    p_show.add_argument("--outliers", type=int, default=5)
-    p_show.add_argument("--seed", type=int, default=0)
+    _add_contamination_flags(p_show)
     p_show.add_argument("--q", type=float, default=None)
-    p_show.add_argument("--outlier-range", type=parse_range, default=(80.0, 160.0))
     p_show.add_argument("--grid-points", type=int, default=60)
     p_show.add_argument("--out", required=True, help="output file prefix")
     _add_fit_flags(p_show)

@@ -126,6 +126,8 @@ __all__ = [
 
 METHOD_ML = "ml"
 METHOD_MLQ = "mlq"
+# The q of an MLq fit or simulation that names none.
+DEFAULT_Q = 0.85
 
 NORM_DEFINITION = "euclidean(mu, upper_triangle(sigma), nu if estimated)"
 

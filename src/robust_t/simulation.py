@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, DomainError
-from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, _fit_batch, fit_many
+from .estimators import DEFAULT_Q, METHOD_ML, METHOD_MLQ, FitConfig, FitResult, _fit_batch, fit_many
 from .tdist import MvtParams, as_data_matrix, log_pdf_rows, sample
 
 __all__ = [
@@ -69,7 +69,7 @@ class SimulationSpec:
     n: int
     n_outliers: int = 5
     n_replications: int = 100
-    q_grid: tuple[float, ...] = (0.85,)
+    q_grid: tuple[float, ...] = (DEFAULT_Q,)
     outlier_low: float = 80.0
     outlier_high: float = 160.0
     seed: int = 0

@@ -119,6 +119,42 @@ class TestReadMatrixCsv:
         assert code == 1
         assert_one_line_error(err)
 
+    @pytest.mark.parametrize("row, cell", [("#,3", "'#'"), ("3,4 # note", "'4 # note'")])
+    def test_hash_is_a_cell_not_a_comment(self, capsys, tmp_path, row, cell):
+        code, out, err = fit_csv(capsys, tmp_path, f"1,2\n{row}\n4,4\n6,7\n")
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert f"non-numeric value {cell} at row 2" in err
+
+    def test_quoted_numbers_and_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b'x,y\r\n"1","2.5"\r\n3,"-4"\r\n')
+        assert np.array_equal(cli.read_matrix_csv(str(path)), [[1.0, 2.5], [3.0, -4.0]])
+
+    def test_one_column_is_n_by_1(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_text("1\n2\n3\n")
+        assert np.array_equal(cli.read_matrix_csv(str(path)), [[1.0], [2.0], [3.0]])
+
+    def test_undecodable_bytes_are_an_error_not_a_traceback(self, capsys, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"1,2\n3,\xff4\n")
+        code, out, err = run(capsys, "fit", str(path))
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+
+    def test_bad_cell_after_header_named_by_its_row_in_the_file(self, capsys, tmp_path):
+        code, _, err = fit_csv(capsys, tmp_path, "x,y\n1,2\n3,abc")
+        assert code == 1
+        assert_one_line_error(err)
+        assert "row 3, column 2" in err
+
+
+def test_write_matrix_csv_keeps_every_bit(tmp_path):
+    path = tmp_path / "out.csv"
+    cli.write_matrix_csv(str(path), np.array([0.1, -0.0, np.nan, np.inf, 5e-324]))
+    assert path.read_text() == "0.10000000000000001,-0,nan,inf,4.9406564584124654e-324\n"
+
 
 class TestParseQGrid:
     def test_float_steps(self):
@@ -174,16 +210,10 @@ class TestSimulate:
         assert code == 1
         assert_one_line_error(err)
 
-    @pytest.mark.parametrize("flag, env", [("-3", None), ("0", None), (None, "0"), (None, "-2")],
-                             ids=["flag-3", "flag0", "env0", "env-2"])
-    def test_fewer_than_one_job_rejected(self, capsys, tmp_path, monkeypatch, flag, env):
+    @pytest.mark.parametrize("flag", ["-3", "0"], ids=["flag-3", "flag0"])
+    def test_fewer_than_one_job_rejected(self, capsys, tmp_path, monkeypatch, flag):
         monkeypatch.setattr(cli, "run_simulation", no_simulation)
-        if env is None:
-            monkeypatch.delenv("ROBUST_T_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("ROBUST_T_JOBS", env)
-        jobs = [] if flag is None else ["--jobs", flag]
-        code, out, err = run(capsys, "simulate", "--case", "1", "--n", "30", *jobs,
+        code, out, err = run(capsys, "simulate", "--case", "1", "--n", "30", "--jobs", flag,
                              "--output", str(tmp_path / "report"))
         assert code == 1 and out == ""
         assert_one_line_error(err)
@@ -201,8 +231,9 @@ class TestSimulate:
 
     def test_summaries_without_a_used_fit_write_null(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
-        run(capsys, "simulate", "--case", "1", "--n", "30", "--replications", "2",
-            "--q-grid", "0.9", "--max-iter", "1", "--output", str(target))
+        code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30", "--replications", "2",
+                           "--q-grid", "0.9", "--max-iter", "1", "--output", str(target))
+        assert code == 2 and err == ""
         summary = strict_json(target.with_suffix(".json"))
         for key in ("ml", "mlq"):
             assert summary[key]["n_nonconverged"] == 2 and summary[key]["n_used"] == 0

@@ -13,6 +13,7 @@ from robust_t.linalg import (
     log_det_from_chol,
     mahalanobis_sq_from_chol,
     spd_repair,
+    spd_shift_many,
     symmetrize,
 )
 
@@ -134,6 +135,21 @@ class TestSpdRepair:
         # shift never overshoots the needed amount by more than the bisection gap
         assert lam_min <= 1e-8 + 1e-10 + 1e-13 * np.max(np.abs(m))
 
+    def test_near_singular_2x2_stack_reaches_the_floor(self):
+        # the closed form cancels on these; without an error margin some land below the floor
+        rng = np.random.default_rng(7)
+        count = 2000
+        angle = rng.uniform(0.0, np.pi, count)
+        cos, sin = np.cos(angle), np.sin(angle)
+        rotation = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+        lam = np.stack([rng.choice([-1e-6, -1e-11, 0.0, 1e-13, 1e-9], count),
+                        rng.uniform(-1.0, 1.0, count)], -1) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+        stack = rotation @ (lam[:, :, None] * np.eye(2)) @ rotation.transpose(0, 2, 1)
+        stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+        for floor in (1e-10, 1e-6, 1e-2):
+            out = stack + spd_shift_many(stack, floor)[:, None, None] * np.eye(2)
+            assert np.all(np.linalg.eigvalsh(out)[:, 0] >= floor * (1 - 1e-9))
+
     def test_spd_4x4_fast_path_unchanged(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 4))
@@ -155,13 +171,13 @@ def spd_and_vectors(draw, max_dim=6):
 
 @st.composite
 def symmetric_near_floor(draw):
-    """A symmetric p x p matrix, p = 3..6, indefinite or near-singular, and a floor.
+    """A symmetric p x p matrix, p = 2..6, indefinite or near-singular, and a floor.
 
     The eigenvalues are drawn around zero on a common scale and the matrix
     is rotated by a random orthogonal factor, so the smallest one lands
     below, at or just above the floor.
     """
-    p = draw(st.integers(min_value=3, max_value=6))
+    p = draw(st.integers(min_value=2, max_value=6))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     floor = 10.0 ** draw(st.floats(-10.0, -2.0))
     lam = draw(arrays(np.float64, (p,), elements=st.floats(-1.0, 1.0)))
@@ -173,7 +189,7 @@ def symmetric_near_floor(draw):
 class TestProperties:
     @given(symmetric_near_floor())
     @settings(max_examples=200, deadline=None)
-    def test_spd_repair_floor_above_order_2(self, bundle):
+    def test_spd_repair_floor(self, bundle):
         m, floor = bundle
         out = spd_repair(m, floor=floor)
         assert np.linalg.eigvalsh(out)[0] >= floor * (1 - 1e-9)
