@@ -48,7 +48,8 @@ _INPUT_ERRORS = (
 
 # numpy's CSV dialect: '"' quotes a cell, and '#' is a cell like any other
 _CSV = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
-_ONLY_SPACES_COMMAS_QUOTES = re.compile(r'[\s,"]*').fullmatch
+# a line of only whitespace, commas and quotes, matched from the \n before it
+_BLANK_CANDIDATE = re.compile(r'\n(?:[^\S\n]|[,"])*(?=\n|\Z)')
 _NUMBER = "%.17g"
 
 
@@ -68,10 +69,26 @@ def _cells(line: str) -> list[str]:
 
 
 def _is_blank(line: str) -> bool:
-    """True when every cell of the line is empty or whitespace."""
-    # a character other than these stays in a cell; a quote may too, as in ' "'
-    return _ONLY_SPACES_COMMAS_QUOTES(line) is not None and (
-        not line.strip() or not any(cell.strip() for cell in _cells(line)))
+    """True when every cell of a line of whitespace, commas and quotes is blank."""
+    # a quote may stay in a cell, as in ' "'
+    return not line.strip() or not any(cell.strip() for cell in _cells(line))
+
+
+def _non_blank_lines(text: str) -> tuple[list[int], list[str]]:
+    """The numbers (from 1) and the text of the lines of text that are not blank.
+
+    Only the lines one regex pass finds, counted back from the last, go
+    through _is_blank.
+    """
+    lines, padded = text.split("\n"), "\n" + text
+    blank, number, end = set(), len(lines), len(padded)
+    for match in reversed(list(_BLANK_CANDIDATE.finditer(padded))):
+        number -= padded.count("\n", match.end(), end)
+        end = match.end()
+        if _is_blank(lines[number - 1]):
+            blank.add(number)
+    numbers = [number for number in range(1, len(lines) + 1) if number not in blank]
+    return numbers, [lines[number - 1] for number in numbers]
 
 
 def _is_header_row(row: list[str]) -> bool:
@@ -130,15 +147,14 @@ def read_matrix_csv(path: str) -> np.ndarray:
     """
     try:
         with open(path) as handle:
-            lines = handle.read().split("\n")
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    numbers = [number for number, line in enumerate(lines, start=1) if not _is_blank(line)]
-    if numbers and _is_header_row(_cells(lines[numbers[0] - 1])):
-        numbers = numbers[1:]
+    numbers, body = _non_blank_lines(text)
+    if numbers and _is_header_row(_cells(body[0])):
+        numbers, body = numbers[1:], body[1:]
     if not numbers:
         raise _UsageError(f"{path}: no observations")
-    body = [lines[number - 1] for number in numbers]
     values = _read_finite(body)
     if values is None:
         raise _bad_row_error(path, numbers, body)

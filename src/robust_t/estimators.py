@@ -4,25 +4,40 @@ Every fit runs through one engine, which advances a batch of fits in
 lockstep: the same configs on each of a stack of same-shape datasets.
 run_simulation hands it a group of replicates, each with the plain fit
 and the whole q grid; fit_many is its one-dataset case and fit() its
-one-fit case. An iteration is one evaluation of the EM map F: it
-refreshes the conditional expectations of the latent chi-squared mixing
-variable at the current parameters, updates location and scatter by
-closed-form weighted sums, and (optionally) updates the degrees of
-freedom by a bracketed root solve whose every step evaluates only the
-fits still solving. A fit leaves the batch when it converges, fails or
-reaches max_iter; iterations, max_iter and the trace all count
-evaluations of F.
+one-fit case. An iteration is one evaluation of the map F: it updates
+location and scatter by closed-form weighted sums, weighted at the
+current parameters, takes the squared distances at the update once, and
+from them solves for the degrees of freedom (when estimated), by a
+bracketed root search that evaluates only the fits still solving, and
+takes the objective. A fit leaves the batch when it converges, fails
+(its scatter collapsing included) or reaches max_iter; iterations,
+max_iter and the trace all count evaluations of F.
 
-Two accelerations cut the evaluations a fit needs about 3-4 fold; both
-keep the fixed point of the paper's estimating equations.
+The q-weighted step multiplies every observation's contribution by its
+density raised to (1 - q) on top of the EM weight, so outlying points are
+downweighted twice; it has no ascent guarantee, and convergence is judged
+on the parameter-change norm alone. The plain step is the q = 1 case, its
+weights exactly (nu + p) / (nu + s) and its scatter centered on the
+updated location. Three departures from the paper's EM step cut the
+evaluations a fit needs; each keeps the paper's fixed point.
 
 * PX-EM denominator (Kent, Tyler & Vardi 1994). Every scatter update is
   divided by the sum of its numerator weights w instead of by the
   estimating equation's denominator: n for the plain step, whose w are
   the EM weights u, and the sum of the v weights for the q-weighted step.
-  At a fixed point the two agree. There the trace of sigma^-1 times the
-  scatter equation gives sum(w s) = p sum(v) (v = 1 for the plain step),
-  and since w (nu + s) = (nu + p) v, sum(w) = sum(v).
+  At a fixed point the trace of sigma^-1 times the scatter equation gives
+  sum(w s) = p sum(v) (v = 1 for the plain step), and since
+  w (nu + s) = (nu + p) v, sum(w) = sum(v).
+* ECME (Liu & Rubin 1994; McLachlan & Peel 2000, section 7). The nu step
+  solves sum f^(1 - q) T = 0 at the updated location and scatter, T being
+  twice the observed-data score in nu, where the paper holds the E-step's
+  u1 and u2 fixed. By Fisher's identity the paper's per-observation term
+  1 + u2 - u1 + log(nu/2) - digamma(nu/2) equals T at the same
+  parameters, so at a fixed point the two equations agree term by term,
+  f^(1 - q) weights included. For the plain method the location and
+  scatter step is EM's, so it does not lower the log-likelihood, and
+  where the observed score changes sign once on NU_BRACKET its root
+  maximizes the log-likelihood over nu.
 * SQUAREM (Varadhan & Roland 2008, scheme S3). Every three iterations
   form one cycle: from x0 the engine takes x1 = F(x0) and x2 = F(x1),
   then moves to x' = x0 - 2 alpha r + alpha^2 v, with r = x1 - x0 and
@@ -33,16 +48,7 @@ keep the fixed point of the paper's estimating equations.
   acts on the packed (mu, upper triangle of sigma, nu). A fit falls back
   to x2 when x' has a non-finite entry, a nu outside NU_BRACKET, a
   scatter with no Cholesky factor, or an objective below the objective at
-  x2. For the plain method that last rule and EM's own ascent keep the
-  log-likelihood trace non-decreasing.
-
-The q-weighted step multiplies every observation's contribution by its
-density raised to (1 - q) on top of the EM weight, so outlying points are
-downweighted twice; it has no ascent guarantee, and convergence is judged
-on the parameter-change norm alone. The plain step is the q = 1 case with
-its weights exactly (nu + p) / (nu + s) and its scatter centered on the
-updated location: the PX-EM form of the classical EM algorithm for the t
-distribution, whose observed-data log-likelihood never decreases.
+  x2, so the plain method's log-likelihood trace does not decrease.
 
 Conventions pinned here and recorded in FitResult so runs are reproducible:
 
@@ -51,26 +57,24 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   taken over one evaluation of F, so a fit stops when F moves it by less
   than epsilon;
 * the q-weighted scatter update centers on the previous iterate's location,
-  the form its estimating equation is written in; centering on the updated
-  location reaches the same fixed point in about as many iterations, so
-  nothing is gained by offering it;
+  the form its estimating equation is written in;
 * the nu solve searches NU_BRACKET and clamps to the nearer endpoint when
   the score does not change sign on it, which happens for near-normal
   data, and the result is flagged rather than treated as an error;
 * every scatter is floored at SPD_FLOOR on the correlation scale, so a
-  change of the units of a column moves no fit.
+  change of the units of a column moves no fit, and a fit whose variance
+  falls below SPD_FLOOR times its starting value fails as collapsed.
 
 The engine sorts each dataset's rows into lexicographic order once and
 then uses plain sums along the observation axis. Every fit of a batch
 goes through the same elementwise operations, the SQUAREM step and its
-fallback included, so a fit's result is bitwise the same whatever the
-batch holds, datasets and configs alike, and however the input rows are
-permuted.
+fallback included, so a fit's result is bitwise the same whatever else
+the batch holds and however the input rows are permuted.
 
-e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq perform one
-step of one fit, each from the previous iterate and its e_step; they are
-the reference that the engine is tested against. The nu solves search
-NU_BRACKET.
+e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq state the
+paper's EM step for one fit, from the previous iterate and its e_step.
+The engine's location and scatter steps are tested against m_step_*; its
+nu step has the fixed points of solve_nu_*, which search NU_BRACKET.
 """
 
 from __future__ import annotations
@@ -90,11 +94,12 @@ from .linalg import (
     spd_shift_many,
     symmetrize,
 )
-from .special import digamma
 from .tdist import (
     MvtParams,
     _log_norm_const,
     _nu_terms,
+    _observed_nu_slope,
+    _observed_nu_terms,
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
@@ -197,14 +202,14 @@ class NuSolveResult(NamedTuple):
 class FitResult:
     """Converged parameters plus the iteration trace and diagnostics.
 
-    iterations counts evaluations of the EM map F, and trace holds one
-    record per evaluation: its change norm and the objective at its
-    result. Every third evaluation starts from a SQUAREM point, or from
-    the previous result where that point failed its checks; the scatter
-    step divides by the sum of its weights, which has the paper's fixed
-    point because that sum equals the paper's denominator there (see the
-    module docstring). nu_clamped is True when the last nu solve found no
-    sign change on the bracket and returned an endpoint.
+    iterations counts evaluations of the map F: the paper's location and
+    scatter step, then a solve of the observed-data nu equation at the
+    update (ECME), with the paper's fixed point (see the module docstring).
+    trace holds one record per evaluation: its change norm and the
+    objective at its result. Every third evaluation starts from a SQUAREM
+    point, or from the previous result where that point failed its checks.
+    nu_clamped is True when the last nu solve found no sign change on the
+    bracket and returned an endpoint.
     """
 
     params: MvtParams
@@ -397,37 +402,30 @@ def solve_nu_ml(est: EStepQuantities) -> NuSolveResult:
 
 
 def _weighted_nu_score(s, base, one_minus_q, log_det, p: int):
-    """The q-weighted nu equations of B fits, with their slopes in nu.
+    """The q-weighted nu equations of B fits, sum term f^(1 - q), with slopes.
 
-    Observation i of fit b contributes (base + log(nu/2) - digamma(nu/2))
-    times its density to the power 1 - q. The density is taken at the
-    fit's previous location and scatter (squared distances s and log
-    determinant log_det) and at the candidate nu, so the weight moves with
-    nu. At q = 1 the weight is exactly 1 and this is the plain equation.
-    s and base are (B, n); the returned function maps nu values of shape
-    (B, k) to values of shape (B, k) and slopes at the last value, (B, 1),
-    skipping NaN rows.
+    f is the density at squared distances s (B, n), log determinant log_det
+    and the candidate nu. The term is the engine's T = 2 d log f / d nu
+    (tdist._observed_nu_terms) for base None, else solve_nu_mlq's base +
+    log(nu/2) - digamma(nu/2), base (B, n). d f^(1 - q) / d nu is (1 - q)
+    f^(1 - q) T / 2. The returned function maps nu of shape (B, k) to values
+    (B, k) and slopes at the last nu, (B, 1), skipping NaN rows.
     """
 
     def evaluate(rows, nu):
-        h, dh = _nu_terms(nu)
-        const = _log_norm_const(nu, p, log_det[rows, None])[:, :, None]
         v = nu[:, :, None]
         dist = s[rows, None, :]
         tilt = one_minus_q[rows, None, None]
-        ratio = dist / v
-        log1p_ratio = np.log1p(ratio)
+        t, log1p_ratio = _observed_nu_terms(dist, v, p)
+        const = _log_norm_const(nu, p, log_det[rows, None])[:, :, None]
         weight = np.exp(tilt * (const - 0.5 * (v + p) * log1p_ratio))
-        terms = base[rows, None, :] + h[:, :, None]
-        value = np.sum(terms * weight, axis=2)
-        # the slope, at the last candidate only
-        nu, v, ratio, log1p_ratio, weight, terms = (
-            a[:, -1:] for a in (nu, v, ratio, log1p_ratio, weight, terms))
-        # d const / d nu, for the slope of the weights
-        dconst = (0.5 * (digamma(0.5 * (nu + p)) - digamma(0.5 * nu)) - 0.5 * p / nu)[:, :, None]
-        dlog_f = dconst + 0.5 * ((v + p) / (v + dist) * ratio - log1p_ratio)
-        slope = np.sum(weight * (dh[:, -1:, None] + tilt * terms * dlog_f), axis=2)
-        return value, slope
+        if base is None:
+            terms, dterms = t, _observed_nu_slope(dist, v[:, -1:], p)
+        else:
+            h, dh = _nu_terms(nu)
+            terms, dterms = base[rows, None, :] + h[:, :, None], dh[:, -1:, None]
+        slope = weight[:, -1:] * (dterms + 0.5 * tilt * terms[:, -1:] * t[:, -1:])
+        return np.sum(terms * weight, axis=2), np.sum(slope, axis=2)
 
     return _open_rows(evaluate)
 
@@ -530,15 +528,16 @@ def _where(mask, new, old):
     return np.where(mask.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
 
 
-def _measure(columns, mu, sigma, nu, q):
-    """Cholesky factors, log determinants, squared distances and objectives."""
-    p = sigma.shape[-1]
+def _distances(columns, mu, sigma):
+    """Cholesky factors, log determinants and squared distances of B fits."""
     chol = cholesky_many(sigma)
-    log_det = log_det_from_chol(chol)
-    s = mahalanobis_sq_many(columns, mu, chol)
+    return chol, log_det_from_chol(chol), mahalanobis_sq_many(columns, mu, chol)
+
+
+def _objective(s, log_det, nu, q, p: int):
+    """The fits' objectives: the sum of lq of the densities at squared distances s."""
     log_f = log_pdf_from_dist(s, nu[:, None], p, log_det[:, None])
-    objective = np.sum(lq_from_log(log_f, q[:, None]), axis=1)
-    return chol, log_det, s, objective
+    return np.sum(lq_from_log(log_f, q[:, None]), axis=1)
 
 
 def _squarem_step(state: dict, upper, with_nu: bool):
@@ -565,8 +564,8 @@ def _squarem_step(state: dict, upper, with_nu: bool):
              "nu": nu}
     # an unsafe point is not measured: its fit is measured at x2, where it stays
     point = {key: _where(safe, value, state[key]) for key, value in point.items()}
-    chol, point["log_det"], point["s"], objective = _measure(
-        state["columns"], point["mu"], point["sigma"], point["nu"], state["q"])
+    chol, log_det, point["s"] = _distances(state["columns"], point["mu"], point["sigma"])
+    objective = _objective(point["s"], log_det, point["nu"], state["q"], p)
     safe &= np.all(np.isfinite(chol), axis=(1, 2)) & (objective >= state["objective"])
     point["vec"] = vec
     state.update({key: _where(safe, value, state[key]) for key, value in point.items()})
@@ -633,19 +632,18 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         return np.repeat(np.array(values), count, axis=0)
 
     # per-fit state of the fits still running, one row per fit
-    chol = per_fit([start.chol_lower for start in starts])
-    mu = per_fit([start.mu for start in starts])
     columns = per_fit(columns)
+    mu, sigma = per_fit([start.mu for start in starts]), per_fit([start.sigma for start in starts])
     state = {
         "index": (np.array(live)[:, None] * count + np.arange(count)).ravel(),
         "columns": columns,
         "q": np.tile([c.q if c.method == METHOD_MLQ else 1.0 for c in configs], len(live)),
         "recenter": np.tile([c.method == METHOD_ML for c in configs], len(live)),
         "mu": mu,
-        "sigma": per_fit([start.sigma for start in starts]),
-        "log_det": log_det_from_chol(chol),
-        "nu": np.full(chol.shape[0], 3.0 if estimate_nu else shared.fixed_nu),
-        "s": mahalanobis_sq_many(columns, mu, chol),
+        "sigma": sigma,
+        "floor": SPD_FLOOR * np.diagonal(sigma, axis1=1, axis2=2),
+        "nu": np.full(mu.shape[0], 3.0 if estimate_nu else shared.fixed_nu),
+        "s": _distances(columns, mu, sigma)[2],
     }
     state["vec"] = _pack(state["mu"], state["sigma"], state["nu"], upper, estimate_nu)
     traces: list[list[IterationRecord]] = [[] for _ in outcomes]
@@ -663,17 +661,19 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         # a failed fit keeps its old scatter, which the repair can handle;
         # it leaves the batch at the end of this iteration
         sigma = _repair_scatter(_where(ok, _from_upper(tri, upper, p), state["sigma"]))
+        chol, log_det, s = _distances(columns, mu, sigma)
         bracketed = np.ones_like(ok)
         if estimate_nu:
-            u1 = cond_expect_u(s, nu[:, None], p)
-            u2 = cond_expect_log_u(s, nu[:, None], p)
-            score = _weighted_nu_score(s, u2 - u1 + 1.0, 1.0 - q, state["log_det"], p)
+            score = _weighted_nu_score(s, None, 1.0 - q, log_det, p)
             nu, bracketed = _bracketed_root(score, lo, hi, nu)
             # a score whose weights overflowed has no root: that fit fails
             ok &= np.isfinite(nu)
             nu = np.where(ok, nu, state["nu"])
-        chol, log_det, s, objective = _measure(columns, mu, sigma, nu, q)
+        objective = _objective(s, log_det, nu, q, p)
         ok &= np.all(np.isfinite(chol), axis=(1, 2))
+        # a variance below SPD_FLOOR times its starting value has collapsed
+        collapsed = np.any(np.diagonal(sigma, axis1=1, axis2=2) < state["floor"], axis=1)
+        ok &= ~collapsed
         vec = _pack(mu, sigma, nu, upper, estimate_nu)
         moved = vec - state["vec"]
         change = np.linalg.norm(moved, axis=1)
@@ -681,11 +681,12 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         converged = change < shared.epsilon
         stop = converged | ~ok | (iteration == shared.max_iter)
         nu_values, clamped = nu.tolist(), (~bracketed).tolist()
-        fits = zip(state["index"].tolist(), ok.tolist(), stop.tolist(), converged.tolist(),
-                   change.tolist(), objective.tolist())
-        for row, (i, fine, stopped, done, step, value) in enumerate(fits):
+        fits = zip(state["index"].tolist(), ok.tolist(), collapsed.tolist(), stop.tolist(),
+                   converged.tolist(), change.tolist(), objective.tolist())
+        for row, (i, fine, flat, stopped, done, step, value) in enumerate(fits):
             if not fine:
-                outcomes[i] = DegenerateData("weighted update produced non-finite parameters")
+                outcomes[i] = DegenerateData("scatter collapsed" if flat else
+                                             "weighted update produced non-finite parameters")
                 continue
             traces[i].append(IterationRecord(iteration, step, value))
             if stopped:
@@ -708,8 +709,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
             scale = _pack(root, root[:, :, None] * root[:, None, :], np.ones(root.shape[0]),
                           upper, estimate_nu)
             state.update(anchor=state["vec"], r=moved, scale=scale)
-        state.update(mu=mu, sigma=sigma, log_det=log_det, nu=nu, s=s, vec=vec, moved=moved,
-                     objective=objective)
+        state.update(mu=mu, sigma=sigma, nu=nu, s=s, vec=vec, moved=moved, objective=objective)
         if stop.all():
             break
         if stop.any():

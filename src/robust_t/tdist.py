@@ -1,8 +1,9 @@
 """Multivariate t distribution core.
 
 Density, q-deformed logarithm, sampler, conditional expectations of the
-latent mixing variable, and the two degrees-of-freedom score functions
-(the plain likelihood score and its density-power-weighted counterpart).
+latent mixing variable, and the degrees-of-freedom score functions (the
+plain likelihood score, its density-power-weighted counterpart, and the
+observed-data form the fitting engine solves).
 
 All density work happens in log space. The weight f(x)^(1-q) is always
 computed as exp((1 - q) * log_pdf(x)), because (nu + s) raised to the
@@ -215,6 +216,19 @@ def _nu_terms(nu):
     """
     half = 0.5 * nu
     return np.log(half) - digamma(half), 1.0 / nu - 0.5 * zeta(2.0, half)
+
+
+def _observed_nu_terms(s, nu, p: int):
+    """T = 2 d log f / d nu (by Fisher's identity 2 ml_score_nu) and log1p(s / nu)."""
+    log1p_ratio = np.log1p(s / nu)
+    t = digamma(0.5 * (nu + p)) - digamma(0.5 * nu) - log1p_ratio + (s - p) / (nu + s)
+    return t, log1p_ratio
+
+
+def _observed_nu_slope(s, nu, p: int):
+    """dT/dnu of _observed_nu_terms's T; the trigamma is zeta(2, x)."""
+    gap = 0.5 * (zeta(2.0, 0.5 * (nu + p)) - zeta(2.0, 0.5 * nu))
+    return gap + s / (nu * (nu + s)) - (s - p) / (nu + s) ** 2
 
 
 def ml_score_nu(s, nu: float, p: int):

@@ -83,6 +83,14 @@ class TestFit:
         assert_one_line_error(err)
 
 
+def test_fit_of_many_gaussian_rows_converges(capsys, tmp_path):
+    path = tmp_path / "gaussian.csv"
+    cli.write_matrix_csv(path, np.random.default_rng(3).standard_normal((20000, 2)))
+    code, out, err = run(capsys, "fit", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["converged"] is True
+
+
 class TestReadMatrixCsv:
     def test_header_row_and_blank_lines_skipped(self, capsys, tmp_path, data_csv):
         lines = data_csv.read_text().splitlines()

@@ -52,6 +52,15 @@ def near_normal_data():
     return np.random.default_rng(3).standard_normal((205, 2))
 
 
+def collapsing_data():
+    """150 rows of a p = 10 t plus 4 rows uniform on [50, 90]."""
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((10, 10))
+    params = MvtParams(rng.standard_normal(10), a @ a.T + 0.1 * np.eye(10), 3.0)
+    rows = sample(params, 150, rng)
+    return np.vstack([rows, rng.uniform(50.0, 90.0, (4, 10))])
+
+
 ASCENT_DATASETS = {
     "clean": lambda: [clean_data(100, seed=seed) for seed in range(6)],
     # outliers only 1-2 and 3-6 sd out: on these, taking every SQUAREM point
@@ -266,18 +275,18 @@ class TestFit:
         assert not result.nu_clamped
 
     def test_nu_clamped_reports_the_final_solve(self, monkeypatch):
-        # contaminated data: the first nu solve wants about 3, above the
-        # bracket, and later ones fall to about 1.3, inside it
-        monkeypatch.setattr(estimators, "NU_BRACKET", (0.1, 2.5))
+        # contaminated data: the first nu solve wants about 1.95, above the
+        # bracket, and later ones fall to about 1.28, inside it
+        monkeypatch.setattr(estimators, "NU_BRACKET", (0.1, 1.5))
         rows = contaminated_data(n=100, seed=0)
         config = FitConfig(method="ml")
         first = fit(rows, replace(config, max_iter=1))
         assert first.nu_clamped
-        assert first.params.nu == 2.5
+        assert first.params.nu == 1.5
         result = fit(rows, config)
         assert result.converged
         assert not result.nu_clamped
-        assert result.params.nu < 2.0
+        assert result.params.nu < 1.4
 
     @pytest.mark.parametrize("rows", [
         [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
@@ -324,6 +333,24 @@ class TestFit:
         result = fit(rows, FitConfig(method=method, q=q))
         assert result.converged
         assert result.params.nu == pytest.approx(nu, abs=1e-4)
+
+    @pytest.mark.parametrize("shape", [(205, 2), (2000, 10)])
+    @pytest.mark.parametrize("method,q", [("ml", 1.0), ("mlq", 0.9)])
+    def test_gaussian_rows_converge(self, shape, method, q):
+        # nu wants to grow without bound; the EM nu step crept towards it
+        rows = np.random.default_rng(3).standard_normal(shape)
+        result = fit(rows, FitConfig(method=method, q=q))
+        assert result.converged
+        assert result.params.nu > 50.0
+
+    def test_collapsing_mlq_fit_never_reports_converged(self):
+        # at q <= 0.8 the weights single out the 4 far rows, and the scatter
+        # shrinks onto them
+        outcomes = rt.fit_many(collapsing_data(), [FitConfig(method="mlq", q=q)
+                                                   for q in (0.7, 0.8)])
+        assert isinstance(outcomes[0], DegenerateData)
+        assert str(outcomes[0]) == "scatter collapsed"
+        assert isinstance(outcomes[1], DegenerateData) or not outcomes[1].converged
 
     def test_trace_structure(self):
         rows = clean_data(150, seed=14)

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import digamma
+from scipy.stats import multivariate_t
 
 import robust_t as rt
 from robust_t import estimators, simulation
@@ -15,8 +18,6 @@ from robust_t.estimators import (
     init_params,
     m_step_ml,
     m_step_mlq,
-    solve_nu_ml,
-    solve_nu_mlq,
 )
 
 Q_GRID = (0.8, 0.85, 0.9, 0.95)
@@ -37,6 +38,27 @@ def batch_configs(base=FitConfig()):
     return [replace(base, method="ml", q=1.0)] + [
         replace(base, method="mlq", q=q) for q in Q_GRID
     ]
+
+
+def observed_nu_root(rows, mu, sigma, q):
+    """The root in nu of sum f^(1 - q) T at (mu, sigma), by brentq on NU_BRACKET.
+
+    T = 2 d log f / d nu; without a sign change on the bracket, the endpoint
+    with the smaller |value|. Written with scipy only, apart from the bracket.
+    """
+    p = rows.shape[1]
+    d = rows - mu
+    s = np.sum(d * np.linalg.solve(sigma, d.T).T, axis=1)
+
+    def score(nu):
+        t = digamma(0.5 * (nu + p)) - digamma(0.5 * nu) - np.log1p(s / nu) + (s - p) / (nu + s)
+        log_f = multivariate_t(mu, sigma, df=nu).logpdf(rows)
+        return float(np.sum(np.exp((1.0 - q) * log_f) * t))
+
+    lo, hi = estimators.NU_BRACKET
+    if (score(lo) < 0.0) != (score(hi) < 0.0):
+        return brentq(score, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=500)
+    return lo if abs(score(lo)) <= abs(score(hi)) else hi
 
 
 def same_fit(a, b):
@@ -64,7 +86,7 @@ class TestRunSimulation:
             assert record.nu == single.params.nu
 
     def test_nonconverged_fits_are_counted_and_left_out_of_the_means(self):
-        spec = small_spec(n_replications=4, fit_config=FitConfig(max_iter=16))
+        spec = small_spec(n_replications=4, fit_config=FitConfig(max_iter=12))
         report = rt.run_simulation(spec)
         for summary in (report.ml, *report.q_sweep):
             group = [r for r in report.records
@@ -78,9 +100,9 @@ class TestRunSimulation:
             else:
                 assert math.isnan(summary.mean_nu) and math.isnan(summary.mean_combined)
         assert 0 < report.ml.n_nonconverged < spec.n_replications
-        # q = 0.95 is the only q with a converged fit, so the only finite summary
-        assert [s.n_used > 0 for s in report.q_sweep] == [False, False, False, True]
-        assert report.selected_q == 0.95 and report.mlq is report.q_sweep[-1]
+        # q = 0.9 is the only q with a converged fit, so the only finite summary
+        assert [s.n_used > 0 for s in report.q_sweep] == [False, False, True, False]
+        assert report.selected_q == 0.9 and report.mlq is report.q_sweep[2]
 
     def test_first_q_selected_when_every_summary_is_nan(self):
         report = rt.run_simulation(small_spec(n_replications=2, fit_config=FitConfig(max_iter=1)))
@@ -220,6 +242,8 @@ class TestFitMany:
             fit_many(replicate_data(small_spec(), 0), [])
 
     def test_one_batched_iteration_matches_the_scalar_steps(self):
+        # mu and sigma are the paper's steps; nu solves the observed-data
+        # equation at the updated mu and sigma (the ECME step)
         rows = replicate_data(small_spec(), 2)
         configs = batch_configs(FitConfig(max_iter=1))
         start = init_params(rows)
@@ -227,14 +251,24 @@ class TestFitMany:
         for result, config in zip(fit_many(rows, configs), configs):
             if config.method == "ml":
                 mu, sigma = m_step_ml(rows, est)
-                nu = solve_nu_ml(est).nu
             else:
                 mu, sigma = m_step_mlq(rows, start, config.q)
-                nu = solve_nu_mlq(start, est, config.q).nu
             assert result.iterations == 1
             assert np.allclose(result.params.mu, mu, rtol=1e-12, atol=1e-12)
             assert np.allclose(result.params.sigma, sigma, rtol=1e-12, atol=1e-12)
+            nu = observed_nu_root(rows, mu, sigma, config.q)
             assert result.params.nu == pytest.approx(nu, abs=1e-9)
+
+    def test_converged_nu_solves_the_observed_equation(self):
+        # the fixed point in nu of the paper's equations, by Fisher's identity
+        spec = small_spec()
+        configs = [FitConfig(), FitConfig(method="mlq", q=0.8), FitConfig(method="mlq", q=0.9)]
+        for replicate in range(spec.n_replications):
+            rows = replicate_data(spec, replicate)
+            for result, config in zip(fit_many(rows, configs), configs):
+                assert result.converged
+                nu = observed_nu_root(rows, result.params.mu, result.params.sigma, config.q)
+                assert abs(result.params.nu - nu) < 10 * config.epsilon
 
 
 class TestFitBatch:
@@ -321,3 +355,18 @@ class TestBracketedRoot:
         assert np.isnan(value[[0, 2]]).all() and np.isnan(slope[[0, 2]]).all()
         alone_value, alone_slope = score(np.array([[4.0], [4.0], [4.0]]))
         assert value[1, 0] == alone_value[1, 0] and slope[1, 0] == alone_slope[1, 0]
+
+    @pytest.mark.parametrize("base", [None, "paper"])
+    def test_nu_score_slopes_match_finite_differences(self, base):
+        data = replicate_data(small_spec(), 0)
+        start = init_params(data)
+        est = e_step(data, start)
+        terms = None if base is None else np.tile(est.u2 - est.u1 + 1.0, (3, 1))
+        score = estimators._weighted_nu_score(np.tile(est.s, (3, 1)), terms,
+                                              np.array([0.0, 0.1, 0.2]),
+                                              np.full(3, start.log_det_sigma), 2)
+        for nu in (0.7, 4.0, 60.0):
+            h = 1e-6 * nu
+            _, slope = score(np.full((3, 1), nu))
+            value, _ = score(np.tile([nu - h, nu + h], (3, 1)))
+            assert np.allclose(slope[:, 0], (value[:, 1] - value[:, 0]) / (2 * h), rtol=1e-5)

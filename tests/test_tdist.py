@@ -9,6 +9,8 @@ from robust_t.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from robust_t.special import digamma, log_gamma
 from robust_t.tdist import (
     MvtParams,
+    _observed_nu_slope,
+    _observed_nu_terms,
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
@@ -219,6 +221,30 @@ class TestMlScoreNu:
 
         fd = (lp(3.0 + h) - lp(3.0 - h)) / (2.0 * h)
         assert ml_score_nu(4.0, 3.0, 2) == pytest.approx(fd, abs=1e-6)
+
+
+class TestObservedNuTerms:
+    S_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 61)])
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_half_of_t_is_the_ml_score(self, p):
+        # Fisher's identity, which keeps the fixed points of the nu step;
+        # both sides cancel near their zero, so the error is taken relative
+        # to the size of the ml_score_nu terms
+        for nu in np.geomspace(0.1, 200.0, 25):
+            t, _ = _observed_nu_terms(self.S_GRID, nu, p)
+            u1 = cond_expect_u(self.S_GRID, nu, p)
+            u2 = cond_expect_log_u(self.S_GRID, nu, p)
+            size = 1.0 + np.abs(u2) + u1 + abs(math.log(0.5 * nu)) + abs(digamma(0.5 * nu))
+            assert np.all(np.abs(0.5 * t - ml_score_nu(self.S_GRID, nu, p)) <= 1e-12 * size)
+
+    @pytest.mark.parametrize("nu", [0.3, 3.0, 150.0])
+    def test_slope_matches_finite_difference(self, nu):
+        h = 1e-6 * nu
+        slope = _observed_nu_slope(self.S_GRID, nu, 3)
+        fd = (_observed_nu_terms(self.S_GRID, nu + h, 3)[0]
+              - _observed_nu_terms(self.S_GRID, nu - h, 3)[0]) / (2.0 * h)
+        assert np.allclose(slope, fd, rtol=1e-5, atol=1e-7 / nu ** 2)
 
 
 class TestMlqScoreNu:
