@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -68,27 +69,16 @@ def _cells(line: str) -> list[str]:
     return np.loadtxt([line], dtype=str, **_CSV)[0].tolist()
 
 
-def _is_blank(line: str) -> bool:
-    """True when every cell of a line of whitespace, commas and quotes is blank."""
-    # a quote may stay in a cell, as in ' "'
-    return not line.strip() or not any(cell.strip() for cell in _cells(line))
-
-
 def _non_blank_lines(text: str) -> tuple[list[int], list[str]]:
-    """The numbers (from 1) and the text of the lines of text that are not blank.
-
-    Only the lines one regex pass finds, counted back from the last, go
-    through _is_blank.
-    """
+    """The numbers (from 1) and the text of the lines with a cell that is not blank."""
     lines, padded = text.split("\n"), "\n" + text
-    blank, number, end = set(), len(lines), len(padded)
-    for match in reversed(list(_BLANK_CANDIDATE.finditer(padded))):
-        number -= padded.count("\n", match.end(), end)
-        end = match.end()
-        if _is_blank(lines[number - 1]):
-            blank.add(number)
-    numbers = [number for number in range(1, len(lines) + 1) if number not in blank]
-    return numbers, [lines[number - 1] for number in numbers]
+    keep, index, start = [True] * len(lines), 0, 0
+    for match in _BLANK_CANDIDATE.finditer(padded):
+        index += padded.count("\n", start, match.start())
+        start, line = match.start(), lines[index]
+        # a quote may stay in a cell, as in ' "'
+        keep[index] = bool(line.strip()) and any(cell.strip() for cell in _cells(line))
+    return list(compress(range(1, len(lines) + 1), keep)), list(compress(lines, keep))
 
 
 def _is_header_row(row: list[str]) -> bool:

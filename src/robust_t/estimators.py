@@ -4,13 +4,11 @@ Every fit runs through one engine, which advances a batch of fits in
 lockstep: the same configs on each of a stack of same-shape datasets.
 run_simulation hands it a group of replicates, each with the plain fit
 and the whole q grid; fit_many is its one-dataset case and fit() its
-one-fit case. An iteration is one evaluation of the map F: it updates
-location and scatter by closed-form weighted sums, weighted at the
-current parameters, takes the squared distances at the update once, and
-from them solves for the degrees of freedom (when estimated), by a
-bracketed root search that evaluates only the fits still solving, and
-takes the objective. A fit leaves the batch when it converges, fails
-(its scatter collapsing included) or reaches max_iter; iterations,
+one-fit case. An iteration is one evaluation of the map F: closed-form
+weighted sums update location and scatter, and the squared distances at
+the update give the degrees of freedom (when estimated), by a bracketed
+root search over the fits still solving, and the objective. A fit leaves
+the batch when it converges, fails or reaches max_iter; iterations,
 max_iter and the trace all count evaluations of F.
 
 The q-weighted step multiplies every observation's contribution by its
@@ -31,13 +29,12 @@ evaluations a fit needs; each keeps the paper's fixed point.
 * ECME (Liu & Rubin 1994; McLachlan & Peel 2000, section 7). The nu step
   solves sum f^(1 - q) T = 0 at the updated location and scatter, T being
   twice the observed-data score in nu, where the paper holds the E-step's
-  u1 and u2 fixed. By Fisher's identity the paper's per-observation term
-  1 + u2 - u1 + log(nu/2) - digamma(nu/2) equals T at the same
-  parameters, so at a fixed point the two equations agree term by term,
-  f^(1 - q) weights included. For the plain method the location and
-  scatter step is EM's, so it does not lower the log-likelihood, and
-  where the observed score changes sign once on NU_BRACKET its root
-  maximizes the log-likelihood over nu.
+  u1 and u2 fixed. By Fisher's identity the paper's term 1 + u2 - u1 +
+  log(nu/2) - digamma(nu/2) equals T at the same parameters, so the two
+  equations agree at a fixed point, f^(1 - q) weights included. For the
+  plain method the location and scatter step is EM's, which does not lower
+  the log-likelihood, and where the observed score changes sign once on
+  NU_BRACKET its root maximizes the log-likelihood over nu.
 * SQUAREM (Varadhan & Roland 2008, scheme S3). Every three iterations
   form one cycle: from x0 the engine takes x1 = F(x0) and x2 = F(x1),
   then moves to x' = x0 - 2 alpha r + alpha^2 v, with r = x1 - x0 and
@@ -62,8 +59,8 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   the score does not change sign on it, which happens for near-normal
   data, and the result is flagged rather than treated as an error;
 * every scatter is floored at SPD_FLOOR on the correlation scale, so a
-  change of the units of a column moves no fit, and a fit whose variance
-  falls below SPD_FLOOR times its starting value fails as collapsed.
+  change of a column's units moves no fit, and a variance below SPD_FLOOR
+  times its column's squared median absolute deviation fails the fit.
 
 The engine sorts each dataset's rows into lexicographic order once and
 then uses plain sums along the observation axis. Every fit of a batch
@@ -401,31 +398,43 @@ def solve_nu_ml(est: EStepQuantities) -> NuSolveResult:
     return _solve_one(_open_rows(evaluate))
 
 
-def _weighted_nu_score(s, base, one_minus_q, log_det, p: int):
-    """The q-weighted nu equations of B fits, sum term f^(1 - q), with slopes.
+def _tilted_terms(s, nu, one_minus_q, log_det, p: int):
+    """T = 2 d log f / d nu (tdist._observed_nu_terms) and the weights f^(1 - q)."""
+    t, log1p_ratio = _observed_nu_terms(s, nu, p)
+    log_f = _log_norm_const(nu, p, log_det) - 0.5 * (nu + p) * log1p_ratio
+    return t, np.exp(one_minus_q * log_f)
 
-    f is the density at squared distances s (B, n), log determinant log_det
-    and the candidate nu. The term is the engine's T = 2 d log f / d nu
-    (tdist._observed_nu_terms) for base None, else solve_nu_mlq's base +
-    log(nu/2) - digamma(nu/2), base (B, n). d f^(1 - q) / d nu is (1 - q)
-    f^(1 - q) T / 2. The returned function maps nu of shape (B, k) to values
-    (B, k) and slopes at the last nu, (B, 1), skipping NaN rows.
+
+def _weighted_nu_score(s, base, one_minus_q, log_det, p: int):
+    """solve_nu_mlq's nu equations of B fits, with their slopes in nu.
+
+    Observation i of fit b adds (base + log(nu/2) - digamma(nu/2)) f^(1 - q),
+    f its density at squared distance s, log determinant log_det and the
+    candidate nu, so d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2. s and
+    base are (B, n); the returned function maps nu of shape (B, k) to
+    values (B, k) and slopes at the last nu, (B, 1), skipping NaN rows.
     """
 
     def evaluate(rows, nu):
-        v = nu[:, :, None]
-        dist = s[rows, None, :]
-        tilt = one_minus_q[rows, None, None]
-        t, log1p_ratio = _observed_nu_terms(dist, v, p)
-        const = _log_norm_const(nu, p, log_det[rows, None])[:, :, None]
-        weight = np.exp(tilt * (const - 0.5 * (v + p) * log1p_ratio))
-        if base is None:
-            terms, dterms = t, _observed_nu_slope(dist, v[:, -1:], p)
-        else:
-            h, dh = _nu_terms(nu)
-            terms, dterms = base[rows, None, :] + h[:, :, None], dh[:, -1:, None]
-        slope = weight[:, -1:] * (dterms + 0.5 * tilt * terms[:, -1:] * t[:, -1:])
+        dist, v, tilt = s[rows, None, :], nu[:, :, None], one_minus_q[rows, None, None]
+        t, weight = _tilted_terms(dist, v, tilt, log_det[rows, None, None], p)
+        h, dh = _nu_terms(nu)
+        terms = base[rows, None, :] + h[:, :, None]
+        slope = weight[:, -1:] * (dh[:, -1:, None] + 0.5 * tilt * terms[:, -1:] * t[:, -1:])
         return np.sum(terms * weight, axis=2), np.sum(slope, axis=2)
+
+    return _open_rows(evaluate)
+
+
+def _observed_nu_score(s, one_minus_q, log_det, p: int):
+    """The engine's nu equations sum f^(1 - q) T, shaped and sloped as _weighted_nu_score's."""
+
+    def evaluate(rows, nu):
+        dist, v, tilt = s[rows, None, :], nu[:, :, None], one_minus_q[rows, None, None]
+        t, weight = _tilted_terms(dist, v, tilt, log_det[rows, None, None], p)
+        last = t[:, -1:]
+        slope = weight[:, -1:] * (_observed_nu_slope(dist, v[:, -1:], p) + 0.5 * tilt * last * last)
+        return np.sum(t * weight, axis=2), np.sum(slope, axis=2)
 
     return _open_rows(evaluate)
 
@@ -606,7 +615,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         raise DimensionMismatch("datasets fitted together must have the same shape")
     # one entry per fit, dataset by dataset; a fit's index is its place here
     outcomes: list[Optional[FitOutcome]] = []
-    live, starts, columns = [], [], []
+    live, starts, columns, spreads = [], [], [], []
     for slot, rows in enumerate(matrices):
         rows = rows[np.lexsort(rows.T[::-1])]
         try:
@@ -617,6 +626,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         outcomes.extend([None] * count)
         live.append(slot)
         columns.append(rows.T)
+        spreads.append(np.median(np.abs(rows - np.median(rows, axis=0)), axis=0) ** 2)
 
     def per_dataset():
         return [outcomes[k:k + count] for k in range(0, len(outcomes), count)]
@@ -641,7 +651,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         "recenter": np.tile([c.method == METHOD_ML for c in configs], len(live)),
         "mu": mu,
         "sigma": sigma,
-        "floor": SPD_FLOOR * np.diagonal(sigma, axis1=1, axis2=2),
+        "floor": SPD_FLOOR * per_fit(spreads),
         "nu": np.full(mu.shape[0], 3.0 if estimate_nu else shared.fixed_nu),
         "s": _distances(columns, mu, sigma)[2],
     }
@@ -664,14 +674,14 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         chol, log_det, s = _distances(columns, mu, sigma)
         bracketed = np.ones_like(ok)
         if estimate_nu:
-            score = _weighted_nu_score(s, None, 1.0 - q, log_det, p)
+            score = _observed_nu_score(s, 1.0 - q, log_det, p)
             nu, bracketed = _bracketed_root(score, lo, hi, nu)
             # a score whose weights overflowed has no root: that fit fails
             ok &= np.isfinite(nu)
             nu = np.where(ok, nu, state["nu"])
         objective = _objective(s, log_det, nu, q, p)
         ok &= np.all(np.isfinite(chol), axis=(1, 2))
-        # a variance below SPD_FLOOR times its starting value has collapsed
+        # a variance below SPD_FLOOR times its column's squared MAD has collapsed
         collapsed = np.any(np.diagonal(sigma, axis1=1, axis2=2) < state["floor"], axis=1)
         ok &= ~collapsed
         vec = _pack(mu, sigma, nu, upper, estimate_nu)

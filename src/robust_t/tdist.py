@@ -1,9 +1,8 @@
 """Multivariate t distribution core.
 
 Density, q-deformed logarithm, sampler, conditional expectations of the
-latent mixing variable, and the degrees-of-freedom score functions (the
-plain likelihood score, its density-power-weighted counterpart, and the
-observed-data form the fitting engine solves).
+latent mixing variable, and the plain, the density-power-weighted and the
+observed-data (fitting engine) degrees-of-freedom scores.
 
 All density work happens in log space. The weight f(x)^(1-q) is always
 computed as exp((1 - q) * log_pdf(x)), because (nu + s) raised to the

@@ -345,12 +345,26 @@ class TestFit:
 
     def test_collapsing_mlq_fit_never_reports_converged(self):
         # at q <= 0.8 the weights single out the 4 far rows, and the scatter
-        # shrinks onto them
-        outcomes = rt.fit_many(collapsing_data(), [FitConfig(method="mlq", q=q)
+        # shrinks onto them; q = 0.8 used to report convergence after 27
+        # evaluations at sigma = 1e-10 I
+        outcomes = rt.fit_many(collapsing_data(), [FitConfig(method="mlq", q=q, max_iter=40)
                                                    for q in (0.7, 0.8)])
         assert isinstance(outcomes[0], DegenerateData)
         assert str(outcomes[0]) == "scatter collapsed"
-        assert isinstance(outcomes[1], DegenerateData) or not outcomes[1].converged
+        assert not outcomes[1].converged
+
+    @pytest.mark.parametrize("data", ["far_row", "nu_0.3"])
+    def test_far_rows_are_not_taken_for_a_collapse(self, data):
+        # both inflate the sample variance about 1e11-fold over the fitted one
+        if data == "far_row":
+            rows = np.vstack([np.random.default_rng(0).standard_normal((100, 2)), [1e7, 1e7]])
+        else:
+            rows = sample(MvtParams(np.zeros(2), np.eye(2), 0.3), 200, np.random.default_rng(1))
+        configs = [FitConfig(method="ml"), FitConfig(method="mlq", q=0.8),
+                   FitConfig(method="mlq", q=0.9)]
+        for result in rt.fit_many(rows, configs):
+            assert result.converged
+            assert np.all(np.diag(result.params.sigma) > 0.1)
 
     def test_trace_structure(self):
         rows = clean_data(150, seed=14)

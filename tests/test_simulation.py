@@ -356,15 +356,18 @@ class TestBracketedRoot:
         alone_value, alone_slope = score(np.array([[4.0], [4.0], [4.0]]))
         assert value[1, 0] == alone_value[1, 0] and slope[1, 0] == alone_slope[1, 0]
 
-    @pytest.mark.parametrize("base", [None, "paper"])
-    def test_nu_score_slopes_match_finite_differences(self, base):
+    @pytest.mark.parametrize("form", ["observed", "paper"])
+    def test_nu_score_slopes_match_finite_differences(self, form):
         data = replicate_data(small_spec(), 0)
         start = init_params(data)
         est = e_step(data, start)
-        terms = None if base is None else np.tile(est.u2 - est.u1 + 1.0, (3, 1))
-        score = estimators._weighted_nu_score(np.tile(est.s, (3, 1)), terms,
-                                              np.array([0.0, 0.1, 0.2]),
-                                              np.full(3, start.log_det_sigma), 2)
+        s, tilt = np.tile(est.s, (3, 1)), np.array([0.0, 0.1, 0.2])
+        log_det = np.full(3, start.log_det_sigma)
+        if form == "observed":
+            score = estimators._observed_nu_score(s, tilt, log_det, 2)
+        else:
+            base = np.tile(est.u2 - est.u1 + 1.0, (3, 1))
+            score = estimators._weighted_nu_score(s, base, tilt, log_det, 2)
         for nu in (0.7, 4.0, 60.0):
             h = 1e-6 * nu
             _, slope = score(np.full((3, 1), nu))
