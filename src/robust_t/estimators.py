@@ -28,13 +28,14 @@ evaluations a fit needs; each keeps the paper's fixed point.
   w (nu + s) = (nu + p) v, sum(w) = sum(v).
 * ECME (Liu & Rubin 1994; McLachlan & Peel 2000, section 7). The nu step
   solves sum f^(1 - q) T = 0 at the updated location and scatter, T being
-  twice the observed-data score in nu, where the paper holds the E-step's
-  u1 and u2 fixed. By Fisher's identity the paper's term 1 + u2 - u1 +
-  log(nu/2) - digamma(nu/2) equals T at the same parameters, so the two
-  equations agree at a fixed point, f^(1 - q) weights included. For the
-  plain method the location and scatter step is EM's, which does not lower
-  the log-likelihood, and where the observed score changes sign once on
-  NU_BRACKET its root maximizes the log-likelihood over nu.
+  twice the observed-data score in nu. The paper's ECM step solves sum
+  f^(1 - q) (1 + u2 - u1 + log(nu/2) - digamma(nu/2)) = 0, holding the
+  E-step's u1 and u2 fixed; by Fisher's identity its term equals T at the
+  same parameters, so the two equations agree at a fixed point, f^(1 - q)
+  weights included. For the plain method the location and scatter step is
+  EM's, which does not lower the log-likelihood, and where the observed
+  score changes sign once on NU_BRACKET its root maximizes the
+  log-likelihood over nu.
 * SQUAREM (Varadhan & Roland 2008, scheme S3). Every three iterations
   form one cycle: from x0 the engine takes x1 = F(x0) and x2 = F(x1),
   then moves to x' = x0 - 2 alpha r + alpha^2 v, with r = x1 - x0 and
@@ -68,10 +69,10 @@ goes through the same elementwise operations, the SQUAREM step and its
 fallback included, so a fit's result is bitwise the same whatever else
 the batch holds and however the input rows are permuted.
 
-e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq state the
-paper's EM step for one fit, from the previous iterate and its e_step.
-The engine's location and scatter steps are tested against m_step_*; its
-nu step has the fixed points of solve_nu_*, which search NU_BRACKET.
+e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq run the
+engine's phases for one fit, from the previous iterate and its e_step, and
+raise DegenerateData where the engine would fail the fit. solve_nu_* take
+T at the previous iterate's location and scatter.
 """
 
 from __future__ import annotations
@@ -89,14 +90,11 @@ from .linalg import (
     mahalanobis_sq_from_chol,
     mahalanobis_sq_many,
     spd_shift_many,
-    symmetrize,
 )
 from .tdist import (
     MvtParams,
-    _log_norm_const,
-    _nu_terms,
     _observed_nu_slope,
-    _observed_nu_terms,
+    _tilted_terms,
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
@@ -264,15 +262,34 @@ def e_step(data, params: MvtParams) -> EStepQuantities:
     return EStepQuantities(u1, u2, s)
 
 
-def _weighted_location_scatter(rows, w, center):
-    sum_w = np.sum(w)
-    mu = np.sum(w[:, None] * rows, axis=0) / sum_w
-    d = rows - (mu if center is None else center)
-    sigma = np.sum(w[:, None, None] * d[:, :, None] * d[:, None, :], axis=0)
-    sigma = sigma / sum_w
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+def _m_step(columns, w, recenter, prev_mu, prev_sigma, upper):
+    """The location and scatter step of B fits, from their weights w (B, n).
+
+    columns holds each fit's rows as (p, n). A scatter is centered on the
+    updated location where recenter holds, else on prev_mu, and both sums
+    are divided by the sum of w. Returns the locations, the repaired
+    scatters and which updates are finite; the others keep prev_sigma.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sum_w = np.sum(w, axis=1)[:, None]
+        mu = np.sum(w[:, None, :] * columns, axis=2) / sum_w
+        center = np.where(recenter[:, None], mu, prev_mu)
+        d = columns - center[:, :, None]
+        tri = np.sum(w[:, None, :] * d[:, upper[0]] * d[:, upper[1]], axis=2) / sum_w
+    ok = np.all(np.isfinite(mu), axis=1) & np.all(np.isfinite(tri), axis=1)
+    sigma = _where(ok, _from_upper(tri, upper, prev_mu.shape[1]), prev_sigma)
+    return mu, _repair_scatter(sigma), ok
+
+
+def _one_m_step(rows, w, prev_mu):
+    """_m_step for one fit; prev_mu None centers the scatter on the update."""
+    p = rows.shape[1]
+    center = np.zeros((1, p)) if prev_mu is None else prev_mu[None]
+    mu, sigma, ok = _m_step(rows.T[None], w[None], np.array([prev_mu is None]), center,
+                            np.eye(p)[None], np.triu_indices(p))
+    if not ok[0]:
         raise DegenerateData("weighted update produced non-finite parameters")
-    return mu, _repair_scatter(symmetrize(sigma)[None])[0]
+    return mu[0], sigma[0]
 
 
 def m_step_ml(data, est: EStepQuantities) -> tuple[np.ndarray, np.ndarray]:
@@ -282,10 +299,7 @@ def m_step_ml(data, est: EStepQuantities) -> tuple[np.ndarray, np.ndarray]:
     the sum of the weights, not by n (the PX-EM step; see the module
     docstring for why the fixed point is the same).
     """
-    rows = as_data_matrix(data)
-    if not float(np.sum(est.u1)) > 0.0:
-        raise DegenerateData("EM weights sum to zero")
-    return _weighted_location_scatter(rows, est.u1, None)
+    return _one_m_step(as_data_matrix(data), est.u1, None)
 
 
 def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
@@ -373,61 +387,12 @@ def _open_rows(evaluate):
     return g
 
 
-def _solve_one(g) -> NuSolveResult:
-    """One nu equation on NU_BRACKET, started at its geometric midpoint."""
-    lo, hi = NU_BRACKET
-    root, bracketed = _bracketed_root(g, lo, hi, np.array([math.sqrt(lo * hi)]))
-    return NuSolveResult(float(root[0]), bool(bracketed[0]))
-
-
-def solve_nu_ml(est: EStepQuantities) -> NuSolveResult:
-    """Root of the plain-likelihood degrees-of-freedom equation on NU_BRACKET.
-
-    The score per observation is log(nu/2) - digamma(nu/2) + 1 + u2 - u1;
-    its sum is strictly decreasing in nu. Without a sign change on the
-    bracket the nearer endpoint is returned with bracketed=False (the
-    near-normal case when the data want nu -> infinity).
-    """
-    n = est.u1.shape[0]
-    offset = float(np.sum(est.u2 - est.u1))
-
-    def evaluate(rows, nu):
-        h, slope = _nu_terms(nu)
-        return n * (h + 1.0) + offset, n * slope[:, -1:]
-
-    return _solve_one(_open_rows(evaluate))
-
-
-def _tilted_terms(s, nu, one_minus_q, log_det, p: int):
-    """T = 2 d log f / d nu (tdist._observed_nu_terms) and the weights f^(1 - q)."""
-    t, log1p_ratio = _observed_nu_terms(s, nu, p)
-    log_f = _log_norm_const(nu, p, log_det) - 0.5 * (nu + p) * log1p_ratio
-    return t, np.exp(one_minus_q * log_f)
-
-
-def _weighted_nu_score(s, base, one_minus_q, log_det, p: int):
-    """solve_nu_mlq's nu equations of B fits, with their slopes in nu.
-
-    Observation i of fit b adds (base + log(nu/2) - digamma(nu/2)) f^(1 - q),
-    f its density at squared distance s, log determinant log_det and the
-    candidate nu, so d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2. s and
-    base are (B, n); the returned function maps nu of shape (B, k) to
-    values (B, k) and slopes at the last nu, (B, 1), skipping NaN rows.
-    """
-
-    def evaluate(rows, nu):
-        dist, v, tilt = s[rows, None, :], nu[:, :, None], one_minus_q[rows, None, None]
-        t, weight = _tilted_terms(dist, v, tilt, log_det[rows, None, None], p)
-        h, dh = _nu_terms(nu)
-        terms = base[rows, None, :] + h[:, :, None]
-        slope = weight[:, -1:] * (dh[:, -1:, None] + 0.5 * tilt * terms[:, -1:] * t[:, -1:])
-        return np.sum(terms * weight, axis=2), np.sum(slope, axis=2)
-
-    return _open_rows(evaluate)
-
-
 def _observed_nu_score(s, one_minus_q, log_det, p: int):
-    """The engine's nu equations sum f^(1 - q) T, shaped and sloped as _weighted_nu_score's."""
+    """The nu equations sum f^(1 - q) T of B fits, as the g of _bracketed_root.
+
+    f is the density at squared distances s (B, n), log determinant log_det
+    and the candidate nu, so d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2.
+    """
 
     def evaluate(rows, nu):
         dist, v, tilt = s[rows, None, :], nu[:, :, None], one_minus_q[rows, None, None]
@@ -437,6 +402,16 @@ def _observed_nu_score(s, one_minus_q, log_det, p: int):
         return np.sum(t * weight, axis=2), np.sum(slope, axis=2)
 
     return _open_rows(evaluate)
+
+
+def solve_nu_ml(prev: MvtParams, est: EStepQuantities) -> NuSolveResult:
+    """The engine's nu step for one plain fit: the root of sum T = 0 on NU_BRACKET.
+
+    T is taken over est.s, e_step at prev, with prev's scatter, from
+    prev.nu. Without a sign change on the bracket the endpoint with the
+    smaller |value| is returned with bracketed=False (near-normal data).
+    """
+    return solve_nu_mlq(prev, est, 1.0)
 
 
 def mlq_weights(s, nu, p: int, q):
@@ -476,31 +451,30 @@ def m_step_mlq(data, prev: MvtParams, q: float) -> tuple[np.ndarray, np.ndarray]
 
     Distances come from the previous iterate. The scatter numerator is
     centered on the previous location and divided by the sum of the w
-    weights, not by the sum of the v weights of the estimating equation
-    (the PX-EM step; see the module docstring for why the fixed point is
-    the same).
+    weights, not of the v weights of the estimating equation (the PX-EM
+    step, with the same fixed point; see the module docstring).
     """
     rows = as_data_matrix(data)
     s = mahalanobis_sq_from_chol(rows, prev.mu, prev.chol_lower)
     w, _ = mlq_weights(s, prev.nu, prev.dim, q)
-    if not float(np.sum(w)) > 0.0:
-        raise DegenerateData("q-weighted weights sum to zero")
-    return _weighted_location_scatter(rows, w, prev.mu)
+    return _one_m_step(rows, w, prev.mu)
 
 
 def solve_nu_mlq(prev: MvtParams, est: EStepQuantities, q: float) -> NuSolveResult:
-    """Root of the q-weighted degrees-of-freedom equation on NU_BRACKET.
+    """The engine's nu step for one q-weighted fit: the root of sum f^(1 - q) T = 0.
 
-    est is e_step at prev. Every observation's score term is multiplied by
-    its density at prev's location and scatter raised to (1 - q); the
-    density, hence the weight, is re-evaluated at each candidate nu.
-    Bracketing and clamping follow the plain solve.
+    As solve_nu_ml, with every observation's T multiplied by its density at
+    prev's location and scatter raised to (1 - q); the density, hence the
+    weight, is re-evaluated at each candidate nu.
     """
     if not 0.0 < q <= 1.0:
         raise DomainError("q must lie in (0, 1]")
-    g = _weighted_nu_score(est.s[None, :], (est.u2 - est.u1 + 1.0)[None, :], np.array([1.0 - q]),
-                           log_det_from_chol(prev.chol_lower[None]), prev.dim)
-    return _solve_one(g)
+    score = _observed_nu_score(est.s[None], np.array([1.0 - q]),
+                               log_det_from_chol(prev.chol_lower[None]), prev.dim)
+    (nu,), (bracketed,) = _bracketed_root(score, *NU_BRACKET, np.array([prev.nu]))
+    if not math.isfinite(nu):
+        raise DegenerateData("the nu equation has no root")
+    return NuSolveResult(float(nu), bool(bracketed))
 
 
 def _shared_config(configs: list[FitConfig]) -> FitConfig:
@@ -635,7 +609,6 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         return per_dataset()
     p = columns[0].shape[0]
     upper = np.triu_indices(p)
-    lo, hi = NU_BRACKET
     estimate_nu = shared.fixed_nu is None
 
     def per_fit(values):
@@ -661,21 +634,13 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     for iteration in range(1, shared.max_iter + 1):
         columns, q, s, nu = state["columns"], state["q"], state["s"], state["nu"]
         w, _ = mlq_weights(s, nu[:, None], p, q[:, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sum_w = np.sum(w, axis=1)[:, None]
-            mu = np.sum(w[:, None, :] * columns, axis=2) / sum_w
-            center = np.where(state["recenter"][:, None], mu, state["mu"])
-            d = columns - center[:, :, None]
-            tri = np.sum(w[:, None, :] * d[:, upper[0]] * d[:, upper[1]], axis=2) / sum_w
-        ok = np.all(np.isfinite(mu), axis=1) & np.all(np.isfinite(tri), axis=1)
-        # a failed fit keeps its old scatter, which the repair can handle;
-        # it leaves the batch at the end of this iteration
-        sigma = _repair_scatter(_where(ok, _from_upper(tri, upper, p), state["sigma"]))
+        # a failed fit leaves the batch at the end of this iteration
+        mu, sigma, ok = _m_step(columns, w, state["recenter"], state["mu"], state["sigma"], upper)
         chol, log_det, s = _distances(columns, mu, sigma)
         bracketed = np.ones_like(ok)
         if estimate_nu:
-            score = _observed_nu_score(s, 1.0 - q, log_det, p)
-            nu, bracketed = _bracketed_root(score, lo, hi, nu)
+            nu, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - q, log_det, p),
+                                            *NU_BRACKET, nu)
             # a score whose weights overflowed has no root: that fit fails
             ok &= np.isfinite(nu)
             nu = np.where(ok, nu, state["nu"])

@@ -1,8 +1,9 @@
 """Multivariate t distribution core.
 
 Density, q-deformed logarithm, sampler, conditional expectations of the
-latent mixing variable, and the plain, the density-power-weighted and the
-observed-data (fitting engine) degrees-of-freedom scores.
+latent mixing variable, and the one nu score, T = 2 d log f / d nu: the
+plain score is T / 2, and the weighted score and nu equation weight it by
+f^(1 - q).
 
 All density work happens in log space. The weight f(x)^(1-q) is always
 computed as exp((1 - q) * log_pdf(x)), because (nu + s) raised to the
@@ -208,17 +209,8 @@ def cond_expect_log_u(s, nu, p: int):
     return float(out) if np.isscalar(s) else out
 
 
-def _nu_terms(nu):
-    """log(nu/2) - digamma(nu/2), the nu-part of every nu equation, and its slope.
-
-    The slope needs the trigamma function, polygamma(1, x) = zeta(2, x).
-    """
-    half = 0.5 * nu
-    return np.log(half) - digamma(half), 1.0 / nu - 0.5 * zeta(2.0, half)
-
-
 def _observed_nu_terms(s, nu, p: int):
-    """T = 2 d log f / d nu (by Fisher's identity 2 ml_score_nu) and log1p(s / nu)."""
+    """T = 2 d log f / d nu, the one nu score, and log1p(s / nu)."""
     log1p_ratio = np.log1p(s / nu)
     t = digamma(0.5 * (nu + p)) - digamma(0.5 * nu) - log1p_ratio + (s - p) / (nu + s)
     return t, log1p_ratio
@@ -230,28 +222,31 @@ def _observed_nu_slope(s, nu, p: int):
     return gap + s / (nu * (nu + s)) - (s - p) / (nu + s) ** 2
 
 
-def ml_score_nu(s, nu: float, p: int):
-    """Per-observation likelihood score in nu at squared distance s.
+def _tilted_terms(s, nu, one_minus_q, log_det, p: int):
+    """T (_observed_nu_terms) and the weights f^(1 - q) at squared distances s."""
+    t, log1p_ratio = _observed_nu_terms(s, nu, p)
+    log_f = _log_norm_const(nu, p, log_det) - 0.5 * (nu + p) * log1p_ratio
+    return t, np.exp(one_minus_q * log_f)
 
-    It is half of 1 + E(log U | x) - E(U | x) + log(nu/2) - digamma(nu/2).
-    Diverges to -inf like -log(s)/2, which is the unbounded-influence
-    problem the reweighted estimator addresses.
+
+def ml_score_nu(s, nu: float, p: int):
+    """Per-observation likelihood score in nu at squared distance s, T / 2.
+
+    By Fisher's identity it is half of the paper's 1 + E(log U | x) -
+    E(U | x) + log(nu/2) - digamma(nu/2). It diverges to -inf like
+    -log(s)/2: the unbounded influence the reweighted estimator addresses.
     """
-    out = 0.5 * (1.0 + cond_expect_log_u(s, nu, p) - cond_expect_u(s, nu, p) + _nu_terms(nu)[0])
+    out = 0.5 * _observed_nu_terms(_check_s_nu(s, nu), nu, p)[0]
     return float(out) if np.isscalar(s) else out
 
 
 def _weighted_score_nu(s, params: MvtParams, q: float):
-    """The q-weighted nu-score summand at squared distances s.
-
-    Twice the plain score, times the density there raised to (1 - q).
-    """
+    """The q-weighted nu-score summand at squared distances s: T f^(1 - q)."""
     q = float(q)
     if not 0.0 < q < 1.0:
         raise DomainError("q must lie strictly between 0 and 1")
-    nu, p = params.nu, params.dim
-    log_f = log_pdf_from_dist(s, nu, p, params.log_det_sigma)
-    return 2.0 * ml_score_nu(s, nu, p) * np.exp((1.0 - q) * log_f)
+    t, weight = _tilted_terms(s, params.nu, 1.0 - q, params.log_det_sigma, params.dim)
+    return t * weight
 
 
 def mlq_score_nu(x, params: MvtParams, q: float) -> float:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy.optimize import brentq
 
 import robust_t as rt
 from robust_t import estimators
@@ -22,9 +24,6 @@ from robust_t.estimators import (
 from robust_t.linalg import mahalanobis_sq_from_chol
 from robust_t.special import digamma
 from robust_t.tdist import MvtParams, log_pdf_rows, sample
-
-PSI_1_5 = 0.03648997397857652  # 50-digit reference
-
 
 def case_i_params():
     return MvtParams(np.array([2.0, 1.0]), np.eye(2), 3.0)
@@ -150,18 +149,23 @@ class TestSolveNuMl:
         assert all(a > b for a, b in zip(h, h[1:]))
 
     def test_constructed_root_recovered(self):
-        # choose the offset so nu = 3 solves the equation exactly
-        c = -(-PSI_1_5 + math.log(1.5) + 1.0)
-        u1 = np.full(7, 1.3)
-        est = EStepQuantities(u1, u1 + c, np.zeros(7))
-        solved = solve_nu_ml(est)
+        # six rows at s = 0.5 and one far row placed so that nu = 3 solves
+        # sum T = 0 at p = 2, T = 2 d log f / d nu written with scipy
+        def t(s, nu):
+            return (special.digamma(0.5 * nu + 1.0) - special.digamma(0.5 * nu)
+                    - np.log1p(s / nu) + (s - 2.0) / (nu + s))
+
+        far = brentq(lambda s: 6.0 * t(0.5, 3.0) + t(s, 3.0), 2.0, 1e6, xtol=1e-14, rtol=1e-15)
+        s = np.append(np.full(6, 0.5), far)
+        solved = solve_nu_ml(MvtParams(np.zeros(2), np.eye(2), 10.0), EStepQuantities(None, None, s))
         assert solved.bracketed
         assert solved.nu == pytest.approx(3.0, abs=1e-8)
 
     def test_near_normal_clamps_to_upper_end(self):
-        u1 = np.ones(11)
-        est = EStepQuantities(u1, u1 - 1e-6, np.zeros(11))
-        solved = solve_nu_ml(est)
+        # at s = p every T is 2/nu - log(1 + 2/nu) > 0: the likelihood
+        # rises all along the bracket
+        est = EStepQuantities(None, None, np.full(11, 2.0))
+        solved = solve_nu_ml(MvtParams(np.zeros(2), np.eye(2), 3.0), est)
         assert not solved.bracketed
         assert solved.nu == estimators.NU_BRACKET[1]
 
@@ -226,7 +230,7 @@ class TestSolveNuMlq:
         rows = clean_data(120, seed=8)
         params = init_params(rows)
         est = e_step(rows, params)
-        ml_root = solve_nu_ml(est)
+        ml_root = solve_nu_ml(params, est)
         mlq_root = solve_nu_mlq(params, est, 1.0 - 1e-12)
         assert mlq_root.nu == pytest.approx(ml_root.nu, abs=1e-6)
 
@@ -237,7 +241,7 @@ class TestSolveNuMlq:
         angles = np.linspace(0, 2 * np.pi, 9, endpoint=False)
         rows = params.mu + 1.7 * np.column_stack([np.cos(angles), np.sin(angles)])
         est = e_step(rows, params)
-        ml_root = solve_nu_ml(est)
+        ml_root = solve_nu_ml(params, est)
         for q in (0.85, 0.95):
             got = solve_nu_mlq(params, est, q)
             assert got.nu == pytest.approx(ml_root.nu, abs=1e-8)
@@ -246,7 +250,7 @@ class TestSolveNuMlq:
         rows = contaminated_data(seed=3)
         params = case_i_params()
         est = e_step(rows, params)
-        ml_root = solve_nu_ml(est)
+        ml_root = solve_nu_ml(params, est)
         mlq_root = solve_nu_mlq(params, est, 0.85)
         assert mlq_root.nu > ml_root.nu
 
@@ -352,6 +356,15 @@ class TestFit:
         assert isinstance(outcomes[0], DegenerateData)
         assert str(outcomes[0]) == "scatter collapsed"
         assert not outcomes[1].converged
+
+    @pytest.mark.parametrize("p, gap", [(2, 1e-8), (3, 1e-6), (5, 1e-7)])
+    def test_near_collinear_columns_are_not_taken_for_a_collapse(self, p, gap):
+        # unit variances and every correlation 1 - gap
+        sigma = np.full((p, p), 1.0 - gap) + gap * np.eye(p)
+        rows = sample(MvtParams(np.zeros(p), sigma, 3.0), 400, np.random.default_rng(5))
+        for result in rt.fit_many(rows, [FitConfig(method="ml"), FitConfig(method="mlq", q=0.9)]):
+            assert not isinstance(result, DegenerateData)
+            assert result.converged
 
     @pytest.mark.parametrize("data", ["far_row", "nu_0.3"])
     def test_far_rows_are_not_taken_for_a_collapse(self, data):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
+from scipy import integrate, special
 
 from robust_t.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from robust_t.special import digamma, log_gamma
@@ -228,15 +228,17 @@ class TestObservedNuTerms:
 
     @pytest.mark.parametrize("p", [1, 2, 5, 10])
     def test_half_of_t_is_the_ml_score(self, p):
-        # Fisher's identity, which keeps the fixed points of the nu step;
-        # both sides cancel near their zero, so the error is taken relative
-        # to the size of the ml_score_nu terms
+        # Fisher's identity, which keeps the fixed points of the nu step:
+        # T / 2 is the paper's complete-data score; both sides cancel near
+        # their zero, so the error is taken relative to the size of its terms
         for nu in np.geomspace(0.1, 200.0, 25):
             t, _ = _observed_nu_terms(self.S_GRID, nu, p)
             u1 = cond_expect_u(self.S_GRID, nu, p)
             u2 = cond_expect_log_u(self.S_GRID, nu, p)
-            size = 1.0 + np.abs(u2) + u1 + abs(math.log(0.5 * nu)) + abs(digamma(0.5 * nu))
-            assert np.all(np.abs(0.5 * t - ml_score_nu(self.S_GRID, nu, p)) <= 1e-12 * size)
+            paper = 0.5 * (1.0 + u2 - u1 + math.log(0.5 * nu) - special.digamma(0.5 * nu))
+            size = 1.0 + np.abs(u2) + u1 + abs(math.log(0.5 * nu)) + abs(special.digamma(0.5 * nu))
+            assert np.all(np.abs(0.5 * t - paper) <= 1e-12 * size)
+            assert np.all(np.abs(ml_score_nu(self.S_GRID, nu, p) - paper) <= 1e-12 * size)
 
     @pytest.mark.parametrize("nu", [0.3, 3.0, 150.0])
     def test_slope_matches_finite_difference(self, nu):
