@@ -219,7 +219,7 @@ def _observed_nu_terms(s, nu, p: int):
 def _observed_nu_slope(s, nu, p: int):
     """dT/dnu of _observed_nu_terms's T; the trigamma is zeta(2, x)."""
     gap = 0.5 * (zeta(2.0, 0.5 * (nu + p)) - zeta(2.0, 0.5 * nu))
-    return gap + s / (nu * (nu + s)) - (s - p) / (nu + s) ** 2
+    return gap + s / (nu * (nu + s)) - (s - p) / (nu + s) / (nu + s)
 
 
 def _tilted_terms(s, nu, one_minus_q, log_det, p: int):
