@@ -407,9 +407,9 @@ def _observed_nu_score(s, one_minus_q, log_det, p: int):
 def solve_nu_ml(prev: MvtParams, est: EStepQuantities) -> NuSolveResult:
     """The engine's nu step for one plain fit: the root of sum T = 0 on NU_BRACKET.
 
-    T is taken over est.s, e_step at prev, with prev's scatter, from
-    prev.nu. Without a sign change on the bracket the endpoint with the
-    smaller |value| is returned with bracketed=False (near-normal data).
+    est is e_step at prev; T is taken at est.s and prev's scatter, and the
+    search starts from prev.nu. Without a sign change on the bracket the
+    endpoint with the smaller |value| is returned with bracketed=False.
     """
     return solve_nu_mlq(prev, est, 1.0)
 
