@@ -184,7 +184,7 @@ def parse_q_grid(text: str) -> tuple[float, ...]:
         low, high, step = (float(v) for v in parts)
     except ValueError:
         raise _UsageError(f"q grid must be lo:hi:step, got {text!r}") from None
-    if step <= 0 or high < low:
+    if not all(map(math.isfinite, (low, high, step))) or step <= 0 or high < low:
         raise _UsageError(f"invalid q grid {text!r}")
     count = int(round((high - low) / step)) + 1
     grid = tuple(round(low + k * step, 12) for k in range(count) if low + k * step <= high + step * 1e-9)

@@ -139,7 +139,7 @@ SPD_FLOOR = 1e-10
 
 # Fields in which the configs of one fit_many batch may differ.
 _PER_FIT_FIELDS = ("method", "q")
-# Absolute tolerance on the nu root, and the most Newton/false-position steps.
+# Absolute tolerance on the nu root, and the most Newton or bisection steps.
 _NU_XTOL = 1e-10
 _NU_MAX_STEPS = 200
 
@@ -148,8 +148,9 @@ _NU_MAX_STEPS = 200
 class FitConfig:
     """Estimator controls.
 
-    q is only meaningful for the q-weighted method. fixed_nu holds the
-    degrees of freedom at that value; None estimates them, starting from 3.
+    q weights the q-weighted method and must be 1 for the plain one. fixed_nu
+    holds the degrees of freedom at that finite value; None estimates them,
+    starting from 3.
     epsilon bounds the stopping norm (NORM_DEFINITION) and max_iter the
     iterations. The nu bracket and the scatter floor are the module
     constants NU_BRACKET and SPD_FLOOR.
@@ -166,12 +167,14 @@ class FitConfig:
             raise DomainError(f"unknown method {self.method!r}")
         if not 0.0 < self.q <= 1.0:
             raise DomainError("q must lie in (0, 1]")
+        if self.method == METHOD_ML and self.q != 1.0:
+            raise DomainError("q must be 1 for the plain method")
         if not self.epsilon > 0.0:
             raise DomainError("epsilon must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
-        if self.fixed_nu is not None and not self.fixed_nu > 0.0:
-            raise DomainError("fixed_nu must be positive")
+        if self.fixed_nu is not None and not 0.0 < self.fixed_nu < math.inf:
+            raise DomainError("fixed_nu must be positive and finite")
 
 
 class EStepQuantities(NamedTuple):
@@ -313,12 +316,14 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
     _open_rows), so each step costs only the equations still open. Where
     the value does not change sign on the bracket, the endpoint with the
     smaller |value| is returned and flagged unbracketed. Otherwise the root
-    is found by Newton's method from start; a Newton step that leaves the
-    current sign-change interval is replaced by an Illinois false-position
-    step. A root is accepted after a Newton step of at most _NU_XTOL, once
-    its interval is that narrow, or at an exact zero. Every equation's
-    iterates depend on its own values only. Returns (roots, bracketed),
-    both of shape (B,).
+    is found by Newton's method from start, safeguarded by bisection: a
+    Newton step that lands in the closed sign-change interval [a, b] is
+    taken, even onto the current iterate, and any other is replaced by the
+    geometric midpoint sqrt(a b), which needs lo > 0. A root is accepted
+    after a Newton step of at most _NU_XTOL, once its interval is that
+    narrow, or at an exact zero; a NaN value or slope gives a NaN root.
+    Every equation's iterates depend on its own values only. Returns
+    (roots, bracketed), both of shape (B,).
     """
     count = start.shape[0]
     x = np.clip(start, lo, hi)
@@ -329,30 +334,21 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
     todo = np.sign(f_lo) * np.sign(f_hi) < 0.0
     bracketed = todo | (f_lo == 0.0) | (f_hi == 0.0)
     # the sign-change interval is [a, b], with f(a) of the sign of f(lo)
-    a, fa = np.full(count, lo), f_lo
-    b, fb = np.full(count, hi), f_hi
-    last_low = np.zeros(count, dtype=bool)
-    last_high = np.zeros(count, dtype=bool)
+    a, b = np.full(count, lo), np.full(count, hi)
     for _ in range(_NU_MAX_STEPS):
         hit = todo & (fx == 0.0)
         root = np.where(hit, x, root)
         todo = todo & ~hit
         if not todo.any():
             break
-        low = todo & ((fx < 0.0) == (fa < 0.0))
-        high = todo & ~low
-        # Illinois: an end kept twice in a row has its value halved
-        fb = np.where(low & last_low, 0.5 * fb, fb)
-        fa = np.where(high & last_high, 0.5 * fa, fa)
-        a, fa = np.where(low, x, a), np.where(low, fx, fa)
-        b, fb = np.where(high, x, b), np.where(high, fx, fb)
-        last_low, last_high = low, high
+        low = (fx < 0.0) == (f_lo < 0.0)
+        a, b = np.where(low, x, a), np.where(low, b, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - fx / dfx
-            secant = (a * fb - b * fa) / (fb - fa)
-        use_newton = (newton > a) & (newton < b)
-        step = np.where(use_newton, newton, secant)
-        done = todo & ((use_newton & (np.abs(step - x) <= _NU_XTOL)) | (b - a <= _NU_XTOL))
+        # a NaN step (from a NaN value or slope) is taken and accepted: the root is NaN
+        use_newton = ~((newton < a) | (newton > b))
+        step = np.where(use_newton, newton, np.sqrt(a * b))
+        done = todo & ((use_newton & ~(np.abs(step - x) > _NU_XTOL)) | (b - a <= _NU_XTOL))
         root = np.where(done, step, root)
         todo = todo & ~done
         if not todo.any():
@@ -620,7 +616,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     state = {
         "index": (np.array(live)[:, None] * count + np.arange(count)).ravel(),
         "columns": columns,
-        "q": np.tile([c.q if c.method == METHOD_MLQ else 1.0 for c in configs], len(live)),
+        "q": np.tile([c.q for c in configs], len(live)),
         "recenter": np.tile([c.method == METHOD_ML for c in configs], len(live)),
         "mu": mu,
         "sigma": sigma,

@@ -89,8 +89,8 @@ class SimulationSpec:
             raise DomainError("q grid values must lie in (0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("q grid must be strictly ascending")
-        if not self.outlier_low <= self.outlier_high:
-            raise DomainError("outlier range must satisfy low <= high")
+        if not -math.inf < self.outlier_low <= self.outlier_high < math.inf:
+            raise DomainError("outlier range must be finite with low <= high")
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
         object.__setattr__(self, "q_grid", grid)

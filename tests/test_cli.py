@@ -172,7 +172,8 @@ class TestParseQGrid:
         assert cli.parse_q_grid("0.8:0.95:0.1") == (0.8, 0.9)
         assert cli.parse_q_grid("0.9") == (0.9,)
 
-    @pytest.mark.parametrize("text", ["0.9:0.8:0.1", "0.8:0.9:0", "a:b"])
+    @pytest.mark.parametrize("text", ["0.9:0.8:0.1", "0.8:0.9:0", "a:b", "nan:1:0.1",
+                                      "0.8:inf:0.1"])
     def test_invalid_grid_exits_1(self, capsys, tmp_path, monkeypatch, text):
         monkeypatch.setattr(cli, "run_simulation", no_simulation)
         code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30",
@@ -226,6 +227,14 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert_one_line_error(err)
         assert "jobs" in err.lower()
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_infinite_outlier_range_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_simulation", no_simulation)
+        code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30",
+                           "--outlier-range", "0:inf", "--output", str(tmp_path / "report"))
+        assert code == 1
+        assert_one_line_error(err)
         assert not (tmp_path / "report.csv").exists()
 
     def test_writes_report(self, capsys, tmp_path):

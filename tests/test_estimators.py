@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 import robust_t as rt
 from robust_t import estimators
-from robust_t.errors import DegenerateData
+from robust_t.errors import DegenerateData, DomainError
 from robust_t.estimators import (
     EStepQuantities,
     FitConfig,
@@ -68,6 +68,26 @@ ASCENT_DATASETS = {
                                paper_replicate(1, 34, 1, 3.0, 6.0)],
     "near_normal": lambda: [near_normal_data()],
 }
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("fields", [
+        {"method": "em"},
+        {"method": "mlq", "q": 0.0},
+        {"method": "mlq", "q": 1.5},
+        {"method": "mlq", "q": math.nan},
+        {"method": "ml", "q": 0.5},  # the plain method would ignore it
+        {"epsilon": 0.0},
+        {"epsilon": math.nan},
+        {"max_iter": 0},
+        {"fixed_nu": 0.0},
+        {"fixed_nu": -2.0},
+        {"fixed_nu": math.inf},
+        {"fixed_nu": math.nan},
+    ], ids=lambda fields: ",".join(f"{key}={value}" for key, value in fields.items()))
+    def test_rejects_what_it_cannot_fit(self, fields):
+        with pytest.raises(DomainError):
+            FitConfig(**fields)
 
 
 class TestInitParams:

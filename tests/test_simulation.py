@@ -346,6 +346,46 @@ class TestBracketedRoot:
         assert all(not set(rows) & {0, 1, 2, 3} for rows in evaluated[1:])
         assert len(evaluated) > 2 and len(evaluated[-1]) < len(evaluated[1])
 
+    def test_a_nan_value_inside_the_bracket_gives_a_nan_root_at_once(self):
+        lo, hi = self.LO, self.HI
+        calls = []
+
+        def evaluate(rows, x):
+            calls.append(x.shape)
+            value = np.where((x == lo) | (x == hi), 1.0 - np.log(x), np.nan)
+            return value, np.full((x.shape[0], 1), -1.0)
+
+        roots, bracketed = estimators._bracketed_root(estimators._open_rows(evaluate), lo, hi,
+                                                      np.array([3.0]))
+        assert np.isnan(roots[0]) and bracketed[0] and len(calls) == 1
+
+    def test_no_row_is_evaluated_again_at_an_earlier_candidate(self, monkeypatch):
+        # a Newton step that rounds onto its iterate must end the search, not
+        # send the row back to a nu it was already evaluated at
+        q_grid = tuple(round(0.80 + 0.02 * k, 12) for k in range(10))
+        spec = rt.SimulationSpec(true_params=rt.preset_case(1), n=200, n_outliers=5,
+                                 n_replications=8, q_grid=q_grid, seed=1)
+        original = estimators._bracketed_root
+        repeats, solves = [], []
+
+        def root(g, lo, hi, start):
+            seen = [set() for _ in start]
+            solves.append(start.shape[0])
+
+            def checked(nu):
+                # within one call a candidate may repeat: start clamped at hi
+                for row, candidates in enumerate(nu):
+                    new = set(candidates[~np.isnan(candidates)].tolist())
+                    repeats.extend((len(solves), row, x) for x in new & seen[row])
+                    seen[row] |= new
+                return g(nu)
+
+            return original(checked, lo, hi, start)
+
+        monkeypatch.setattr(estimators, "_bracketed_root", root)
+        rt.run_simulation(spec)
+        assert solves and repeats == []
+
     def test_closed_rows_reach_no_special_function(self):
         data = replicate_data(small_spec(), 0)
         est = e_step(data, init_params(data))

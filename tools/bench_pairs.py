@@ -11,11 +11,12 @@ committed files. For every workload and seed the two trees run
 `python3 perfbench/run.py --workload W --seed S --seconds T` back to back,
 the parent first on even pairs and the change first on odd ones, with
 bytecode caching off. The record holds every run's end-to-end metrics and
-check verdict; per metric the parent and change medians and quartiles, the
-relative change of the medians and the number of pairs the change won
-(direction from the change's BENCHMARK.json); and the CPU count, BLAS
-thread variables, Python/numpy/scipy versions, both git shas and the
-hashes of both src/ trees.
+check verdict; per metric, over the pairs where both runs reported it, the
+parent and change medians and quartiles, the relative change of the
+medians and the number of pairs the change won (direction from the
+change's BENCHMARK.json); and the CPU count, BLAS thread variables,
+Python/numpy/scipy versions, both git shas and the hashes of both src/
+trees.
 Standard library only.
 """
 
@@ -56,11 +57,14 @@ def export(rev: str, workdir: Path) -> tuple[str, Path]:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'9301-9310' or '1,5,7' (or a mix) as a list of seeds."""
+    """'9301-9310' or '1,5,7' (or a mix) as a list of seeds; a range may not run backwards."""
     seeds = []
     for part in text.split(","):
         low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
+        low, high = int(low), int(high or low)
+        if high < low:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} runs backwards")
+        seeds.extend(range(low, high + 1))
     return seeds
 
 
@@ -83,15 +87,20 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians, quartiles, relative change and pairs won by the change."""
-    names = sorted(set(pairs[0]["parent"]["metrics"]) & set(pairs[0]["change"]["metrics"]))
+    """Per metric: medians, quartiles, relative change and pairs won by the change.
+
+    Each metric is taken over the pairs in which both runs reported it (a
+    failed run reports none), and "pairs" counts them.
+    """
+    reported = [p["parent"]["metrics"].keys() & p["change"]["metrics"].keys() for p in pairs]
     out = {}
-    for name in names:
-        parent = [p["parent"]["metrics"][name] for p in pairs]
-        change = [p["change"]["metrics"][name] for p in pairs]
+    for name in sorted(set().union(*reported)):
+        both = [p for p, names in zip(pairs, reported) if name in names]
+        parent = [p["parent"]["metrics"][name] for p in both]
+        change = [p["change"]["metrics"][name] for p in both]
         sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
         wins = sum(sign * (c - b) > 0.0 for b, c in zip(parent, change))
-        entry = {"better": better.get(name, "lower"), "pairs": len(pairs), "change_wins": wins}
+        entry = {"better": better.get(name, "lower"), "pairs": len(both), "change_wins": wins}
         for side, values in (("parent", parent), ("change", change)):
             q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                               if len(values) > 1 else (values[0],) * 3)
