@@ -48,10 +48,6 @@ class TestSummarise:
         assert summary == bench_pairs.summarise(kept, BETTER)
         assert summary["wall_s"]["pairs"] == 4
 
-    def test_a_metric_no_pair_reported_is_left_out(self):
-        pairs = [pair({"wall_s": 1.0}, {}), pair({}, {"wall_s": 1.0})]
-        assert bench_pairs.summarise(pairs, BETTER) == {}
-
 
 class TestSeeds:
     def test_ranges_and_lists(self):
