@@ -25,7 +25,6 @@ from .estimators import (
     init_params,
     m_step_ml,
     m_step_mlq,
-    mlq_weights,
     solve_nu_ml,
     solve_nu_mlq,
 )
@@ -57,8 +56,6 @@ from .tdist import (
     log_pdf_rows,
     lq_from_log,
     lq_transform,
-    ml_score_nu,
-    mlq_score_nu,
     sample,
     score_curve,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "init_params",
     "m_step_ml",
     "m_step_mlq",
-    "mlq_weights",
     "solve_nu_ml",
     "solve_nu_mlq",
     "cholesky_lower",
@@ -107,8 +103,6 @@ __all__ = [
     "log_pdf_rows",
     "lq_from_log",
     "lq_transform",
-    "ml_score_nu",
-    "mlq_score_nu",
     "sample",
     "score_curve",
 ]

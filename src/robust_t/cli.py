@@ -263,14 +263,11 @@ def cmd_sample(args) -> int:
 def cmd_score_curve(args) -> int:
     if args.points < 1:
         raise _UsageError("--points must be at least 1")
-    if not 0.0 < args.s_min < args.s_max:
-        raise _UsageError("need 0 < --s-min < --s-max for the log-spaced grid")
+    if not 0.0 < args.s_min < args.s_max < math.inf:
+        raise _UsageError("need 0 < --s-min < --s-max < inf for the log-spaced grid")
     params = MvtParams(np.zeros(args.p), np.eye(args.p), args.nu)
     grid = np.geomspace(args.s_min, args.s_max, args.points)
-    q = _q_for(args, args.method)
-    if args.method == METHOD_MLQ and not 0.0 < q < 1.0:
-        raise _UsageError("--q must lie strictly between 0 and 1")
-    curve = score_curve(params, grid, q=q if args.method == METHOD_MLQ else None)
+    curve = score_curve(params, grid, q=_q_for(args, args.method))
     write_matrix_csv(args.output, curve, header="s,value")
     return 0
 

@@ -11,13 +11,16 @@ root search over the fits still solving, and the objective. A fit leaves
 the batch when it converges, fails or reaches max_iter; iterations,
 max_iter and the trace all count evaluations of F.
 
-The q-weighted step multiplies every observation's contribution by its
-density raised to (1 - q) on top of the EM weight, so outlying points are
-downweighted twice; it has no ascent guarantee, and convergence is judged
-on the parameter-change norm alone. The plain step is the q = 1 case, its
-weights exactly (nu + p) / (nu + s) and its scatter centered on the
-updated location. Three departures from the paper's EM step cut the
-evaluations a fit needs; each keeps the paper's fixed point.
+The q-weighted step weights every observation by E(U | x) f^(1 - q), the
+EM weight times its density raised to (1 - q), so outlying points are
+downweighted twice. f is taken from the log density the iteration already
+evaluated for its objective, relative to its largest value over the rows,
+so the weights do not depend on the data's units; the step divides by
+their sum, which cancels the constant. The step has no ascent guarantee,
+and convergence is judged on the parameter-change norm alone. The plain
+step is the q = 1 case, its weights exactly E(U | x) and its scatter
+centered on the updated location. Three departures from the paper's EM
+step cut the evaluations a fit needs; each keeps the paper's fixed point.
 
 * PX-EM denominator (Kent, Tyler & Vardi 1994). Every scatter update is
   divided by the sum of its numerator weights w instead of by the
@@ -117,7 +120,6 @@ __all__ = [
     "e_step",
     "m_step_ml",
     "solve_nu_ml",
-    "mlq_weights",
     "m_step_mlq",
     "solve_nu_mlq",
     "fit",
@@ -169,8 +171,8 @@ class FitConfig:
             raise DomainError("q must lie in (0, 1]")
         if self.method == METHOD_ML and self.q != 1.0:
             raise DomainError("q must be 1 for the plain method")
-        if not self.epsilon > 0.0:
-            raise DomainError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise DomainError("epsilon must be positive and finite")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
         if self.fixed_nu is not None and not 0.0 < self.fixed_nu < math.inf:
@@ -410,36 +412,19 @@ def solve_nu_ml(prev: MvtParams, est: EStepQuantities) -> NuSolveResult:
     return solve_nu_mlq(prev, est, 1.0)
 
 
-def mlq_weights(s, nu, p: int, q):
-    """The two q-weighted step weights at squared distance s.
+def _step_weights(s, nu, p: int, log_f, q):
+    """The location and scatter weights E(U | x) f^(1 - q) of B fits, (B, n).
 
-    With a = (1 - q)(nu + p)/2 these are w = (nu + p) * (nu + s)^-(1 + a)
-    for the location/scatter numerators and v = (nu + s)^-a, whose sum is
-    the scatter denominator of the estimating equation (the steps divide by
-    the sum of w, equal to it at a fixed point). v is computed through
-    exp/log and w as v times the plain weight. Where q = 1 they are exactly
-    the plain EM weight (nu + p)/(nu + s) and 1. nu and q may be arrays
-    broadcasting against s, one value per fit of a batch.
+    s and log_f are the squared distances and log densities at the current
+    iterate, nu and q one value per fit (B, 1). The log density is taken
+    relative to its largest value over each fit's rows, which keeps the
+    factor at most 1 and free of the data's units. Where q = 1 the factor is
+    exactly 1, and it is not computed when every fit has q = 1.
     """
-    q = np.asarray(q, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if not ((0.0 < q) & (q <= 1.0)).all():
-        raise DomainError("q must lie in (0, 1]")
-    if not (nu > 0.0).all():
-        raise DomainError("degrees of freedom must be positive")
-    arr = np.asarray(s, dtype=float)
-    if not (arr >= 0.0).all():
-        raise DomainError("squared distances must be nonnegative")
-    a = 0.5 * (1.0 - q) * (nu + p)
-    plain = a == 0.0
-    w = (nu + p) / (nu + arr)
-    v = np.ones_like(w)
-    if not plain.all():
-        v = np.where(plain, v, np.exp(-a * np.log(nu + arr)))
-        w = w * v
-    if np.isscalar(s):
-        return float(w), float(v)
-    return w, v
+    w = cond_expect_u(s, nu, p)
+    if (q == 1.0).all():
+        return w
+    return w * np.exp((1.0 - q) * (log_f - np.max(log_f, axis=1, keepdims=True)))
 
 
 def m_step_mlq(data, prev: MvtParams, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -450,10 +435,13 @@ def m_step_mlq(data, prev: MvtParams, q: float) -> tuple[np.ndarray, np.ndarray]
     weights, not of the v weights of the estimating equation (the PX-EM
     step, with the same fixed point; see the module docstring).
     """
+    if not 0.0 < q <= 1.0:
+        raise DomainError("q must lie in (0, 1]")
     rows = as_data_matrix(data)
-    s = mahalanobis_sq_from_chol(rows, prev.mu, prev.chol_lower)
-    w, _ = mlq_weights(s, prev.nu, prev.dim, q)
-    return _one_m_step(rows, w, prev.mu)
+    s = mahalanobis_sq_from_chol(rows, prev.mu, prev.chol_lower)[None]
+    log_f = log_pdf_from_dist(s, prev.nu, prev.dim, prev.log_det_sigma)
+    w = _step_weights(s, prev.nu, prev.dim, log_f, np.array([[q]]))
+    return _one_m_step(rows, w[0], prev.mu)
 
 
 def solve_nu_mlq(prev: MvtParams, est: EStepQuantities, q: float) -> NuSolveResult:
@@ -514,18 +502,18 @@ def _distances(columns, mu, sigma):
 
 
 def _objective(s, log_det, nu, q, p: int):
-    """The fits' objectives: the sum of lq of the densities at squared distances s."""
+    """The fits' objectives, sums of lq of the densities at s, and the log densities."""
     log_f = log_pdf_from_dist(s, nu[:, None], p, log_det[:, None])
-    return np.sum(lq_from_log(log_f, q[:, None]), axis=1)
+    return np.sum(lq_from_log(log_f, q[:, None]), axis=1), log_f
 
 
 def _squarem_step(state: dict, upper, with_nu: bool):
     """Move each fit of the state from x2 to its SQUAREM point x'.
 
-    The state holds x2 = F(x1) with its objective ("moved" is x2 - x1),
-    and the cycle's anchor x0, the anchor's unit-free scale and
-    r = x1 - x0. A fit whose x' fails a check of the module docstring
-    stays at x2.
+    The state holds x2 = F(x1) with its objective and log densities
+    ("moved" is x2 - x1), and the cycle's anchor x0, the anchor's unit-free
+    scale and r = x1 - x0. A fit whose x' fails a check of the module
+    docstring stays at x2.
     """
     r, scale = state["r"], state["scale"]
     v = state["moved"] - r
@@ -544,7 +532,7 @@ def _squarem_step(state: dict, upper, with_nu: bool):
     # an unsafe point is not measured: its fit is measured at x2, where it stays
     point = {key: _where(safe, value, state[key]) for key, value in point.items()}
     chol, log_det, point["s"] = _distances(state["columns"], point["mu"], point["sigma"])
-    objective = _objective(point["s"], log_det, point["nu"], state["q"], p)
+    objective, point["log_f"] = _objective(point["s"], log_det, point["nu"], state["q"], p)
     safe &= np.all(np.isfinite(chol), axis=(1, 2)) & (objective >= state["objective"])
     point["vec"] = vec
     state.update({key: _where(safe, value, state[key]) for key, value in point.items()})
@@ -613,23 +601,27 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     # per-fit state of the fits still running, one row per fit
     columns = per_fit(columns)
     mu, sigma = per_fit([start.mu for start in starts]), per_fit([start.sigma for start in starts])
+    _, log_det, s = _distances(columns, mu, sigma)
+    q = np.tile([c.q for c in configs], len(live))
+    nu = np.full(mu.shape[0], 3.0 if estimate_nu else shared.fixed_nu)
     state = {
         "index": (np.array(live)[:, None] * count + np.arange(count)).ravel(),
         "columns": columns,
-        "q": np.tile([c.q for c in configs], len(live)),
+        "q": q,
         "recenter": np.tile([c.method == METHOD_ML for c in configs], len(live)),
         "mu": mu,
         "sigma": sigma,
         "floor": SPD_FLOOR * per_fit(spreads),
-        "nu": np.full(mu.shape[0], 3.0 if estimate_nu else shared.fixed_nu),
-        "s": _distances(columns, mu, sigma)[2],
+        "nu": nu,
+        "s": s,
+        "log_f": _objective(s, log_det, nu, q, p)[1],
     }
     state["vec"] = _pack(state["mu"], state["sigma"], state["nu"], upper, estimate_nu)
     traces: list[list[IterationRecord]] = [[] for _ in outcomes]
 
     for iteration in range(1, shared.max_iter + 1):
         columns, q, s, nu = state["columns"], state["q"], state["s"], state["nu"]
-        w, _ = mlq_weights(s, nu[:, None], p, q[:, None])
+        w = _step_weights(s, nu[:, None], p, state["log_f"], q[:, None])
         # a failed fit leaves the batch at the end of this iteration
         mu, sigma, ok = _m_step(columns, w, state["recenter"], state["mu"], state["sigma"], upper)
         chol, log_det, s = _distances(columns, mu, sigma)
@@ -640,7 +632,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
             # a score whose weights overflowed has no root: that fit fails
             ok &= np.isfinite(nu)
             nu = np.where(ok, nu, state["nu"])
-        objective = _objective(s, log_det, nu, q, p)
+        objective, log_f = _objective(s, log_det, nu, q, p)
         ok &= np.all(np.isfinite(chol), axis=(1, 2))
         # a variance below SPD_FLOOR times its column's squared MAD has collapsed
         collapsed = np.any(np.diagonal(sigma, axis1=1, axis2=2) < state["floor"], axis=1)
@@ -680,7 +672,8 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
             scale = _pack(root, root[:, :, None] * root[:, None, :], np.ones(root.shape[0]),
                           upper, estimate_nu)
             state.update(anchor=state["vec"], r=moved, scale=scale)
-        state.update(mu=mu, sigma=sigma, nu=nu, s=s, vec=vec, moved=moved, objective=objective)
+        state.update(mu=mu, sigma=sigma, nu=nu, s=s, log_f=log_f, vec=vec, moved=moved,
+                     objective=objective)
         if stop.all():
             break
         if stop.any():

@@ -2,8 +2,8 @@
 
 Density, q-deformed logarithm, sampler, conditional expectations of the
 latent mixing variable, and the one nu score, T = 2 d log f / d nu: the
-plain score is T / 2, and the weighted score and nu equation weight it by
-f^(1 - q).
+plain score is T / 2, and the weighted score (score_curve) and the nu
+equation weight it by f^(1 - q).
 
 All density work happens in log space. The weight f(x)^(1-q) is always
 computed as exp((1 - q) * log_pdf(x)), because (nu + s) raised to the
@@ -34,8 +34,6 @@ __all__ = [
     "sample",
     "cond_expect_u",
     "cond_expect_log_u",
-    "ml_score_nu",
-    "mlq_score_nu",
     "score_curve",
 ]
 
@@ -229,55 +227,28 @@ def _tilted_terms(s, nu, one_minus_q, log_det, p: int):
     return t, np.exp(one_minus_q * log_f)
 
 
-def ml_score_nu(s, nu: float, p: int):
-    """Per-observation likelihood score in nu at squared distance s, T / 2.
+def score_curve(params: MvtParams, s_grid, q: float = 1.0) -> np.ndarray:
+    """The per-observation nu score f^(1 - q) T / 2 along a grid of squared distances.
 
-    By Fisher's identity it is half of the paper's 1 + E(log U | x) -
-    E(U | x) + log(nu/2) - digamma(nu/2). It diverges to -inf like
-    -log(s)/2: the unbounded influence the reweighted estimator addresses.
+    Returns an array of (s, value) pairs. At q = 1 the value is exactly T / 2,
+    the likelihood score, which by Fisher's identity is half of the paper's
+    1 + E(log U | x) - E(U | x) + log(nu/2) - digamma(nu/2); it diverges like
+    -log(s)/2, the unbounded influence the reweighted estimator addresses.
+    For q < 1 it is the q-weighted summand, bounded and vanishing far from
+    the center. Either depends on an observation only through its squared
+    distance.
     """
-    out = 0.5 * _observed_nu_terms(_check_s_nu(s, nu), nu, p)[0]
-    return float(out) if np.isscalar(s) else out
-
-
-def _weighted_score_nu(s, params: MvtParams, q: float):
-    """The q-weighted nu-score summand at squared distances s: T f^(1 - q)."""
     q = float(q)
-    if not 0.0 < q < 1.0:
-        raise DomainError("q must lie strictly between 0 and 1")
-    t, weight = _tilted_terms(s, params.nu, 1.0 - q, params.log_det_sigma, params.dim)
-    return t * weight
-
-
-def mlq_score_nu(x, params: MvtParams, q: float) -> float:
-    """Per-observation nu-score summand of the q-weighted likelihood.
-
-    The plain score bracket is multiplied by f(x)^(1-q); the factor decays
-    polynomially in the Mahalanobis distance so the product stays bounded
-    and tends to zero far from the center.
-    """
-    s = mahalanobis_sq_from_chol(x, params.mu, params.chol_lower)
-    return float(_weighted_score_nu(s, params, q)[0])
-
-
-def score_curve(params: MvtParams, s_grid, q: float | None = None) -> np.ndarray:
-    """Evaluate the nu-score along a grid of squared Mahalanobis distances.
-
-    Returns an array of (s, value) pairs: the plain likelihood score, or
-    with q the weighted summand of mlq_score_nu, which depends on an
-    observation only through its squared distance.
-    """
+    if not 0.0 < q <= 1.0:
+        raise DomainError("q must lie in (0, 1]")
     grid = np.asarray(s_grid, dtype=float)
     if grid.size == 0:
         return np.empty((0, 2))
     if grid.ndim != 1:
         raise DimensionMismatch("s grid must be one-dimensional")
-    if np.any(grid < 0.0) or np.any(np.isnan(grid)):
-        raise DomainError("s grid must be nonnegative")
+    if not (np.isfinite(grid) & (grid >= 0.0)).all():
+        raise DomainError("s grid must be finite and nonnegative")
     if np.any(np.diff(grid) < 0.0):
         raise DomainError("s grid must be ascending")
-    if q is None:
-        values = ml_score_nu(grid, params.nu, params.dim)
-    else:
-        values = _weighted_score_nu(grid, params, q)
-    return np.column_stack([grid, values])
+    t, weight = _tilted_terms(grid, params.nu, 1.0 - q, params.log_det_sigma, params.dim)
+    return np.column_stack([grid, 0.5 * t * weight])

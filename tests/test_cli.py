@@ -60,6 +60,12 @@ class TestFit:
         assert_one_line_error(err)
         assert "--q" in err
 
+    def test_infinite_epsilon_rejected(self, capsys, data_csv):
+        # every fit would stop after one evaluation, reported as converged
+        code, out, err = run(capsys, "fit", str(data_csv), "--epsilon", "inf")
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+
     def test_q_with_mlq_accepted(self, capsys, data_csv):
         code, out, _ = run(capsys, "fit", str(data_csv), "--method", "mlq", "--q", "0.5")
         assert code == 0
@@ -198,6 +204,21 @@ class TestScoreCurve:
                            "--points", "5", "--output", str(target))
         assert code == 0 and err == ""
         assert np.loadtxt(target, delimiter=",", skiprows=1).shape == (5, 2)
+
+    def test_mlq_at_q_one_writes_the_ml_curve(self, capsys, tmp_path):
+        ml, mlq = tmp_path / "ml.csv", tmp_path / "mlq.csv"
+        assert run(capsys, "score-curve", "--output", str(ml))[0] == 0
+        code, _, err = run(capsys, "score-curve", "--method", "mlq", "--q", "1",
+                           "--output", str(mlq))
+        assert code == 0 and err == ""
+        assert mlq.read_bytes() == ml.read_bytes()
+
+    def test_infinite_grid_end_rejected(self, capsys, tmp_path):
+        target = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "score-curve", "--s-max", "inf", "--output", str(target))
+        assert code == 1
+        assert_one_line_error(err)
+        assert not target.exists()
 
 
 class TestSimulate:

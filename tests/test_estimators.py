@@ -17,13 +17,12 @@ from robust_t.estimators import (
     init_params,
     m_step_ml,
     m_step_mlq,
-    mlq_weights,
     solve_nu_ml,
     solve_nu_mlq,
 )
 from robust_t.linalg import mahalanobis_sq_from_chol
 from robust_t.special import digamma
-from robust_t.tdist import MvtParams, log_pdf_rows, sample
+from robust_t.tdist import MvtParams, log_pdf_from_dist, log_pdf_rows, sample
 
 def case_i_params():
     return MvtParams(np.array([2.0, 1.0]), np.eye(2), 3.0)
@@ -79,6 +78,7 @@ class TestFitConfig:
         {"method": "ml", "q": 0.5},  # the plain method would ignore it
         {"epsilon": 0.0},
         {"epsilon": math.nan},
+        {"epsilon": math.inf},
         {"max_iter": 0},
         {"fixed_nu": 0.0},
         {"fixed_nu": -2.0},
@@ -191,31 +191,40 @@ class TestSolveNuMl:
 
 
 class TestMlqWeights:
+    """estimators._step_weights: E(U | x) f^(1 - q) for one fit at s = S."""
+
+    S = np.array([0.0, 1.0, 25.0])
+
+    def weights(self, q, s=S, nu=3.0, p=2):
+        s = np.asarray(s, dtype=float)[None]
+        log_f = log_pdf_from_dist(s, nu, p, 0.0)
+        return estimators._step_weights(s, nu, p, log_f, np.array([[q]]))[0]
+
     def test_q_one_reduces_to_ml_weight(self):
-        s = np.array([0.0, 1.0, 25.0])
-        w, v = mlq_weights(s, 3.0, 2, 1.0)
-        assert np.array_equal(w, 5.0 / (3.0 + s))
-        assert np.array_equal(v, np.ones(3))
+        assert np.array_equal(self.weights(1.0), 5.0 / (3.0 + self.S))
+
+    def test_q_one_fit_keeps_the_em_weight_beside_a_weighted_one(self):
+        s = np.vstack([self.S, self.S])
+        log_f = log_pdf_from_dist(s, 3.0, 2, 0.0)
+        w = estimators._step_weights(s, 3.0, 2, log_f, np.array([[1.0], [0.85]]))
+        assert np.array_equal(w[0], 5.0 / (3.0 + self.S))
+        assert not np.array_equal(w[1], w[0])
 
     def test_scalar_example_direct_power_arithmetic(self):
-        # a = 0.15 * 5 / 2 = 0.375
-        w, v = mlq_weights(0.0, 3.0, 2, 0.85)
-        assert w == pytest.approx(5.0 * 3.0 ** (-1.375), rel=1e-12)
-        assert v == pytest.approx(3.0 ** (-0.375), rel=1e-12)
-        assert w == pytest.approx(1.104, abs=5e-4)
-        assert v == pytest.approx(0.662, abs=5e-4)
+        # f^(1 - q) is (nu + s)^-a up to a constant, a = 0.15 * 5 / 2 = 0.375
+        ratio = self.weights(0.85) / (5.0 / (3.0 + self.S))
+        assert ratio[0] == 1.0  # s = 0 has the largest density
+        assert np.allclose(ratio, (1.0 + self.S / 3.0) ** -0.375, rtol=1e-13, atol=0.0)
 
     def test_ratio_to_ml_weight_strictly_decreasing(self):
         s = np.linspace(0.0, 50.0, 40)
-        w, _ = mlq_weights(s, 3.0, 2, 0.85)
-        ratio = w / (5.0 / (3.0 + s))
+        ratio = self.weights(0.85, s) / (5.0 / (3.0 + s))
         assert np.all(np.diff(ratio) < 0)
 
     def test_weight_ordering_invariant(self):
         s = np.sort(np.random.default_rng(0).uniform(0, 100, 50))
-        w, v = mlq_weights(s, 3.0, 2, 0.9)
+        w = self.weights(0.9, s)
         assert np.all(np.diff(w) < 0)
-        assert np.all(np.diff(v) < 0)
 
 
 class TestMStepMlq:
@@ -340,6 +349,18 @@ class TestFit:
         assert np.allclose(scaled.params.sigma * np.outer(unscale, unscale), base.params.sigma,
                            rtol=1e-9, atol=0.0)
         assert scaled.params.nu == pytest.approx(base.params.nu, rel=1e-9)
+
+    def test_mlq_weights_ignore_the_units_of_the_data(self):
+        # at 1e40 every density f, raised to 1 - q without normalizing,
+        # underflows to 0, and so would every weight
+        rows = sample(MvtParams(np.zeros(20), np.eye(20), 3.0), 300, np.random.default_rng(0))
+        config = FitConfig(method="mlq", q=0.5, fixed_nu=3.0, max_iter=5)
+        c = 1e40
+        base, scaled = fit(rows, config), fit(rows * c, config)
+        assert scaled.iterations == base.iterations
+        assert np.allclose(scaled.params.mu / c, base.params.mu, rtol=1e-12, atol=1e-14)
+        assert np.allclose(scaled.params.sigma / c**2, base.params.sigma, rtol=1e-12,
+                           atol=1e-14)
 
     @pytest.mark.parametrize("data,method,q,nu", [
         # replicate 1 of paper_sim's unit 49 at seed 806, where the plain EM
@@ -487,7 +508,10 @@ class TestAlgorithmicInvariants:
         assert result.converged
         params = result.params
         s = mahalanobis_sq_from_chol(rows, params.mu, params.chol_lower)
-        w, v = mlq_weights(s, params.nu, 2, 0.9)
+        # the estimating equation's weights, written out: a = (1 - q)(nu + p)/2
+        a = 0.5 * 0.1 * (params.nu + 2)
+        w = (params.nu + 2) * (params.nu + s) ** -(1.0 + a)
+        v = (params.nu + s) ** -a
         mu_hat = (w[:, None] * rows).sum(axis=0) / w.sum()
         d = rows - mu_hat
         sigma_hat = (w[:, None, None] * d[:, :, None] * d[:, None, :]).sum(axis=0) / v.sum()

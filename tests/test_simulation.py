@@ -181,21 +181,32 @@ class TestFitMany:
         data = replicate_data(small_spec(), 0)
         configs = batch_configs()
         expected = fit_many(data, configs)
-        original = estimators.mlq_weights
+        original = estimators.cond_expect_u
 
-        def zero_weights_at_q_085(s, nu, p, q):
-            w, v = original(s, nu, p, q)
-            return np.where(np.asarray(q) == 0.85, 0.0, w), v
+        def zero_weights_of_row(row):
+            # every fit is still in the batch at the first M-step, in config order
+            calls = []
 
-        monkeypatch.setattr(estimators, "mlq_weights", zero_weights_at_q_085)
+            def wrapped(s, nu, p):
+                u = original(s, nu, p)
+                if not calls:
+                    u[row] = 0.0
+                calls.append(True)
+                return u
+
+            return wrapped
+
+        row = [config.q for config in configs].index(0.85)
+        monkeypatch.setattr(estimators, "cond_expect_u", zero_weights_of_row(row))
         got = fit_many(data, configs)
         for config, want, outcome in zip(configs, expected, got):
             if config.q == 0.85:
                 assert isinstance(outcome, DegenerateData)
             else:
                 assert same_fit(outcome, want)
+        monkeypatch.setattr(estimators, "cond_expect_u", zero_weights_of_row(0))
         with pytest.raises(DegenerateData):
-            fit(data, configs[2])
+            fit(data, configs[row])
 
     def test_a_nu_solve_without_a_root_fails_only_its_fit(self, monkeypatch):
         # an overflowing q-weighted score can leave the root NaN; that fit

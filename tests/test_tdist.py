@@ -18,8 +18,6 @@ from robust_t.tdist import (
     log_pdf_rows,
     lq_from_log,
     lq_transform,
-    ml_score_nu,
-    mlq_score_nu,
     sample,
     score_curve,
 )
@@ -199,15 +197,24 @@ class TestConditionalExpectations:
             cond_expect_log_u(1.0, 0.0, 2)
 
 
+def ml_score(s, nu=3.0, p=2):
+    """score_curve's value at one squared distance with q = 1: the likelihood score."""
+    return score_curve(MvtParams(np.zeros(p), np.eye(p), nu), [s])[0, 1]
+
+
+def mlq_score(s, q, params=STANDARD_2D):
+    return score_curve(params, [s], q=q)[0, 1]
+
+
 class TestMlScoreNu:
     def test_diverges_with_distance(self):
-        v2, v4, v8 = (ml_score_nu(s, 3.0, 2) for s in (1e2, 1e4, 1e8))
+        v2, v4, v8 = (ml_score(s) for s in (1e2, 1e4, 1e8))
         assert v8 < v4 < v2
         assert v8 < -5.0
 
     def test_large_s_asymptote(self):
         s = 1e10
-        got = ml_score_nu(s, 3.0, 2) + 0.5 * math.log(s)
+        got = ml_score(s) + 0.5 * math.log(s)
         limit = 0.5 * (math.log(3.0) + 1.0 + digamma(2.5) - digamma(1.5))
         assert got == pytest.approx(limit, abs=1e-3)
 
@@ -220,7 +227,7 @@ class TestMlScoreNu:
             return log_pdf(x, MvtParams(np.zeros(2), np.eye(2), nu))
 
         fd = (lp(3.0 + h) - lp(3.0 - h)) / (2.0 * h)
-        assert ml_score_nu(4.0, 3.0, 2) == pytest.approx(fd, abs=1e-6)
+        assert ml_score(4.0) == pytest.approx(fd, abs=1e-6)
 
 
 class TestObservedNuTerms:
@@ -238,7 +245,8 @@ class TestObservedNuTerms:
             paper = 0.5 * (1.0 + u2 - u1 + math.log(0.5 * nu) - special.digamma(0.5 * nu))
             size = 1.0 + np.abs(u2) + u1 + abs(math.log(0.5 * nu)) + abs(special.digamma(0.5 * nu))
             assert np.all(np.abs(0.5 * t - paper) <= 1e-12 * size)
-            assert np.all(np.abs(ml_score_nu(self.S_GRID, nu, p) - paper) <= 1e-12 * size)
+            curve = score_curve(MvtParams(np.zeros(p), np.eye(p), nu), self.S_GRID)
+            assert np.all(np.abs(curve[:, 1] - paper) <= 1e-12 * size)
 
     @pytest.mark.parametrize("nu", [0.3, 3.0, 150.0])
     def test_slope_matches_finite_difference(self, nu):
@@ -252,32 +260,27 @@ class TestObservedNuTerms:
 class TestMlqScoreNu:
     def test_q_to_one_degeneration(self):
         x = np.array([1.5, -0.5])
-        q = 1.0 - 1e-9
-        value = mlq_score_nu(x, STANDARD_2D, q)
-        weight = math.exp((1.0 - q) * log_pdf(x, STANDARD_2D))
         s = float(np.sum(x**2))
-        assert value / weight == pytest.approx(2.0 * ml_score_nu(s, 3.0, 2), abs=1e-10)
+        q = 1.0 - 1e-9
+        weight = math.exp((1.0 - q) * log_pdf(x, STANDARD_2D))
+        assert mlq_score(s, q) / weight == pytest.approx(ml_score(s), abs=1e-10)
 
     def test_bounded_and_vanishing(self):
-        def at(s):
-            return mlq_score_nu(np.array([math.sqrt(s), 0.0]), STANDARD_2D, 0.85)
-
-        assert abs(at(1e6)) < abs(at(1e2))
-        assert abs(at(1e12)) < 2e-3
+        assert abs(mlq_score(1e6, 0.85)) < abs(mlq_score(1e2, 0.85))
+        assert abs(mlq_score(1e12, 0.85)) < 1e-3
 
     def test_finite_peak_then_decay(self):
         grid = np.geomspace(1e-2, 1e12, 180)
-        values = np.array(
-            [mlq_score_nu(np.array([math.sqrt(s), 0.0]), STANDARD_2D, 0.85) for s in grid]
-        )
+        values = score_curve(STANDARD_2D, grid, q=0.85)[:, 1]
         peak = int(np.argmax(np.abs(values)))
         assert 0 < peak < len(grid) - 1
         tail = np.abs(values[peak:])
         assert np.all(np.diff(tail) < 0)
 
     def test_q_domain(self):
-        with pytest.raises(DomainError):
-            mlq_score_nu(np.zeros(2), STANDARD_2D, 1.0)
+        for q in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                score_curve(STANDARD_2D, [1.0], q=q)
 
 
 class TestScoreCurve:
@@ -290,10 +293,23 @@ class TestScoreCurve:
         assert np.all(np.diff(curve[:, 1]) < 0)
 
     def test_ml_curve_matches_pointwise(self):
-        grid = np.array([0.5, 2.0, 10.0])
-        curve = score_curve(STANDARD_2D, grid)
-        for s, v in curve:
-            assert v == ml_score_nu(s, 3.0, 2)
+        # q = 1 is exactly T / 2
+        grid = np.array([0.0, 0.5, 2.0, 10.0, 1e8])
+        curve = score_curve(STANDARD_2D, grid, q=1.0)
+        assert np.array_equal(curve[:, 0], grid)
+        assert np.array_equal(curve[:, 1], 0.5 * _observed_nu_terms(grid, 3.0, 2)[0])
+
+    def test_mlq_curve_respects_scatter_geometry(self):
+        # f^(1 - q) T / 2 = d f^(1 - q) / d nu / (1 - q), by central differences
+        params = MvtParams(np.array([2.0, 1.0]), np.array([[2.0, -0.5], [-0.5, 2.0]]), 3.0)
+        x = params.mu + 2.0 * params.chol_lower[:, 0]  # s = 4
+        h = 1e-5
+
+        def tilted(nu):
+            return math.exp(0.15 * log_pdf(x, MvtParams(params.mu, params.sigma, nu)))
+
+        fd = (tilted(3.0 + h) - tilted(3.0 - h)) / (2.0 * h) / 0.15
+        assert mlq_score(4.0, 0.85, params) == pytest.approx(fd, rel=1e-8)
 
     def test_mlq_curve_tail_vanishes(self):
         grid = np.geomspace(1e-2, 1e12, 80)
@@ -301,15 +317,7 @@ class TestScoreCurve:
         values = curve[:, 1]
         assert abs(values[-1]) < 0.01 * np.max(np.abs(values))
 
-    def test_mlq_curve_respects_scatter_geometry(self):
-        params = MvtParams(np.array([2.0, 1.0]), np.array([[2.0, -0.5], [-0.5, 2.0]]), 3.0)
-        curve = score_curve(params, np.array([4.0]), q=0.85)
-        # the construction must land exactly at squared distance 4
-        x = params.mu + 2.0 * params.chol_lower[:, 0]
-        assert curve[0, 1] == pytest.approx(mlq_score_nu(x, params, 0.85), rel=1e-12)
-
     def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            score_curve(STANDARD_2D, [3.0, 1.0])
-        with pytest.raises(DomainError):
-            score_curve(STANDARD_2D, [-1.0, 2.0])
+        for grid in ([3.0, 1.0], [-1.0, 2.0], [1.0, math.nan], [1.0, math.inf]):
+            with pytest.raises(DomainError):
+                score_curve(STANDARD_2D, grid)

@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Fit-by-fit parity of the fitting engine between two git revisions.
+
+    python3 tools/parity.py --parent HEAD~1 --change HEAD
+
+Run from the root of a git checkout. Each revision is exported with
+bench_pairs.export, and a fresh interpreter imports that tree's src/ and
+perfbench/ and records the estimators._fit_batch outcome of every fit of
+three sets:
+
+* case_i: case I, n = 200 plus 5 outliers, 2 replicates, ML plus q
+  0.80:0.98:0.02, SimulationSpec seeds 100-159 (1,320 fits);
+* case_ii: case II, 30 replicates, seed 7, ML plus q 0.70:0.98:0.02
+  (480 fits);
+* large: perfbench's large_dataset(0, 0, 2000, 10) by ML and by MLq at
+  q = 0.9 and 0.7 (3 fits).
+
+Per set it prints one JSON line: the fits; the failures on each side; the
+fits whose failure state, iteration count or (converged, nu_clamped)
+differ; the fits with bitwise-equal mu, sigma and nu, by method; and the
+largest |d mu|, |d sigma| and |d nu| over the fits both sides finished.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SETS = ("case_i", "case_ii", "large")
+
+
+def _grid(low: float, count: int) -> tuple[float, ...]:
+    return tuple(round(low + 0.02 * k, 2) for k in range(count))
+
+
+def record_outcomes() -> dict[str, list[dict]]:
+    """Every fit of SETS under the robust_t and perfbench found on sys.path."""
+    import robust_t as rt
+    from robust_t.estimators import _fit_batch
+    from workloads import large_dataset
+
+    def run(datasets, labels):
+        configs = [rt.FitConfig(method=method, q=q) for method, q in labels]
+        return [_record(method, outcome)
+                for outcomes in _fit_batch(datasets, configs)
+                for (method, _), outcome in zip(labels, outcomes)]
+
+    def paper(case, seed, replicates, grid):
+        spec = rt.SimulationSpec(true_params=rt.preset_case(case), n=200, n_outliers=5,
+                                 n_replications=replicates, seed=seed)
+        datasets = [rt.contaminate(rt.generate_replicate(spec, k), spec, k)
+                    for k in range(replicates)]
+        return run(datasets, [("ml", 1.0)] + [("mlq", q) for q in grid])
+
+    return {
+        "case_i": [fit for seed in range(100, 160) for fit in paper(1, seed, 2, _grid(0.8, 10))],
+        "case_ii": paper(2, 7, 30, _grid(0.7, 15)),
+        "large": run([large_dataset(0, 0, 2000, 10)], [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)]),
+    }
+
+
+def _record(method: str, outcome) -> dict:
+    """A fit outcome as plain values, readable without robust_t."""
+    if isinstance(outcome, Exception):
+        return {"method": method, "failure": str(outcome)}
+    params = outcome.params
+    return {"method": method, "failure": None, "iterations": outcome.iterations,
+            "converged": outcome.converged, "nu_clamped": outcome.nu_clamped,
+            "mu": np.array(params.mu), "sigma": np.array(params.sigma), "nu": params.nu}
+
+
+def compare(parent: list[dict], change: list[dict]) -> dict:
+    """The parity summary of one set, fit k of parent against fit k of change."""
+    if len(parent) != len(change):
+        raise ValueError(f"{len(parent)} parent fits against {len(change)} change fits")
+    pairs = list(zip(parent, change))
+    both = [(a, b) for a, b in pairs if a["failure"] is None and b["failure"] is None]
+
+    def largest(key):
+        return max((float(np.max(np.abs(np.subtract(a[key], b[key])))) for a, b in both),
+                   default=0.0)
+
+    bitwise: dict[str, int] = {}
+    for a, b in both:
+        same = (np.array_equal(a["mu"], b["mu"]) and np.array_equal(a["sigma"], b["sigma"])
+                and a["nu"] == b["nu"])
+        bitwise[a["method"]] = bitwise.get(a["method"], 0) + same
+    return {
+        "fits": len(pairs),
+        "failures": {"parent": sum(a["failure"] is not None for a in parent),
+                     "change": sum(b["failure"] is not None for b in change)},
+        "failure_mismatches": sum(a["failure"] != b["failure"] for a, b in pairs),
+        "iteration_mismatches": sum(a["iterations"] != b["iterations"] for a, b in both),
+        "flag_mismatches": sum((a["converged"], a["nu_clamped"])
+                               != (b["converged"], b["nu_clamped"]) for a, b in both),
+        "fits_by_method": {m: sum(a["method"] == m for a, _ in both) for m in sorted(bitwise)},
+        "bitwise_equal_by_method": dict(sorted(bitwise.items())),
+        "max_abs_d_mu": largest("mu"),
+        "max_abs_d_sigma": largest("sigma"),
+        "max_abs_d_nu": largest("nu"),
+    }
+
+
+def outcomes_of(tree: Path) -> dict[str, list[dict]]:
+    """record_outcomes run by a fresh interpreter on tree's committed files."""
+    target = tree / "parity.pickle"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
+    subprocess.run([sys.executable, __file__, "--record", str(target)], cwd=tree, env=env,
+                   check=True)
+    with open(target, "rb") as handle:
+        return pickle.load(handle)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", help="git revision of the baseline")
+    parser.add_argument("--change", help="git revision of the change")
+    parser.add_argument("--workdir", default=None, help="where the exports go (a temp dir)")
+    parser.add_argument("--record", metavar="PATH", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.record:
+        with open(args.record, "wb") as handle:
+            pickle.dump(record_outcomes(), handle)
+        return 0
+    if not (args.parent and args.change):
+        parser.error("--parent and --change are required")
+    from bench_pairs import export  # a sibling of this script
+
+    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="parity-"))
+    workdir.mkdir(parents=True, exist_ok=True)
+    sides = {}
+    for side, rev in (("parent", args.parent), ("change", args.change)):
+        sha, tree = export(rev, workdir)
+        print(f"{side}: {sha}", file=sys.stderr, flush=True)
+        sides[side] = outcomes_of(tree)
+    for name in SETS:
+        print(json.dumps({"set": name, **compare(sides["parent"][name], sides["change"][name])}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
