@@ -254,6 +254,8 @@ def cmd_sample(args) -> int:
     mu = parse_vector(args.mu)
     sigma = parse_matrix(args.sigma)
     params = MvtParams(mu, sigma, args.nu)
+    if args.seed < 0:
+        raise _UsageError("--seed must be nonnegative")
     rng = np.random.default_rng(args.seed)
     rows = sample(params, args.n, rng)
     write_matrix_csv(args.output, rows)

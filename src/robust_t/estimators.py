@@ -16,11 +16,12 @@ EM weight times its density raised to (1 - q), so outlying points are
 downweighted twice. f is taken from the log density the iteration already
 evaluated for its objective, relative to its largest value over the rows,
 so the weights do not depend on the data's units; the step divides by
-their sum, which cancels the constant. The step has no ascent guarantee,
-and convergence is judged on the parameter-change norm alone. The plain
-step is the q = 1 case, its weights exactly E(U | x) and its scatter
-centered on the updated location. Three departures from the paper's EM
-step cut the evaluations a fit needs; each keeps the paper's fixed point.
+their sum, which cancels the constant. Every scatter is centered on the
+updated location. The step has no ascent guarantee, and convergence is
+judged on the parameter-change norm alone. As lq is log at q = 1, the plain
+method is the q = 1 case: a plain fit is bitwise the q-weighted fit at
+q = 1, and the method only labels the result. Three departures from the
+paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
 
 * PX-EM denominator (Kent, Tyler & Vardi 1994). Every scatter update is
   divided by the sum of its numerator weights w instead of by the
@@ -57,8 +58,6 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   of mu, the upper triangle of sigma, and nu (nu omitted when held fixed),
   taken over one evaluation of F, so a fit stops when F moves it by less
   than epsilon;
-* the q-weighted scatter update centers on the previous iterate's location,
-  the form its estimating equation is written in;
 * the nu solve searches NU_BRACKET and clamps to the nearer endpoint when
   the score does not change sign on it, which happens for near-normal
   data, and the result is flagged rather than treated as an error;
@@ -150,9 +149,9 @@ _NU_MAX_STEPS = 200
 class FitConfig:
     """Estimator controls.
 
-    q weights the q-weighted method and must be 1 for the plain one. fixed_nu
-    holds the degrees of freedom at that finite value; None estimates them,
-    starting from 3.
+    q weights the q-weighted method and must be 1 for the plain one, its
+    q = 1 case: method only labels the result. fixed_nu holds the degrees of
+    freedom at that finite value; None estimates them, starting from 3.
     epsilon bounds the stopping norm (NORM_DEFINITION) and max_iter the
     iterations. The nu bracket and the scatter floor are the module
     constants NU_BRACKET and SPD_FLOOR.
@@ -267,44 +266,36 @@ def e_step(data, params: MvtParams) -> EStepQuantities:
     return EStepQuantities(u1, u2, s)
 
 
-def _m_step(columns, w, recenter, prev_mu, prev_sigma, upper):
+def _m_step(columns, w, prev_sigma, upper):
     """The location and scatter step of B fits, from their weights w (B, n).
 
-    columns holds each fit's rows as (p, n). A scatter is centered on the
-    updated location where recenter holds, else on prev_mu, and both sums
-    are divided by the sum of w. Returns the locations, the repaired
-    scatters and which updates are finite; the others keep prev_sigma.
+    columns holds each fit's rows as (p, n). Each scatter is centered on the
+    updated location, and both sums are divided by the sum of w. Returns the
+    locations, the repaired scatters and which updates are finite; the
+    others keep prev_sigma.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         sum_w = np.sum(w, axis=1)[:, None]
         mu = np.sum(w[:, None, :] * columns, axis=2) / sum_w
-        center = np.where(recenter[:, None], mu, prev_mu)
-        d = columns - center[:, :, None]
+        d = columns - mu[:, :, None]
         tri = np.sum(w[:, None, :] * d[:, upper[0]] * d[:, upper[1]], axis=2) / sum_w
     ok = np.all(np.isfinite(mu), axis=1) & np.all(np.isfinite(tri), axis=1)
-    sigma = _where(ok, _from_upper(tri, upper, prev_mu.shape[1]), prev_sigma)
+    sigma = _where(ok, _from_upper(tri, upper, prev_sigma.shape[1]), prev_sigma)
     return mu, _repair_scatter(sigma), ok
 
 
-def _one_m_step(rows, w, prev_mu):
-    """_m_step for one fit; prev_mu None centers the scatter on the update."""
+def _one_m_step(rows, w):
+    """_m_step for one fit."""
     p = rows.shape[1]
-    center = np.zeros((1, p)) if prev_mu is None else prev_mu[None]
-    mu, sigma, ok = _m_step(rows.T[None], w[None], np.array([prev_mu is None]), center,
-                            np.eye(p)[None], np.triu_indices(p))
+    mu, sigma, ok = _m_step(rows.T[None], w[None], np.eye(p)[None], np.triu_indices(p))
     if not ok[0]:
         raise DegenerateData("weighted update produced non-finite parameters")
     return mu[0], sigma[0]
 
 
 def m_step_ml(data, est: EStepQuantities) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted-mean and weighted-covariance update of the plain EM step.
-
-    The scatter is centered on the freshly updated location and divided by
-    the sum of the weights, not by n (the PX-EM step; see the module
-    docstring for why the fixed point is the same).
-    """
-    return _one_m_step(as_data_matrix(data), est.u1, None)
+    """The plain EM step from est's weights E(U | x): m_step_mlq at q = 1."""
+    return _one_m_step(as_data_matrix(data), est.u1)
 
 
 def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
@@ -385,16 +376,17 @@ def _open_rows(evaluate):
     return g
 
 
-def _observed_nu_score(s, one_minus_q, log_det, p: int):
+def _observed_nu_score(s, one_minus_q, p: int):
     """The nu equations sum f^(1 - q) T of B fits, as the g of _bracketed_root.
 
-    f is the density at squared distances s (B, n), log determinant log_det
-    and the candidate nu, so d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2.
+    f is the density at squared distances s (B, n) and the candidate nu with
+    log det sigma taken as 0, which drops a factor free of nu, and with it the
+    data's units; d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2.
     """
 
     def evaluate(rows, nu):
         dist, v, tilt = s[rows, None, :], nu[:, :, None], one_minus_q[rows, None, None]
-        t, weight = _tilted_terms(dist, v, tilt, log_det[rows, None, None], p)
+        t, weight = _tilted_terms(dist, v, tilt, 0.0, p)
         last = t[:, -1:]
         slope = weight[:, -1:] * (_observed_nu_slope(dist, v[:, -1:], p) + 0.5 * tilt * last * last)
         return np.sum(t * weight, axis=2), np.sum(slope, axis=2)
@@ -428,10 +420,10 @@ def _step_weights(s, nu, p: int, log_f, q):
 
 
 def m_step_mlq(data, prev: MvtParams, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Doubly weighted location/scatter update.
+    """Doubly weighted location/scatter update; m_step_ml is its q = 1 case.
 
     Distances come from the previous iterate. The scatter numerator is
-    centered on the previous location and divided by the sum of the w
+    centered on the updated location and divided by the sum of the w
     weights, not of the v weights of the estimating equation (the PX-EM
     step, with the same fixed point; see the module docstring).
     """
@@ -441,7 +433,7 @@ def m_step_mlq(data, prev: MvtParams, q: float) -> tuple[np.ndarray, np.ndarray]
     s = mahalanobis_sq_from_chol(rows, prev.mu, prev.chol_lower)[None]
     log_f = log_pdf_from_dist(s, prev.nu, prev.dim, prev.log_det_sigma)
     w = _step_weights(s, prev.nu, prev.dim, log_f, np.array([[q]]))
-    return _one_m_step(rows, w[0], prev.mu)
+    return _one_m_step(rows, w[0])
 
 
 def solve_nu_mlq(prev: MvtParams, est: EStepQuantities, q: float) -> NuSolveResult:
@@ -453,8 +445,7 @@ def solve_nu_mlq(prev: MvtParams, est: EStepQuantities, q: float) -> NuSolveResu
     """
     if not 0.0 < q <= 1.0:
         raise DomainError("q must lie in (0, 1]")
-    score = _observed_nu_score(est.s[None], np.array([1.0 - q]),
-                               log_det_from_chol(prev.chol_lower[None]), prev.dim)
+    score = _observed_nu_score(est.s[None], np.array([1.0 - q]), prev.dim)
     (nu,), (bracketed,) = _bracketed_root(score, *NU_BRACKET, np.array([prev.nu]))
     if not math.isfinite(nu):
         raise DegenerateData("the nu equation has no root")
@@ -504,7 +495,8 @@ def _distances(columns, mu, sigma):
 def _objective(s, log_det, nu, q, p: int):
     """The fits' objectives, sums of lq of the densities at s, and the log densities."""
     log_f = log_pdf_from_dist(s, nu[:, None], p, log_det[:, None])
-    return np.sum(lq_from_log(log_f, q[:, None]), axis=1), log_f
+    with np.errstate(over="ignore"):  # _fit_batch fails a fit stopping at an inf lq
+        return np.sum(lq_from_log(log_f, q[:, None]), axis=1), log_f
 
 
 def _squarem_step(state: dict, upper, with_nu: bool):
@@ -608,7 +600,6 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         "index": (np.array(live)[:, None] * count + np.arange(count)).ravel(),
         "columns": columns,
         "q": q,
-        "recenter": np.tile([c.method == METHOD_ML for c in configs], len(live)),
         "mu": mu,
         "sigma": sigma,
         "floor": SPD_FLOOR * per_fit(spreads),
@@ -623,12 +614,11 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         columns, q, s, nu = state["columns"], state["q"], state["s"], state["nu"]
         w = _step_weights(s, nu[:, None], p, state["log_f"], q[:, None])
         # a failed fit leaves the batch at the end of this iteration
-        mu, sigma, ok = _m_step(columns, w, state["recenter"], state["mu"], state["sigma"], upper)
+        mu, sigma, ok = _m_step(columns, w, state["sigma"], upper)
         chol, log_det, s = _distances(columns, mu, sigma)
         bracketed = np.ones_like(ok)
         if estimate_nu:
-            nu, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - q, log_det, p),
-                                            *NU_BRACKET, nu)
+            nu, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - q, p), *NU_BRACKET, nu)
             # a score whose weights overflowed has no root: that fit fails
             ok &= np.isfinite(nu)
             nu = np.where(ok, nu, state["nu"])
@@ -643,13 +633,16 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
 
         converged = change < shared.epsilon
         stop = converged | ~ok | (iteration == shared.max_iter)
+        # no result carries an objective that overflowed
+        failure = np.select([collapsed, ~ok, stop & ~np.isfinite(objective)], [
+            "scatter collapsed", "weighted update produced non-finite parameters",
+            "the objective is not finite"], "")
         nu_values, clamped = nu.tolist(), (~bracketed).tolist()
-        fits = zip(state["index"].tolist(), ok.tolist(), collapsed.tolist(), stop.tolist(),
+        fits = zip(state["index"].tolist(), failure.tolist(), stop.tolist(),
                    converged.tolist(), change.tolist(), objective.tolist())
-        for row, (i, fine, flat, stopped, done, step, value) in enumerate(fits):
-            if not fine:
-                outcomes[i] = DegenerateData("scatter collapsed" if flat else
-                                             "weighted update produced non-finite parameters")
+        for row, (i, reason, stopped, done, step, value) in enumerate(fits):
+            if reason:
+                outcomes[i] = DegenerateData(reason)
                 continue
             traces[i].append(IterationRecord(iteration, step, value))
             if stopped:

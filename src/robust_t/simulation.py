@@ -311,7 +311,8 @@ def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
     """
     tasks = [(spec, group) for group in _replicate_groups(spec, jobs)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at the first submit, so it gets no idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_group_records, tasks))
     else:
         chunks = [_group_records(t) for t in tasks]

@@ -5,6 +5,7 @@ import pytest
 
 from robust_t import cli
 from robust_t.estimators import NORM_DEFINITION
+from robust_t.tdist import MvtParams, sample
 
 
 @pytest.fixture
@@ -89,12 +90,33 @@ class TestFit:
         assert_one_line_error(err)
 
 
+    def test_objective_that_overflows_is_an_error(self, capsys, tmp_path):
+        # lq(f) at q = 0.1 of densities in units of 1e-40 exceeds the double range
+        path = tmp_path / "tiny.csv"
+        params = MvtParams(np.zeros(10), np.eye(10), 3.0)
+        cli.write_matrix_csv(path, 1e-40 * sample(params, 300, np.random.default_rng(0)))
+        code, out, err = run(capsys, "fit", str(path), "--method", "mlq", "--q", "0.1",
+                             "--nu", "3")
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert "objective is not finite" in err
+
+
 def test_fit_of_many_gaussian_rows_converges(capsys, tmp_path):
     path = tmp_path / "gaussian.csv"
     cli.write_matrix_csv(path, np.random.default_rng(3).standard_normal((20000, 2)))
     code, out, err = run(capsys, "fit", str(path))
     assert code == 0 and err == ""
     assert json.loads(out)["converged"] is True
+
+
+def test_sample_with_a_negative_seed_is_an_error(capsys, tmp_path):
+    code, out, err = run(capsys, "sample", "--n", "5", "--mu", "0", "--sigma", "1", "--nu", "3",
+                         "--seed", "-1", "--output", str(tmp_path / "out.csv"))
+    assert code == 1 and out == ""
+    assert_one_line_error(err)
+    assert "--seed" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestReadMatrixCsv:

@@ -354,13 +354,29 @@ class TestFit:
         # at 1e40 every density f, raised to 1 - q without normalizing,
         # underflows to 0, and so would every weight
         rows = sample(MvtParams(np.zeros(20), np.eye(20), 3.0), 300, np.random.default_rng(0))
-        config = FitConfig(method="mlq", q=0.5, fixed_nu=3.0, max_iter=5)
+        config = FitConfig(method="mlq", q=0.5, fixed_nu=3.0, max_iter=4)
         c = 1e40
         base, scaled = fit(rows, config), fit(rows * c, config)
         assert scaled.iterations == base.iterations
         assert np.allclose(scaled.params.mu / c, base.params.mu, rtol=1e-12, atol=1e-14)
         assert np.allclose(scaled.params.sigma / c**2, base.params.sigma, rtol=1e-12,
                            atol=1e-14)
+        # the scatter collapses at the fifth evaluation on either scale
+        longer = replace(config, max_iter=5)
+        assert [str(o) for o in rt.fit_many(rows, [longer]) + rt.fit_many(rows * c, [longer])] \
+            == ["scatter collapsed"] * 2
+
+    @pytest.mark.parametrize("fixed_nu", [None, 3.0])
+    def test_mlq_fit_on_tiny_units_ends_as_at_unit_scale(self, fixed_nu):
+        # at 1e-40 the density, hence f^(1 - q) and lq(f), is far beyond the
+        # double range unless the units are taken out
+        rows = sample(MvtParams(np.zeros(10), np.eye(10), 3.0), 300, np.random.default_rng(0))
+        config = FitConfig(method="mlq", q=0.1, fixed_nu=fixed_nu)
+        (base,), (tiny,) = rt.fit_many(rows, [config]), rt.fit_many(rows * 1e-40, [config])
+        assert str(base) == "scatter collapsed"
+        # with nu held, the change norm in data units stops the fit at once
+        assert str(tiny) == ("scatter collapsed" if fixed_nu is None
+                             else "the objective is not finite")
 
     @pytest.mark.parametrize("data,method,q,nu", [
         # replicate 1 of paper_sim's unit 49 at seed 806, where the plain EM
@@ -391,12 +407,10 @@ class TestFit:
     def test_collapsing_mlq_fit_never_reports_converged(self):
         # at q <= 0.8 the weights single out the 4 far rows, and the scatter
         # shrinks onto them; q = 0.8 used to report convergence after 27
-        # evaluations at sigma = 1e-10 I
-        outcomes = rt.fit_many(collapsing_data(), [FitConfig(method="mlq", q=q, max_iter=40)
+        # evaluations at sigma = 1e-10 I, and later ran to max_iter
+        outcomes = rt.fit_many(collapsing_data(), [FitConfig(method="mlq", q=q, max_iter=30)
                                                    for q in (0.7, 0.8)])
-        assert isinstance(outcomes[0], DegenerateData)
-        assert str(outcomes[0]) == "scatter collapsed"
-        assert not outcomes[1].converged
+        assert [str(outcome) for outcome in outcomes] == ["scatter collapsed"] * 2
 
     @pytest.mark.parametrize("p, gap", [(2, 1e-8), (3, 1e-6), (5, 1e-7)])
     def test_near_collinear_columns_are_not_taken_for_a_collapse(self, p, gap):

@@ -38,11 +38,14 @@ def batch_configs(base=FitConfig()):
     ]
 
 
-def observed_nu_root(rows, mu, sigma, q):
-    """The root in nu of sum f^(1 - q) T at (mu, sigma), by brentq on NU_BRACKET.
+def observed_nu_roots(rows, mu, sigma, q):
+    """The roots in nu of sum f^(1 - q) T at (mu, sigma) on NU_BRACKET.
 
-    T = 2 d log f / d nu; without a sign change on the bracket, the endpoint
-    with the smaller |value|. Written with scipy only, apart from the bracket.
+    T = 2 d log f / d nu. brentq finds one root between each pair of
+    neighbouring points of a log grid over the bracket at which the sum has
+    opposite signs. Without a sign change between the bracket's ends, the
+    one entry is the end with the smaller |value|. Written with scipy only,
+    apart from the bracket.
     """
     p = rows.shape[1]
     d = rows - mu
@@ -54,9 +57,13 @@ def observed_nu_root(rows, mu, sigma, q):
         return float(np.sum(np.exp((1.0 - q) * log_f) * t))
 
     lo, hi = estimators.NU_BRACKET
-    if (score(lo) < 0.0) != (score(hi) < 0.0):
-        return brentq(score, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=500)
-    return lo if abs(score(lo)) <= abs(score(hi)) else hi
+    if (score(lo) < 0.0) == (score(hi) < 0.0):
+        return [lo if abs(score(lo)) <= abs(score(hi)) else hi]
+    grid = np.geomspace(lo, hi, 200)
+    negative = [score(nu) < 0.0 for nu in grid]
+    return [brentq(score, a, b, xtol=1e-13, rtol=1e-15, maxiter=500)
+            for a, b, sign_a, sign_b in zip(grid, grid[1:], negative, negative[1:])
+            if sign_a != sign_b]
 
 
 def same_fit(a, b):
@@ -98,8 +105,9 @@ class TestRunSimulation:
             else:
                 assert math.isnan(summary.mean_nu) and math.isnan(summary.mean_combined)
         assert 0 < report.ml.n_nonconverged < spec.n_replications
-        # q = 0.9 is the only q with a converged fit, so the only finite summary
-        assert [s.n_used > 0 for s in report.q_sweep] == [False, False, True, False]
+        # only q = 0.9 and 0.95 have converged fits, so finite summaries
+        assert [s.n_used > 0 for s in report.q_sweep] == [False, False, True, True]
+        assert report.q_sweep[2].mean_combined < report.q_sweep[3].mean_combined
         assert report.selected_q == 0.9 and report.mlq is report.q_sweep[2]
 
     def test_first_q_selected_when_every_summary_is_nan(self):
@@ -163,6 +171,29 @@ class TestRunSimulation:
         assert rt.run_simulation(spec).records == expected
         assert calls
 
+    def test_pool_has_no_more_workers_than_groups(self, monkeypatch):
+        # the pool starts all its workers at the first submit
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        spec = small_spec(n_replications=2)
+        expected = rt.run_simulation(spec).records
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+        assert rt.run_simulation(spec, jobs=100_000).records == expected
+        assert sizes == [2]
+
     def test_rank_deficient_replicates_recorded_as_failed(self, monkeypatch):
         spec = small_spec(n_outliers=0, n_replications=2)
         line = np.outer(np.arange(spec.n), [1.0, 2.0])
@@ -176,6 +207,16 @@ class TestFitMany:
         configs = batch_configs() + [FitConfig(method="mlq", q=1.0)]
         for result, config in zip(fit_many(data, configs), configs):
             assert same_fit(result, fit(data, config))
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_ml_is_mlq_at_q_one(self, case):
+        # lq is log at q = 1, so the method only labels the fit
+        spec = small_spec(true_params=rt.preset_case(case), n_replications=4)
+        configs = [FitConfig(), FitConfig(method="mlq", q=1.0), FitConfig(method="mlq", q=0.9)]
+        for replicate in range(spec.n_replications):
+            ml, mlq, _ = fit_many(replicate_data(spec, replicate), configs)
+            assert same_fit(ml, mlq) and ml.objective == mlq.objective
+            assert (ml.method, ml.q, mlq.method, mlq.q) == ("ml", None, "mlq", 1.0)
 
     def test_a_failing_fit_leaves_the_others_alone(self, monkeypatch):
         data = replicate_data(small_spec(), 0)
@@ -252,8 +293,9 @@ class TestFitMany:
 
     def test_one_batched_iteration_matches_the_scalar_steps(self):
         # mu and sigma are the paper's steps, written here in plain numpy with
-        # the PX-EM denominator sum(w); nu solves the observed-data equation
-        # at the updated mu and sigma (the ECME step)
+        # the PX-EM denominator sum(w) and every scatter centered on the
+        # updated mu; nu solves the observed-data equation at the updated mu
+        # and sigma (the ECME step)
         rows = replicate_data(small_spec(), 2)
         configs = batch_configs(FitConfig(max_iter=1))
         start = init_params(rows)
@@ -264,13 +306,15 @@ class TestFitMany:
             a = 0.5 * (1.0 - config.q) * (nu0 + p)
             w = (nu0 + p) * (nu0 + s) ** -(1.0 + a)
             mu = (w[:, None] * rows).sum(axis=0) / w.sum()
-            d = rows - (mu if config.method == "ml" else start.mu)
+            d = rows - mu
             sigma = (w[:, None, None] * d[:, :, None] * d[:, None, :]).sum(axis=0) / w.sum()
             assert result.iterations == 1
             assert np.allclose(result.params.mu, mu, rtol=1e-12, atol=1e-12)
             assert np.allclose(result.params.sigma, sigma, rtol=1e-12, atol=1e-12)
-            nu = observed_nu_root(rows, mu, sigma, config.q)
-            assert result.params.nu == pytest.approx(nu, abs=1e-9)
+            # at q = 0.85 the equation has three roots; from nu = 3 the
+            # engine's search reaches the smallest, brentq on the bracket the largest
+            roots = observed_nu_roots(rows, mu, sigma, config.q)
+            assert min(abs(result.params.nu - nu) for nu in roots) <= 1e-9
 
     def test_converged_nu_solves_the_observed_equation(self):
         # the fixed point in nu of the paper's equations, by Fisher's identity
@@ -280,8 +324,8 @@ class TestFitMany:
             rows = replicate_data(spec, replicate)
             for result, config in zip(fit_many(rows, configs), configs):
                 assert result.converged
-                nu = observed_nu_root(rows, result.params.mu, result.params.sigma, config.q)
-                assert abs(result.params.nu - nu) < 10 * config.epsilon
+                roots = observed_nu_roots(rows, result.params.mu, result.params.sigma, config.q)
+                assert min(abs(result.params.nu - nu) for nu in roots) < 10 * config.epsilon
 
 
 class TestFitBatch:
@@ -400,8 +444,7 @@ class TestBracketedRoot:
     def test_closed_rows_reach_no_special_function(self):
         data = replicate_data(small_spec(), 0)
         est = e_step(data, init_params(data))
-        score = estimators._observed_nu_score(np.tile(est.s, (3, 1)), np.array([0.0, 0.1, 0.2]),
-                                              np.zeros(3), 2)
+        score = estimators._observed_nu_score(np.tile(est.s, (3, 1)), np.array([0.0, 0.1, 0.2]), 2)
         nu = np.array([[np.nan], [4.0], [np.nan]])
         value, slope = score(nu)
         assert np.isnan(value[[0, 2]]).all() and np.isnan(slope[[0, 2]]).all()
@@ -413,7 +456,7 @@ class TestBracketedRoot:
         start = init_params(data)
         est = e_step(data, start)
         s, tilt = np.tile(est.s, (3, 1)), np.array([0.0, 0.1, 0.2])
-        score = estimators._observed_nu_score(s, tilt, np.full(3, start.log_det_sigma), 2)
+        score = estimators._observed_nu_score(s, tilt, 2)
         for nu in (0.7, 4.0, 60.0):
             h = 1e-6 * nu
             _, slope = score(np.full((3, 1), nu))
