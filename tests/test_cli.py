@@ -89,7 +89,6 @@ class TestFit:
         assert code == 1 and out == ""
         assert_one_line_error(err)
 
-
     def test_objective_that_overflows_is_an_error(self, capsys, tmp_path):
         # lq(f) at q = 0.1 of densities in units of 1e-40 exceeds the double range
         path = tmp_path / "tiny.csv"
