@@ -7,7 +7,7 @@ and the whole q grid; fit_many is its one-dataset case and fit() its
 one-fit case. An iteration is one evaluation of the map F: closed-form
 weighted sums update location and scatter, and the squared distances at
 the update give the degrees of freedom (when estimated), by a bracketed
-root search over the fits still solving, and the objective. A fit leaves
+Newton search over the fits still searching, and the objective. A fit leaves
 the batch when it converges, fails or reaches max_iter; iterations,
 max_iter and the trace all count evaluations of F.
 
@@ -30,16 +30,20 @@ paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
   At a fixed point the trace of sigma^-1 times the scatter equation gives
   sum(w s) = p sum(v) (v = 1 for the plain step), and since
   w (nu + s) = (nu + p) v, sum(w) = sum(v).
-* ECME (Liu & Rubin 1994; McLachlan & Peel 2000, section 7). The nu step
-  solves sum f^(1 - q) T = 0 at the updated location and scatter, T being
-  twice the observed-data score in nu. The paper's ECM step solves sum
-  f^(1 - q) (1 + u2 - u1 + log(nu/2) - digamma(nu/2)) = 0, holding the
-  E-step's u1 and u2 fixed; by Fisher's identity its term equals T at the
-  same parameters, so the two equations agree at a fixed point, f^(1 - q)
-  weights included. For the plain method the location and scatter step is
-  EM's, which does not lower the log-likelihood, and where the observed
-  score changes sign once on NU_BRACKET its root maximizes the
-  log-likelihood over nu.
+* Inexact ECME (Liu & Rubin 1994; Lange 1995; McLachlan & Peel 2000,
+  section 7). The nu step works on sum f^(1 - q) T = 0 at the updated
+  location and scatter, T being twice the observed-data score in nu. The
+  paper's ECM step solves sum f^(1 - q) (1 + u2 - u1 + log(nu/2) -
+  digamma(nu/2)) = 0, holding the E-step's u1 and u2 fixed; by Fisher's
+  identity its term equals T at the same parameters, so the two equations
+  agree at a fixed point, f^(1 - q) weights included. F at a SQUAREM point
+  solves it to the root; elsewhere the search ends at its first Newton step
+  from the previous nu that lands in the sign-change interval, a step that
+  is zero exactly where the score is. The plain method's location and
+  scatter step is EM's, which does not lower the log-likelihood, and a root
+  maximizes it over nu where the score changes sign once on NU_BRACKET;
+  one Newton step need not. So that its trace does not decrease rests on
+  the solve at each SQUAREM point and on measurement, not on a proof.
 * SQUAREM (Varadhan & Roland 2008, scheme S3). Every three iterations
   form one cycle: from x0 the engine takes x1 = F(x0) and x2 = F(x1),
   then moves to x' = x0 - 2 alpha r + alpha^2 v, with r = x1 - x0 and
@@ -49,8 +53,8 @@ paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
   sigma_kk), nu as it is); alpha = -1 gives x2 itself. The extrapolation
   acts on the packed (mu, upper triangle of sigma, nu). A fit falls back
   to x2 when x' has a non-finite entry, a nu outside NU_BRACKET, a
-  scatter with no Cholesky factor, or an objective below the objective at
-  x2, so the plain method's log-likelihood trace does not decrease.
+  scatter with no Cholesky factor, or an objective that is not finite or
+  is below the objective at x2.
 
 Conventions pinned here and recorded in FitResult so runs are reproducible:
 
@@ -58,7 +62,7 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   of mu, the upper triangle of sigma, and nu (nu omitted when held fixed),
   taken over one evaluation of F, so a fit stops when F moves it by less
   than epsilon;
-* the nu solve searches NU_BRACKET and clamps to the nearer endpoint when
+* the nu search covers NU_BRACKET and clamps to the nearer endpoint when
   the score does not change sign on it, which happens for near-normal
   data, and the result is flagged rather than treated as an error;
 * every scatter is floored at SPD_FLOOR on the correlation scale, so a
@@ -202,13 +206,14 @@ class FitResult:
     """Converged parameters plus the iteration trace and diagnostics.
 
     iterations counts evaluations of the map F: the paper's location and
-    scatter step, then a solve of the observed-data nu equation at the
-    update (ECME), with the paper's fixed point (see the module docstring).
+    scatter step, then a step on the observed-data nu equation at the update
+    (inexact ECME), with the paper's fixed point (see the module docstring).
     trace holds one record per evaluation: its change norm and the
     objective at its result. Every third evaluation starts from a SQUAREM
-    point, or from the previous result where that point failed its checks.
-    nu_clamped is True when the last nu solve found no sign change on the
-    bracket and returned an endpoint.
+    point, or from the previous result where that point failed its checks,
+    and solves for nu to the root; the others take one Newton step. nu_clamped
+    is True when the last nu step found no sign change on the bracket and
+    returned an endpoint.
     """
 
     params: MvtParams
@@ -298,7 +303,7 @@ def m_step_ml(data, est: EStepQuantities) -> tuple[np.ndarray, np.ndarray]:
     return _one_m_step(as_data_matrix(data), est.u1)
 
 
-def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
+def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: float = _NU_XTOL):
     """Roots of B scalar equations on the common bracket [lo, hi].
 
     g maps candidate values of shape (B, k) to the B equations' values
@@ -313,8 +318,10 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
     Newton step that lands in the closed sign-change interval [a, b] is
     taken, even onto the current iterate, and any other is replaced by the
     geometric midpoint sqrt(a b), which needs lo > 0. A root is accepted
-    after a Newton step of at most _NU_XTOL, once its interval is that
-    narrow, or at an exact zero; a NaN value or slope gives a NaN root.
+    after a Newton step of at most newton_tol, once its interval is _NU_XTOL
+    narrow, or at an exact zero; a NaN value or slope gives a NaN root. The
+    engine passes newton_tol = inf where F does not start from a SQUAREM
+    point, so the search ends at its first Newton step in [a, b].
     Every equation's iterates depend on its own values only. Returns
     (roots, bracketed), both of shape (B,).
     """
@@ -341,7 +348,7 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray):
         # a NaN step (from a NaN value or slope) is taken and accepted: the root is NaN
         use_newton = ~((newton < a) | (newton > b))
         step = np.where(use_newton, newton, np.sqrt(a * b))
-        done = todo & ((use_newton & ~(np.abs(step - x) > _NU_XTOL)) | (b - a <= _NU_XTOL))
+        done = todo & ((use_newton & ~(np.abs(step - x) > newton_tol)) | (b - a <= _NU_XTOL))
         root = np.where(done, step, root)
         todo = todo & ~done
         if not todo.any():
@@ -525,7 +532,8 @@ def _squarem_step(state: dict, upper, with_nu: bool):
     point = {key: _where(safe, value, state[key]) for key, value in point.items()}
     chol, log_det, point["s"] = _distances(state["columns"], point["mu"], point["sigma"])
     objective, point["log_f"] = _objective(point["s"], log_det, point["nu"], state["q"], p)
-    safe &= np.all(np.isfinite(chol), axis=(1, 2)) & (objective >= state["objective"])
+    safe &= np.all(np.isfinite(chol), axis=(1, 2)) & np.isfinite(objective)
+    safe &= objective >= state["objective"]
     point["vec"] = vec
     state.update({key: _where(safe, value, state[key]) for key, value in point.items()})
 
@@ -618,7 +626,8 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         chol, log_det, s = _distances(columns, mu, sigma)
         bracketed = np.ones_like(ok)
         if estimate_nu:
-            nu, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - q, p), *NU_BRACKET, nu)
+            tol = _NU_XTOL if iteration % 3 == 0 else math.inf  # the root from x' only
+            nu, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - q, p), *NU_BRACKET, nu, tol)
             # a score whose weights overflowed has no root: that fit fails
             ok &= np.isfinite(nu)
             nu = np.where(ok, nu, state["nu"])
