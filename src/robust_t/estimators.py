@@ -7,7 +7,7 @@ and the whole q grid; fit_many is its one-dataset case and fit() its
 one-fit case. An iteration is one evaluation of the map F: closed-form
 weighted sums update location and scatter, and the squared distances at
 the update give the degrees of freedom (when estimated), by a bracketed
-Newton search over the fits still searching, and the objective. A fit leaves
+Newton search over the fits still solving, and the objective. A fit leaves
 the batch when it converges, fails or reaches max_iter; iterations,
 max_iter and the trace all count evaluations of F.
 
@@ -78,7 +78,7 @@ the batch holds and however the input rows are permuted.
 e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq run the
 engine's phases for one fit, from the previous iterate and its e_step, and
 raise DegenerateData where the engine would fail the fit. solve_nu_* take
-T at the previous iterate's location and scatter.
+T at the previous iterate's location and scatter and solve to the root.
 """
 
 from __future__ import annotations
@@ -402,7 +402,7 @@ def _observed_nu_score(s, one_minus_q, p: int):
 
 
 def solve_nu_ml(prev: MvtParams, est: EStepQuantities) -> NuSolveResult:
-    """The engine's nu step for one plain fit: the root of sum T = 0 on NU_BRACKET.
+    """The engine's nu solve for one plain fit: the root of sum T = 0 on NU_BRACKET.
 
     est is e_step at prev; T is taken at est.s and prev's scatter, and the
     search starts from prev.nu. Without a sign change on the bracket the
@@ -444,7 +444,7 @@ def m_step_mlq(data, prev: MvtParams, q: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def solve_nu_mlq(prev: MvtParams, est: EStepQuantities, q: float) -> NuSolveResult:
-    """The engine's nu step for one q-weighted fit: the root of sum f^(1 - q) T = 0.
+    """The engine's nu solve for one q-weighted fit: the root of sum f^(1 - q) T = 0.
 
     As solve_nu_ml, with every observation's T multiplied by its density at
     prev's location and scatter raised to (1 - q); the density, hence the

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -57,6 +58,24 @@ def collapsing_data():
     params = MvtParams(rng.standard_normal(10), a @ a.T + 0.1 * np.eye(10), 3.0)
     rows = sample(params, 150, rng)
     return np.vstack([rows, rng.uniform(50.0, 90.0, (4, 10))])
+
+
+# (p, n, nu) of the varied ascent sets
+VARIED_GRID = list(itertools.product((1, 2, 3, 5), (30, 1000), (0.7, 2.0, 5.0, 40.0, 1e6)))
+
+
+def varied_data(k):
+    """Set k of VARIED_GRID: t rows with a random location and scatter, in
+    units of 1e-3, 1 or 1e3 in turn, and n/40 rows 10-60 units out on every
+    third set."""
+    p, n, nu = VARIED_GRID[k]
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((p, p))
+    rows = sample(MvtParams(rng.standard_normal(p), a @ a.T + 0.1 * np.eye(p), nu), n, rng)
+    if k % 3 == 2:
+        far = max(1, n // 40)
+        rows[:far] += rng.choice([-1.0, 1.0], (far, p)) * rng.uniform(10.0, 60.0, (far, p))
+    return rows * 10.0 ** (-3, 0, 3)[k // 3 % 3]
 
 
 ASCENT_DATASETS = {
@@ -456,6 +475,33 @@ class TestFit:
         assert result.objective == pytest.approx(expected, rel=1e-12)
 
 
+class TestSquaremStep:
+    @pytest.mark.parametrize("at_x2,at_point,taken", [
+        (math.inf, math.inf, False),  # inf >= inf holds, but x' has no finite objective
+        (0.0, 1.0, True),
+        (1.0, 0.0, False),
+    ])
+    def test_a_point_is_taken_only_at_a_finite_objective_no_lower_than_x2s(
+            self, monkeypatch, at_x2, at_point, taken):
+        rows = clean_data(40, seed=5)
+        upper = np.triu_indices(2)
+        x2 = init_params(rows)
+        state = {"columns": rows.T[None], "q": np.array([0.9]), "mu": x2.mu[None],
+                 "sigma": x2.sigma[None], "nu": np.array([x2.nu]),
+                 "s": np.zeros((1, 40)), "log_f": np.zeros((1, 40)),
+                 "objective": np.array([at_x2])}
+        state["vec"] = estimators._pack(state["mu"], state["sigma"], state["nu"], upper, True)
+        # r = x1 - x0 and x2 - x1 = 0.8 r: alpha = -5, so x' = x0 + 5 r = x2 + 3.2 r
+        r = np.full_like(state["vec"], 1e-3)
+        state.update(anchor=state["vec"] - 1.8 * r, r=r, moved=0.8 * r, scale=np.ones_like(r))
+        monkeypatch.setattr(estimators, "_objective",
+                            lambda s, log_det, nu, q, p: (np.full(nu.shape, at_point), 0.0 * s))
+        estimators._squarem_step(state, upper, True)
+        moved = 3.2e-3 if taken else 0.0
+        assert np.allclose(state["vec"], state["anchor"] + 1.8 * r + moved, rtol=0.0, atol=1e-12)
+        assert np.allclose(state["mu"][0], x2.mu + moved, rtol=0.0, atol=1e-12)
+
+
 class TestAlgorithmicInvariants:
     @pytest.mark.parametrize("datasets,estimate_nu", [
         pytest.param("clean", True, id="True"),
@@ -474,6 +520,17 @@ class TestAlgorithmicInvariants:
                                                              init_params(rows).sigma, 3.0))))
             seq = [start] + objectives
             assert all(b >= a - 1e-8 for a, b in zip(seq, seq[1:]))
+
+    @pytest.mark.parametrize("k", range(len(VARIED_GRID)))
+    def test_ml_ascent_on_varied_data(self, k):
+        # away from SQUAREM points nu takes one Newton step, which need not
+        # raise the log-likelihood; the trace may fall by perfbench's slack only
+        rows = varied_data(k)
+        result = fit(rows, FitConfig())
+        assert result.converged
+        objectives = np.array([rec.objective for rec in result.trace])
+        slack = 64.0 * len(rows) * np.finfo(float).eps * np.maximum(1.0, np.abs(objectives[:-1]))
+        assert np.all(objectives[:-1] - objectives[1:] <= slack)
 
     @pytest.mark.parametrize("method,q", [("ml", 1.0), ("mlq", 0.9)])
     def test_affine_equivariance(self, method, q):

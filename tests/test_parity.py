@@ -42,3 +42,27 @@ def test_compare_counts_each_kind_of_difference():
     assert summary["max_abs_d_sigma"] == 0.0
     assert summary["max_abs_d_nu"] == abs(4.0 + 1e-13 - 4.0)
 
+
+
+def test_iterations_and_unconverged_fits_by_method_and_side():
+    parent = [finished("ml", 3.0, iterations=10), finished("mlq", 4.0, iterations=12),
+              finished("mlq", 5.0, iterations=15, converged=False), failed("mlq")]
+    change = [finished("ml", 3.0, iterations=11), finished("mlq", 4.0, iterations=11),
+              finished("mlq", 5.0, iterations=14), finished("mlq", 6.0, iterations=20,
+                                                            converged=False)]
+    summary = parity.compare(parent, change)
+    # each side's own finished fits, so the fit the parent failed counts for the change only
+    assert summary["mean_iterations_by_method"] == {
+        "ml": {"parent": 10.0, "change": 11.0},
+        "mlq": {"parent": 13.5, "change": 15.0},
+    }
+    assert summary["unconverged_by_method"] == {
+        "ml": {"parent": 0, "change": 0},
+        "mlq": {"parent": 1, "change": 1},
+    }
+
+
+def test_a_method_that_one_side_never_finished_has_no_mean_there():
+    summary = parity.compare([failed("mlq")], [finished("mlq", 4.0, iterations=9)])
+    assert summary["mean_iterations_by_method"] == {"mlq": {"parent": None, "change": 9.0}}
+    assert summary["unconverged_by_method"] == {"mlq": {"parent": 0, "change": 0}}

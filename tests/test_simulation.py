@@ -38,24 +38,42 @@ def batch_configs(base=FitConfig()):
     ]
 
 
-def observed_nu_roots(rows, mu, sigma, q):
-    """The roots in nu of sum f^(1 - q) T at (mu, sigma) on NU_BRACKET.
+def observed_nu_score(rows, mu, sigma, q):
+    """sum f^(1 - q) T at (mu, sigma) and its slope, as functions of nu.
 
-    T = 2 d log f / d nu. brentq finds one root between each pair of
-    neighbouring points of a log grid over the bracket at which the sum has
-    opposite signs. Without a sign change between the bracket's ends, the
-    one entry is the end with the smaller |value|. Written with scipy only,
-    apart from the bracket.
+    T = 2 d log f / d nu, and d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2.
+    Written with numpy and scipy only.
     """
     p = rows.shape[1]
     d = rows - mu
     s = np.sum(d * np.linalg.solve(sigma, d.T).T, axis=1)
 
-    def score(nu):
+    def terms(nu):
         t = digamma(0.5 * (nu + p)) - digamma(0.5 * nu) - np.log1p(s / nu) + (s - p) / (nu + s)
-        log_f = multivariate_t(mu, sigma, df=nu).logpdf(rows)
-        return float(np.sum(np.exp((1.0 - q) * log_f) * t))
+        return t, np.exp((1.0 - q) * multivariate_t(mu, sigma, df=nu).logpdf(rows))
 
+    def value(nu):
+        t, weight = terms(nu)
+        return float(np.sum(weight * t))
+
+    def slope(nu):
+        t, weight = terms(nu)
+        dt = (0.5 * (polygamma(1, 0.5 * (nu + p)) - polygamma(1, 0.5 * nu))
+              + s / (nu * (nu + s)) - (s - p) / (nu + s) ** 2)
+        return float(np.sum(weight * (dt + 0.5 * (1.0 - q) * t * t)))
+
+    return value, slope
+
+
+def observed_nu_roots(rows, mu, sigma, q):
+    """The roots in nu of sum f^(1 - q) T at (mu, sigma) on NU_BRACKET.
+
+    brentq finds one root between each pair of neighbouring points of a log
+    grid over the bracket at which the sum has opposite signs. Without a
+    sign change between the bracket's ends, the one entry is the end with
+    the smaller |value|. Written with scipy only, apart from the bracket.
+    """
+    score, _ = observed_nu_score(rows, mu, sigma, q)
     lo, hi = estimators.NU_BRACKET
     if (score(lo) < 0.0) == (score(hi) < 0.0):
         return [lo if abs(score(lo)) <= abs(score(hi)) else hi]
@@ -69,36 +87,24 @@ def observed_nu_roots(rows, mu, sigma, q):
 def first_newton_step(rows, mu, sigma, q, nu):
     """The engine's one-step nu search from nu on sum f^(1 - q) T at (mu, sigma).
 
-    Newton's method on the sum, whose slope is sum f^(1 - q) (dT/dnu +
-    (1 - q) T^2 / 2), safeguarded by bisection on the bracket: the first
-    Newton step that lands in the closed sign-change interval [a, b] is
-    returned, and any other is replaced by the geometric midpoint sqrt(a b).
-    Without a sign change on the bracket, the end with the smaller |value| is
-    returned. Written with numpy and scipy only, apart from the bracket.
+    Newton's method on the sum, safeguarded by bisection on the bracket: the
+    first Newton step that lands in the closed sign-change interval [a, b]
+    is returned, and any other is replaced by the geometric midpoint
+    sqrt(a b). Without a sign change on the bracket, the end with the
+    smaller |value| is returned.
     """
-    p = rows.shape[1]
-    d = rows - mu
-    s = np.sum(d * np.linalg.solve(sigma, d.T).T, axis=1)
-
-    def score(nu):
-        t = digamma(0.5 * (nu + p)) - digamma(0.5 * nu) - np.log1p(s / nu) + (s - p) / (nu + s)
-        dt = (0.5 * (polygamma(1, 0.5 * (nu + p)) - polygamma(1, 0.5 * nu))
-              + s / (nu * (nu + s)) - (s - p) / (nu + s) ** 2)
-        weight = np.exp((1.0 - q) * multivariate_t(mu, sigma, df=nu).logpdf(rows))
-        return float(np.sum(weight * t)), float(np.sum(weight * (dt + 0.5 * (1.0 - q) * t * t)))
-
+    score, slope = observed_nu_score(rows, mu, sigma, q)
     a, b = estimators.NU_BRACKET
-    at_a, at_b = score(a)[0], score(b)[0]
-    if (at_a < 0.0) == (at_b < 0.0):
-        return a if abs(at_a) <= abs(at_b) else b
-    low_negative = at_a < 0.0
+    if (score(a) < 0.0) == (score(b) < 0.0):
+        return a if abs(score(a)) <= abs(score(b)) else b
+    low_negative = score(a) < 0.0
     while True:
-        value, slope = score(nu)
+        value = score(nu)
         if (value < 0.0) == low_negative:
             a = nu
         else:
             b = nu
-        step = nu - value / slope
+        step = nu - value / slope(nu)
         if a <= step <= b:
             return step
         nu = math.sqrt(a * b)
@@ -354,6 +360,21 @@ class TestFitMany:
             nu = first_newton_step(rows, mu, sigma, config.q, nu0)
             assert abs(result.params.nu - nu) <= 1e-9
 
+    def test_an_iteration_from_a_squarem_point_solves_for_nu(self):
+        # the third iteration evaluates F at the SQUAREM point and solves the
+        # nu equation at its update to the root; the second takes one step
+        rows = replicate_data(small_spec(), 2)
+        configs = batch_configs(FitConfig(max_iter=3))
+        stepped = fit_many(rows, [replace(config, max_iter=2) for config in configs])
+        off_root = 0
+        for result, before, config in zip(fit_many(rows, configs), stepped, configs):
+            assert result.iterations == 3
+            roots = observed_nu_roots(rows, result.params.mu, result.params.sigma, config.q)
+            assert min(abs(result.params.nu - nu) for nu in roots) <= 1e-9
+            roots = observed_nu_roots(rows, before.params.mu, before.params.sigma, config.q)
+            off_root += min(abs(before.params.nu - nu) for nu in roots) > 1e-6
+        assert off_root > 0
+
     def test_converged_nu_solves_the_observed_equation(self):
         # the fixed point in nu of the paper's equations, by Fisher's identity
         spec = small_spec()
@@ -478,6 +499,38 @@ class TestBracketedRoot:
         monkeypatch.setattr(estimators, "_bracketed_root", root)
         rt.run_simulation(spec)
         assert solves and repeats == []
+
+    def test_a_step_away_from_squarem_points_evaluates_the_score_once(self, monkeypatch):
+        # where the first Newton step lands in the sign-change interval, an
+        # iteration that does not start from a SQUAREM point stops there
+        original = estimators._bracketed_root
+        calls = []
+
+        def counted(g, lo, hi, start, *args):
+            evaluations = []
+
+            def g_counted(nu):
+                value, slope = g(nu)
+                evaluations.append((nu, value, slope))
+                return value, slope
+
+            calls.append(evaluations)
+            return original(g_counted, lo, hi, start, *args)
+
+        monkeypatch.setattr(estimators, "_bracketed_root", counted)
+        result = fit(replicate_data(small_spec(), 0), FitConfig())
+        assert len(calls) == result.iterations
+        one_step = []
+        for iteration, evaluations in enumerate(calls, 1):
+            nu, value, slope = evaluations[0]
+            (lo, hi, x), (f_lo, f_hi, fx) = nu[0], value[0]
+            a, b = (x, hi) if (fx < 0.0) == (f_lo < 0.0) else (lo, x)
+            newton = x - fx / slope[0, 0]
+            if iteration % 3 and (f_lo < 0.0) != (f_hi < 0.0) and a <= newton <= b:
+                assert len(evaluations) == 1
+                one_step.append(iteration)
+        # on these rows every such first step lands inside
+        assert one_step == [k for k in range(1, len(calls) + 1) if k % 3]
 
     def test_closed_rows_reach_no_special_function(self):
         data = replicate_data(small_spec(), 0)

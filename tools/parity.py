@@ -17,8 +17,10 @@ three sets:
 
 Per set it prints one JSON line: the fits; the failures on each side; the
 fits whose failure state, iteration count or (converged, nu_clamped)
-differ; the fits with bitwise-equal mu, sigma and nu, by method; and the
-largest |d mu|, |d sigma| and |d nu| over the fits both sides finished.
+differ; the fits with bitwise-equal mu, sigma and nu, by method; the
+largest |d mu|, |d sigma| and |d nu| over the fits both sides finished;
+and by method, on each side, the mean iterations and the count of
+unconverged fits over the fits that side finished.
 """
 
 from __future__ import annotations
@@ -88,6 +90,14 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
         return max((float(np.max(np.abs(np.subtract(a[key], b[key])))) for a, b in both),
                    default=0.0)
 
+    finished = {side: [fit for fit in fits if fit["failure"] is None]
+                for side, fits in (("parent", parent), ("change", change))}
+
+    def by_method(summarise):
+        methods = sorted({fit["method"] for fits in finished.values() for fit in fits})
+        return {m: {side: summarise([fit for fit in fits if fit["method"] == m])
+                    for side, fits in finished.items()} for m in methods}
+
     bitwise: dict[str, int] = {}
     for a, b in both:
         same = (np.array_equal(a["mu"], b["mu"]) and np.array_equal(a["sigma"], b["sigma"])
@@ -106,6 +116,10 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
         "max_abs_d_mu": largest("mu"),
         "max_abs_d_sigma": largest("sigma"),
         "max_abs_d_nu": largest("nu"),
+        "mean_iterations_by_method": by_method(
+            lambda fits: float(np.mean([fit["iterations"] for fit in fits])) if fits else None),
+        "unconverged_by_method": by_method(
+            lambda fits: sum(not fit["converged"] for fit in fits)),
     }
 
 
