@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DimensionMismatch, DomainError
 from .linalg import cholesky_lower, log_det_from_chol, mahalanobis_sq_from_chol, symmetrize
-from .special import digamma, log_gamma
+from .special import digamma, gamma_gaps
 
 __all__ = [
     "MvtParams",
@@ -101,14 +100,9 @@ def as_data_matrix(data) -> np.ndarray:
     return rows
 
 
-def _log_norm_const(nu, p: int, log_det_sigma):
-    """Log of the t normalizing constant; nu and log_det_sigma broadcast."""
-    return (
-        log_gamma(0.5 * (nu + p))
-        - log_gamma(0.5 * nu)
-        - 0.5 * p * np.log(np.pi * nu)
-        - 0.5 * log_det_sigma
-    )
+def _log_norm_const(nu, p: int, log_det_sigma, log_gamma_gap):
+    """Log of the t normalizing constant from gamma_gaps's log Gamma gap at nu / 2."""
+    return log_gamma_gap - 0.5 * p * np.log(np.pi * nu) - 0.5 * log_det_sigma
 
 
 def log_pdf_from_dist(s, nu, p: int, log_det_sigma):
@@ -118,7 +112,9 @@ def log_pdf_from_dist(s, nu, p: int, log_det_sigma):
     parameter sets, or many candidate nu values, at once.
     """
     nu = np.asarray(nu, dtype=float)
-    const = _log_norm_const(nu, p, log_det_sigma)
+    if not (nu > 0.0).all():
+        raise DomainError("degrees of freedom must be positive")
+    const = _log_norm_const(nu, p, log_det_sigma, gamma_gaps(0.5 * nu, p)[0])
     return const - 0.5 * (nu + p) * np.log1p(s / nu)
 
 
@@ -208,23 +204,22 @@ def cond_expect_log_u(s, nu, p: int):
 
 
 def _observed_nu_terms(s, nu, p: int):
-    """T = 2 d log f / d nu, the one nu score, and log1p(s / nu)."""
+    """T = 2 d log f / d nu, the one nu score, log1p(s / nu) and gamma_gaps at nu / 2."""
+    gaps = gamma_gaps(0.5 * nu, p)
     log1p_ratio = np.log1p(s / nu)
-    t = digamma(0.5 * (nu + p)) - digamma(0.5 * nu) - log1p_ratio + (s - p) / (nu + s)
-    return t, log1p_ratio
+    return gaps[1] - log1p_ratio + (s - p) / (nu + s), log1p_ratio, gaps
 
 
-def _observed_nu_slope(s, nu, p: int):
-    """dT/dnu of _observed_nu_terms's T; the trigamma is zeta(2, x)."""
-    gap = 0.5 * (zeta(2.0, 0.5 * (nu + p)) - zeta(2.0, 0.5 * nu))
-    return gap + s / (nu * (nu + s)) - (s - p) / (nu + s) / (nu + s)
+def _observed_nu_slope(s, nu, p: int, trigamma_gap):
+    """dT/dnu of _observed_nu_terms's T, from gamma_gaps's trigamma gap at nu / 2."""
+    return 0.5 * trigamma_gap + s / (nu * (nu + s)) - (s - p) / (nu + s) / (nu + s)
 
 
 def _tilted_terms(s, nu, one_minus_q, log_det, p: int):
-    """T (_observed_nu_terms) and the weights f^(1 - q) at squared distances s."""
-    t, log1p_ratio = _observed_nu_terms(s, nu, p)
-    log_f = _log_norm_const(nu, p, log_det) - 0.5 * (nu + p) * log1p_ratio
-    return t, np.exp(one_minus_q * log_f)
+    """T (_observed_nu_terms), the weights f^(1 - q) at distances s, and the trigamma gap."""
+    t, log1p_ratio, (log_gamma_gap, _, trigamma_gap) = _observed_nu_terms(s, nu, p)
+    log_f = _log_norm_const(nu, p, log_det, log_gamma_gap) - 0.5 * (nu + p) * log1p_ratio
+    return t, np.exp(one_minus_q * log_f), trigamma_gap
 
 
 def score_curve(params: MvtParams, s_grid, q: float = 1.0) -> np.ndarray:
@@ -250,5 +245,5 @@ def score_curve(params: MvtParams, s_grid, q: float = 1.0) -> np.ndarray:
         raise DomainError("s grid must be finite and nonnegative")
     if np.any(np.diff(grid) < 0.0):
         raise DomainError("s grid must be ascending")
-    t, weight = _tilted_terms(grid, params.nu, 1.0 - q, params.log_det_sigma, params.dim)
+    t, weight, _ = _tilted_terms(grid, params.nu, 1.0 - q, params.log_det_sigma, params.dim)
     return np.column_stack([grid, 0.5 * t * weight])

@@ -239,7 +239,7 @@ class TestObservedNuTerms:
         # T / 2 is the paper's complete-data score; both sides cancel near
         # their zero, so the error is taken relative to the size of its terms
         for nu in np.geomspace(0.1, 200.0, 25):
-            t, _ = _observed_nu_terms(self.S_GRID, nu, p)
+            t = _observed_nu_terms(self.S_GRID, nu, p)[0]
             u1 = cond_expect_u(self.S_GRID, nu, p)
             u2 = cond_expect_log_u(self.S_GRID, nu, p)
             paper = 0.5 * (1.0 + u2 - u1 + math.log(0.5 * nu) - special.digamma(0.5 * nu))
@@ -251,7 +251,7 @@ class TestObservedNuTerms:
     @pytest.mark.parametrize("nu", [0.3, 3.0, 150.0])
     def test_slope_matches_finite_difference(self, nu):
         h = 1e-6 * nu
-        slope = _observed_nu_slope(self.S_GRID, nu, 3)
+        slope = _observed_nu_slope(self.S_GRID, nu, 3, _observed_nu_terms(self.S_GRID, nu, 3)[2][2])
         fd = (_observed_nu_terms(self.S_GRID, nu + h, 3)[0]
               - _observed_nu_terms(self.S_GRID, nu - h, 3)[0]) / (2.0 * h)
         assert np.allclose(slope, fd, rtol=1e-5, atol=1e-7 / nu ** 2)
