@@ -62,9 +62,9 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   of mu, the upper triangle of sigma, and nu (nu omitted when held fixed),
   taken over one evaluation of F, so a fit stops when F moves it by less
   than epsilon;
-* the nu search covers NU_BRACKET and clamps to the nearer endpoint when
-  the score does not change sign on it, which happens for near-normal
-  data, and the result is flagged rather than treated as an error;
+* where the score does not change sign on NU_BRACKET, the nu search clamps
+  to lo if it is negative and to hi if positive (near-normal data), and the
+  result is flagged rather than treated as an error;
 * every scatter is floored at SPD_FLOOR on the correlation scale, so a
   change of a column's units moves no fit, and a variance below SPD_FLOOR
   times its column's squared median absolute deviation fails the fit.
@@ -312,8 +312,8 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: floa
     start only. After the first call, the rows of equations whose root is
     already accepted are NaN: g skips them and returns NaN there (see
     _open_rows), so each step costs only the equations still open. Where
-    the value does not change sign on the bracket, the endpoint with the
-    smaller |value| is returned and flagged unbracketed. Otherwise the root
+    the value does not change sign on the bracket, lo is returned where it
+    is negative and hi where positive, flagged unbracketed. Otherwise the root
     is found by Newton's method from start, safeguarded by bisection: a
     Newton step that lands in the closed sign-change interval [a, b] is
     taken, even onto the current iterate, and any other is replaced by the
@@ -329,8 +329,8 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: floa
     x = np.clip(start, lo, hi)
     value, slope = g(np.column_stack([np.full(count, lo), np.full(count, hi), x]))
     f_lo, f_hi, fx, dfx = value[:, 0], value[:, 1], value[:, 2], slope[:, 0]
-    # an endpoint that is an exact root is also the one with the smaller |value|
-    root = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
+    # no sign change: lo where f < 0 at both ends, hi where f > 0, or an end where f = 0
+    root = np.where((f_hi == 0.0) | (f_lo > 0.0), hi, lo)
     todo = np.sign(f_lo) * np.sign(f_hi) < 0.0
     bracketed = todo | (f_lo == 0.0) | (f_hi == 0.0)
     # the sign-change interval is [a, b], with f(a) of the sign of f(lo)
@@ -406,7 +406,7 @@ def solve_nu_ml(prev: MvtParams, est: EStepQuantities) -> NuSolveResult:
 
     est is e_step at prev; T is taken at est.s and prev's scatter, and the
     search starts from prev.nu. Without a sign change on the bracket the
-    endpoint with the smaller |value| is returned with bracketed=False.
+    endpoint the value's sign points to is returned with bracketed=False.
     """
     return solve_nu_mlq(prev, est, 1.0)
 

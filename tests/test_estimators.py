@@ -78,6 +78,21 @@ def varied_data(k):
     return rows * 10.0 ** (-3, 0, 3)[k // 3 % 3]
 
 
+def bracket_set(k):
+    """Set k of 400 on which the ML fit's first nu step was checked: t rows
+    with p, n and nu cycling over (1, 2, 3, 5), (30, 90, 300, 1000) and
+    (0.7, 2, 5, 40, 1e6), n/40 rows 10-60 units out where k % 3 = 0, in
+    units of 1e-3, 1 or 1e3 in turn."""
+    p, n, nu = (1, 2, 3, 5)[k % 4], (30, 90, 300, 1000)[k // 4 % 4], (0.7, 2.0, 5.0, 40.0, 1e6)[k % 5]
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((p, p))
+    rows = sample(MvtParams(rng.standard_normal(p), a @ a.T + 0.1 * np.eye(p), nu), n, rng)
+    if k % 3 == 0:
+        far = max(1, n // 40)
+        rows[:far] += rng.choice([-1.0, 1.0], (far, p)) * rng.uniform(10.0, 60.0, (far, p))
+    return rows * 10.0 ** (-3, 0, 3)[k // 3 % 3]
+
+
 ASCENT_DATASETS = {
     "clean": lambda: [clean_data(100, seed=seed) for seed in range(6)],
     # outliers only 1-2 and 3-6 sd out: on these, taking every SQUAREM point
@@ -531,6 +546,31 @@ class TestAlgorithmicInvariants:
         objectives = np.array([rec.objective for rec in result.trace])
         slack = 64.0 * len(rows) * np.finfo(float).eps * np.maximum(1.0, np.abs(objectives[:-1]))
         assert np.all(objectives[:-1] - objectives[1:] <= slack)
+
+    @pytest.mark.parametrize("k", [75, 155, 170, 230, 235, 255, 315, 375, 395])
+    def test_ml_ascent_from_the_start_where_the_score_is_negative_on_the_bracket(self, k):
+        # on these sets the first nu score is negative at both ends of the
+        # bracket; a clamp to nu = 200, where |score| is smaller, lost up to
+        # 1,140 nats in one step, and set 375 then ran to max_iter at nu = 200
+        rows = bracket_set(k)
+        result = fit(rows, FitConfig())
+        assert result.converged
+        start = np.sum(log_pdf_rows(rows, init_params(rows)))
+        objectives = np.array([start] + [rec.objective for rec in result.trace])
+        slack = 64.0 * len(rows) * np.finfo(float).eps * np.maximum(1.0, np.abs(objectives[:-1]))
+        assert np.all(objectives[:-1] - objectives[1:] <= slack)
+
+    def test_ml_nu_is_not_clamped_to_the_end_the_likelihood_falls_towards(self):
+        # 300 rows of a p = 5 t with nu = 0.7: the first iteration's score is
+        # negative on the whole bracket, so its log-likelihood falls towards 200
+        rng = np.random.default_rng(155)
+        a = rng.standard_normal((5, 5))
+        rows = sample(MvtParams(rng.standard_normal(5), a @ a.T + 0.1 * np.eye(5), 0.7), 300, rng)
+        result = fit(rows, FitConfig())
+        assert result.converged and not result.nu_clamped
+        assert result.trace[0].objective > np.sum(log_pdf_rows(rows, init_params(rows)))
+        mu, sigma = result.params.mu, result.params.sigma
+        assert result.trace[-1].objective >= np.sum(log_pdf_rows(rows, MvtParams(mu, sigma, 0.7)))
 
     @pytest.mark.parametrize("method,q", [("ml", 1.0), ("mlq", 0.9)])
     def test_affine_equivariance(self, method, q):

@@ -70,13 +70,14 @@ def observed_nu_roots(rows, mu, sigma, q):
 
     brentq finds one root between each pair of neighbouring points of a log
     grid over the bracket at which the sum has opposite signs. Without a
-    sign change between the bracket's ends, the one entry is the end with
-    the smaller |value|. Written with scipy only, apart from the bracket.
+    sign change between the bracket's ends, the one entry is the end the
+    sum's sign points to: lo where it is negative, hi where positive.
+    Written with scipy only, apart from the bracket.
     """
     score, _ = observed_nu_score(rows, mu, sigma, q)
     lo, hi = estimators.NU_BRACKET
     if (score(lo) < 0.0) == (score(hi) < 0.0):
-        return [lo if abs(score(lo)) <= abs(score(hi)) else hi]
+        return [hi if score(hi) == 0.0 or score(lo) > 0.0 else lo]
     grid = np.geomspace(lo, hi, 200)
     negative = [score(nu) < 0.0 for nu in grid]
     return [brentq(score, a, b, xtol=1e-13, rtol=1e-15, maxiter=500)
@@ -90,13 +91,13 @@ def first_newton_step(rows, mu, sigma, q, nu):
     Newton's method on the sum, safeguarded by bisection on the bracket: the
     first Newton step that lands in the closed sign-change interval [a, b]
     is returned, and any other is replaced by the geometric midpoint
-    sqrt(a b). Without a sign change on the bracket, the end with the
-    smaller |value| is returned.
+    sqrt(a b). Without a sign change on the bracket, the end the value's
+    sign points to is returned: a where it is negative, b where positive.
     """
     score, slope = observed_nu_score(rows, mu, sigma, q)
     a, b = estimators.NU_BRACKET
     if (score(a) < 0.0) == (score(b) < 0.0):
-        return a if abs(score(a)) <= abs(score(b)) else b
+        return b if score(b) == 0.0 or score(a) > 0.0 else a
     low_negative = score(a) < 0.0
     while True:
         value = score(nu)
@@ -459,6 +460,16 @@ class TestBracketedRoot:
         assert evaluated[0].tolist() == list(range(targets.shape[0]))
         assert all(not set(rows) & {0, 1, 2, 3} for rows in evaluated[1:])
         assert len(evaluated) > 2 and len(evaluated[-1]) < len(evaluated[1])
+
+    def test_without_a_sign_change_the_end_the_value_points_to_is_returned(self):
+        # +-1/x: the smaller |value| is at hi for both, but a negative value
+        # means the integral of the equation falls towards hi
+        def g(x):
+            return np.array([[-1.0], [1.0]]) / x, np.array([[1.0], [-1.0]]) / x[:, -1:] ** 2
+
+        roots, bracketed = estimators._bracketed_root(g, self.LO, self.HI, np.array([3.0, 3.0]))
+        assert roots.tolist() == [self.LO, self.HI]
+        assert not bracketed.any()
 
     def test_a_nan_value_inside_the_bracket_gives_a_nan_root_at_once(self):
         lo, hi = self.LO, self.HI
