@@ -394,8 +394,8 @@ def _observed_nu_score(s, one_minus_q, p: int):
     def evaluate(rows, nu):
         dist, v, tilt = s[rows, None, :], nu[:, :, None], one_minus_q[rows, None, None]
         t, weight, trigamma_gap = _tilted_terms(dist, v, tilt, 0.0, p)
-        last = t[:, -1:]
-        slope = _observed_nu_slope(dist, v[:, -1:], p, trigamma_gap[:, -1:]) + 0.5 * tilt * last * last
+        last, gap = t[:, -1:], trigamma_gap[:, -1:]
+        slope = _observed_nu_slope(dist, v[:, -1:], p, gap) + 0.5 * tilt * last * last
         return np.sum(t * weight, axis=2), np.sum(weight[:, -1:] * slope, axis=2)
 
     return _open_rows(evaluate)

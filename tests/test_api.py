@@ -24,7 +24,9 @@ def test_every_export_resolves(name):
 
 def test_importing_the_package_loads_no_scipy():
     # scipy.special alone took about half of a paper-sized fit's start-up
-    code = "import sys, robust_t, robust_t.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, robust_t, robust_t.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC] + sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "[]"

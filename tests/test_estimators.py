@@ -83,7 +83,8 @@ def bracket_set(k):
     with p, n and nu cycling over (1, 2, 3, 5), (30, 90, 300, 1000) and
     (0.7, 2, 5, 40, 1e6), n/40 rows 10-60 units out where k % 3 = 0, in
     units of 1e-3, 1 or 1e3 in turn."""
-    p, n, nu = (1, 2, 3, 5)[k % 4], (30, 90, 300, 1000)[k // 4 % 4], (0.7, 2.0, 5.0, 40.0, 1e6)[k % 5]
+    p, n = (1, 2, 3, 5)[k % 4], (30, 90, 300, 1000)[k // 4 % 4]
+    nu = (0.7, 2.0, 5.0, 40.0, 1e6)[k % 5]
     rng = np.random.default_rng(k)
     a = rng.standard_normal((p, p))
     rows = sample(MvtParams(rng.standard_normal(p), a @ a.T + 0.1 * np.eye(p), nu), n, rng)

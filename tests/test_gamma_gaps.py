@@ -1,11 +1,10 @@
 """log_gamma, digamma and gamma_gaps against 40-digit mpmath values."""
 
+import mpmath
 import numpy as np
 import pytest
 
-mpmath = pytest.importorskip("mpmath")
-
-from robust_t.special import digamma, gamma_gaps, log_gamma  # noqa: E402
+from robust_t.special import digamma, gamma_gaps, log_gamma
 
 EPS = np.finfo(float).eps
 NU = np.concatenate([np.geomspace(0.1, 200.0, 60), np.linspace(0.1, 200.0, 60)])

@@ -251,7 +251,8 @@ class TestObservedNuTerms:
     @pytest.mark.parametrize("nu", [0.3, 3.0, 150.0])
     def test_slope_matches_finite_difference(self, nu):
         h = 1e-6 * nu
-        slope = _observed_nu_slope(self.S_GRID, nu, 3, _observed_nu_terms(self.S_GRID, nu, 3)[2][2])
+        trigamma_gap = _observed_nu_terms(self.S_GRID, nu, 3)[2][2]
+        slope = _observed_nu_slope(self.S_GRID, nu, 3, trigamma_gap)
         fd = (_observed_nu_terms(self.S_GRID, nu + h, 3)[0]
               - _observed_nu_terms(self.S_GRID, nu - h, 3)[0]) / (2.0 * h)
         assert np.allclose(slope, fd, rtol=1e-5, atol=1e-7 / nu ** 2)
