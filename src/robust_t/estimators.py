@@ -211,8 +211,10 @@ class FitResult:
     trace holds one record per evaluation: its change norm and the
     objective at its result. Every third evaluation starts from a SQUAREM
     point, or from the previous result where that point failed its checks,
-    and solves for nu to the root; the others take one Newton step. nu_clamped
-    is True when the last nu step found no sign change on the bracket and
+    and solves for nu to the root; the others take one Newton step. Where the
+    nu equation has several roots on NU_BRACKET, that solve returns the root
+    its Newton search reaches from the nu that F starts at. nu_clamped is
+    True when the last nu step found no sign change on the bracket and
     returned an endpoint.
     """
 

@@ -17,6 +17,7 @@ how many worker processes execute the groups.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -122,7 +123,7 @@ class ReplicateRecord:
 
 @dataclass(frozen=True)
 class MethodSummary:
-    """Aggregates over the replicates that produced a converged fit."""
+    """Counts over one config's records; means over its n_used converged fits, NaN if none."""
 
     method: str
     q: Optional[float]
@@ -141,9 +142,11 @@ class MethodSummary:
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """The summaries and their records: replicate by replicate, each ML then the q grid."""
+
     spec: SimulationSpec
     ml: MethodSummary
-    mlq: MethodSummary
+    mlq: MethodSummary  # q_sweep's least finite mean_combined (first on ties), else q_sweep[0]
     selected_q: float
     q_sweep: tuple[MethodSummary, ...]
     records: tuple[ReplicateRecord, ...]
@@ -200,17 +203,11 @@ def distance_metrics(estimate: MvtParams, truth: MvtParams) -> DistanceMetrics:
     return DistanceMetrics(d_mu, d_sigma, (estimate.nu - truth.nu) ** 2)
 
 
-def _upper_triangle(sigma: np.ndarray) -> tuple[float, ...]:
-    iu = np.triu_indices(sigma.shape[0])
-    return tuple(float(v) for v in sigma[iu])
-
-
 def _fit_record(index: int, method: str, q: Optional[float], outcome,
-                spec: SimulationSpec) -> ReplicateRecord:
+                spec: SimulationSpec, upper: tuple[np.ndarray, np.ndarray]) -> ReplicateRecord:
     if isinstance(outcome, DegenerateData):
-        p = spec.true_params.dim
-        nan_mu = (math.nan,) * p
-        nan_sig = (math.nan,) * (p * (p + 1) // 2)
+        nan_mu = (math.nan,) * spec.true_params.dim
+        nan_sig = (math.nan,) * len(upper[0])
         return ReplicateRecord(index, method, q, True, False, 0, nan_mu,
                                nan_sig, math.nan, math.nan, math.nan, math.nan)
     dist = distance_metrics(outcome.params, spec.true_params)
@@ -221,8 +218,8 @@ def _fit_record(index: int, method: str, q: Optional[float], outcome,
         failed=False,
         converged=outcome.converged,
         iterations=outcome.iterations,
-        mu=tuple(float(v) for v in outcome.params.mu),
-        sigma=_upper_triangle(outcome.params.sigma),
+        mu=tuple(outcome.params.mu.tolist()),
+        sigma=tuple(outcome.params.sigma[upper].tolist()),
         nu=outcome.params.nu,
         d_mu=dist.d_mu,
         d_sigma=dist.d_sigma,
@@ -252,43 +249,31 @@ def _group_records(args) -> list[ReplicateRecord]:
     labels = [(METHOD_ML, None)] + [(METHOD_MLQ, q) for q in spec.q_grid]
     configs = [replace(spec.fit_config, method=method, q=(1.0 if q is None else q))
                for method, q in labels]
-    return [_fit_record(index, method, q, outcome, spec)
+    upper = np.triu_indices(spec.true_params.dim)
+    return [_fit_record(index, method, q, outcome, spec, upper)
             for index, outcomes in zip(indices, _fit_batch(datasets, configs))
             for (method, q), outcome in zip(labels, outcomes)]
 
 
-def _summarize(records: list[ReplicateRecord], method: str, q: Optional[float],
-               truth: MvtParams) -> MethodSummary:
-    group = [r for r in records if r.method == method and r.q == q]
-    n_failed = sum(r.failed for r in group)
-    n_nonconverged = sum((not r.failed) and (not r.converged) for r in group)
-    used = [r for r in group if not r.failed and r.converged]
+def _summarize(records: list[ReplicateRecord], truth: MvtParams) -> MethodSummary:
+    """One config's summary; its means are the column means of the converged rows."""
+    table = np.array([(*r.mu, *r.sigma, r.nu, r.d_mu, r.d_sigma, r.sq_err_nu,
+                       r.d_mu + r.d_sigma + abs(r.nu - truth.nu)) for r in records])
+    used = np.array([r.converged for r in records])
+    means = table[used].mean(axis=0) if used.any() else np.full(table.shape[1], math.nan)
     p = truth.dim
-    if used:
-        mean_mu = np.mean([r.mu for r in used], axis=0)
-        tri = np.mean([r.sigma for r in used], axis=0)
-        mean_sigma = np.zeros((p, p))
-        mean_sigma[np.triu_indices(p)] = tri
-        mean_sigma = mean_sigma + np.triu(mean_sigma, 1).T
-        mean_nu = float(np.mean([r.nu for r in used]))
-        mean_d_mu = float(np.mean([r.d_mu for r in used]))
-        mean_d_sigma = float(np.mean([r.d_sigma for r in used]))
-        mse_nu = float(np.mean([r.sq_err_nu for r in used]))
-        combined = float(np.mean(
-            [r.d_mu + r.d_sigma + abs(r.nu - truth.nu) for r in used]
-        ))
-    else:
-        mean_mu = np.full(p, math.nan)
-        mean_sigma = np.full((p, p), math.nan)
-        mean_nu = mean_d_mu = mean_d_sigma = mse_nu = combined = math.nan
+    upper = np.triu_indices(p)
+    mean_sigma = np.empty((p, p))
+    mean_sigma[upper] = mean_sigma[upper[::-1]] = means[p:-5]
+    mean_nu, mean_d_mu, mean_d_sigma, mse_nu, combined = means[-5:].tolist()
     return MethodSummary(
-        method=method,
-        q=q,
-        n_replications=len(group),
-        n_failed=n_failed,
-        n_nonconverged=n_nonconverged,
-        n_used=len(used),
-        mean_mu=mean_mu,
+        method=records[0].method,
+        q=records[0].q,
+        n_replications=len(records),
+        n_failed=sum(r.failed for r in records),
+        n_nonconverged=sum(not (r.failed or r.converged) for r in records),
+        n_used=int(used.sum()),
+        mean_mu=means[:p],
         mean_sigma=mean_sigma,
         mean_nu=mean_nu,
         mean_d_mu=mean_d_mu,
@@ -305,31 +290,28 @@ def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
     (_replicate_groups): every fit of every replicate in a group, ML and the
     whole q grid, advances in one batch, so a group costs as many
     iterations as its slowest fit. jobs > 1 runs the groups on a process
-    pool. A fit's result does not depend on its batch, and aggregation
-    happens in replicate order, so the report is identical for any worker
-    count and any grouping.
+    pool of at most one worker per usable CPU; the report does not depend on
+    either (see the module docstring).
     """
     tasks = [(spec, group) for group in _replicate_groups(spec, jobs)]
     if jobs > 1:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         # the pool starts all its workers at the first submit, so it gets no idle ones
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), cpus or 1)) as pool:
             chunks = list(pool.map(_group_records, tasks))
     else:
         chunks = [_group_records(t) for t in tasks]
     records = [record for chunk in chunks for record in chunk]
 
-    truth = spec.true_params
-    ml = _summarize(records, METHOD_ML, None, truth)
-    sweep = tuple(_summarize(records, METHOD_MLQ, q, truth) for q in spec.q_grid)
-    finite = [s for s in sweep if math.isfinite(s.mean_combined)]
-    candidates = finite if finite else list(sweep)
-    best = min(candidates, key=lambda s: s.mean_combined)
+    slots = 1 + len(spec.q_grid)
+    ml, *sweep = (_summarize(records[k::slots], spec.true_params) for k in range(slots))
+    best = min(sweep, key=lambda s: (not math.isfinite(s.mean_combined), s.mean_combined))
     return SimulationReport(
         spec=spec,
         ml=ml,
         mlq=best,
         selected_q=float(best.q),
-        q_sweep=sweep,
+        q_sweep=tuple(sweep),
         records=tuple(records),
     )
 

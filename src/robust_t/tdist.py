@@ -36,9 +36,6 @@ __all__ = [
     "score_curve",
 ]
 
-# Below this distance from 1.0, q is treated as exactly 1 (plain logarithm).
-_Q_ONE_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class MvtParams:
@@ -153,7 +150,7 @@ def lq_from_log(log_u, q):
     if not (q > 0.0).all():
         raise DomainError("q must be positive")
     log_u = np.asarray(log_u, dtype=float)
-    plain = np.abs(q - 1.0) < _Q_ONE_TOL
+    plain = q == 1.0
     if plain.all():
         return log_u
     one_minus_q = np.where(plain, 1.0, 1.0 - q)

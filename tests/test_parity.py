@@ -66,3 +66,41 @@ def test_a_method_that_one_side_never_finished_has_no_mean_there():
     summary = parity.compare([failed("mlq")], [finished("mlq", 4.0, iterations=9)])
     assert summary["mean_iterations_by_method"] == {"mlq": {"parent": None, "change": 9.0}}
     assert summary["unconverged_by_method"] == {"mlq": {"parent": 0, "change": 0}}
+
+
+def summary(method, q, mean_nu, n_used=2, mean_mu=(2.0, 1.0)):
+    return {"method": method, "q": q, "n_replications": 2, "n_failed": 0,
+            "n_nonconverged": 2 - n_used, "n_used": n_used, "mean_mu": np.array(mean_mu),
+            "mean_sigma": np.eye(2), "mean_nu": mean_nu, "mean_d_mu": 0.5,
+            "mean_d_sigma": 0.25, "mse_nu": 1.0, "mean_combined": 2.0}
+
+
+def report(selected_q, *summaries):
+    return {"selected_q": selected_q, "summaries": list(summaries)}
+
+
+def test_compare_simulations_takes_the_largest_gap_of_each_field():
+    nan = float("nan")
+    parent = [report(0.9, summary("ml", None, 3.0), summary("mlq", 0.9, 4.0)),
+              report(0.8, summary("ml", None, nan, n_used=0), summary("mlq", 0.8, 5.0))]
+    change = [report(0.9, summary("ml", None, 3.0 + 2e-15), summary("mlq", 0.9, 4.0,
+                                                                      mean_mu=(2.0, 1.0 + 1e-15))),
+              report(0.8, summary("ml", None, nan, n_used=0), summary("mlq", 0.8, 5.0))]
+    result = parity.compare_simulations(parent, change)
+    assert result["reports"] == 2 and result["summaries"] == 4
+    assert result["labels_equal"] and result["selected_q_equal"]
+    gaps = result["max_abs_d"]
+    assert set(gaps) == set(summary("ml", None, 0.0)) - {"method", "q"}
+    assert gaps["mean_nu"] == abs(3.0 + 2e-15 - 3.0)  # NaN on both sides counts as 0
+    assert gaps["mean_mu"] == abs(1.0 + 1e-15 - 1.0)
+    assert gaps["n_used"] == 0.0 and gaps["mean_sigma"] == 0.0
+
+
+def test_compare_simulations_flags_a_moved_q_and_a_one_sided_nan():
+    parent = [report(0.9, summary("ml", None, 3.0), summary("mlq", 0.9, 4.0))]
+    change = [report(0.8, summary("ml", None, float("nan"), n_used=0),
+                     summary("mlq", 0.8, 4.0))]
+    result = parity.compare_simulations(parent, change)
+    assert not result["selected_q_equal"] and not result["labels_equal"]
+    assert result["max_abs_d"]["mean_nu"] == float("inf")
+    assert result["max_abs_d"]["n_used"] == 2.0

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,28 @@ def same_fit(a, b):
             and (a.converged, a.nu_clamped) == (b.converged, b.nu_clamped))
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool run_simulation opens; the pools run inline."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 class TestRunSimulation:
     def test_records_bitwise_equal_to_single_fits(self):
         spec = small_spec()
@@ -216,34 +239,93 @@ class TestRunSimulation:
         assert rt.run_simulation(spec).records == expected
         assert calls
 
-    def test_pool_has_no_more_workers_than_groups(self, monkeypatch):
+    def test_pool_has_no_more_workers_than_groups(self, monkeypatch, pool_sizes):
         # the pool starts all its workers at the first submit
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         spec = small_spec(n_replications=2)
         expected = rt.run_simulation(spec).records
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
         assert rt.run_simulation(spec, jobs=100_000).records == expected
-        assert sizes == [2]
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_has_no_more_workers_than_usable_cpus(self, monkeypatch, pool_sizes, affinity):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)),
+                                raising=False)
+        else:  # a platform without affinity masks
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        spec = small_spec(n_replications=5)
+        expected = rt.run_simulation(spec).records
+        # the groups still follow jobs: one per replicate
+        assert rt.run_simulation(spec, jobs=100_000).records == expected
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize("settings", [
+        dict(n_replications=12),  # more than 8 converged fits per config
+        dict(n_replications=4, fit_config=FitConfig(max_iter=12)),  # some unconverged
+    ])
+    def test_summaries_match_plain_numpy_over_the_converged_records(self, settings):
+        spec = small_spec(**settings)
+        report = rt.run_simulation(spec)
+        truth = spec.true_params
+        upper = np.triu_indices(2)
+
+        def full(triangle):
+            m = np.zeros((2, 2))
+            m[upper] = triangle
+            return m + np.triu(m, 1).T
+
+        def assert_mean(actual, column):
+            # the same mean up to the order of summation
+            column = np.asarray(column, dtype=float)
+            expected = np.mean(column, axis=0)
+            bound = 64 * np.finfo(float).eps * np.max(np.abs(column))
+            np.testing.assert_allclose(actual, expected, rtol=0.0, atol=bound)
+
+        for summary in (report.ml, *report.q_sweep):
+            group = [r for r in report.records if (r.method, r.q) == (summary.method, summary.q)]
+            used = [r for r in group if r.converged]
+            assert summary.n_replications == len(group) == spec.n_replications
+            assert summary.n_failed == 0
+            assert summary.n_nonconverged == len(group) - len(used)
+            assert summary.n_used == len(used)
+            means = (summary.mean_mu, summary.mean_sigma, summary.mean_nu, summary.mean_d_mu,
+                     summary.mean_d_sigma, summary.mse_nu, summary.mean_combined)
+            if not used:
+                assert all(np.isnan(m).all() for m in means)
+                continue
+            columns = ([r.mu for r in used], [full(r.sigma) for r in used],
+                       [r.nu for r in used], [r.d_mu for r in used],
+                       [r.d_sigma for r in used], [r.sq_err_nu for r in used],
+                       [r.d_mu + r.d_sigma + abs(r.nu - truth.nu) for r in used])
+            for mean, column in zip(means, columns):
+                assert_mean(mean, column)
+        if spec.n_replications > 8:
+            assert all(s.n_used > 8 for s in (report.ml, *report.q_sweep))
+        else:
+            assert any(s.n_used == 0 for s in report.q_sweep)
 
     def test_rank_deficient_replicates_recorded_as_failed(self, monkeypatch):
         spec = small_spec(n_outliers=0, n_replications=2)
         line = np.outer(np.arange(spec.n), [1.0, 2.0])
         monkeypatch.setattr(simulation, "generate_replicate", lambda spec, index: line)
         assert all(r.failed for r in rt.run_simulation(spec).records)
+
+
+class TestDistanceMetrics:
+    def test_location_scatter_and_nu_distances(self):
+        truth = rt.preset_case(1)
+        estimate = rt.MvtParams(np.array([5.0, 5.0]), np.array([[2.0, 0.5], [0.5, 3.0]]), 5.0)
+        d = rt.distance_metrics(estimate, truth)
+        assert d == (5.0, math.sqrt(5.5), 4.0)
+        assert (d.d_mu, d.d_sigma, d.sq_err_nu) == tuple(d)
+        assert rt.distance_metrics(truth, truth) == (0.0, 0.0, 0.0)
+
+    def test_rejects_a_truth_of_another_dimension(self):
+        estimate = rt.MvtParams(np.zeros(3), np.eye(3), 3.0)
+        with pytest.raises(DimensionMismatch):
+            rt.distance_metrics(estimate, rt.preset_case(1))
 
 
 class TestFitMany:

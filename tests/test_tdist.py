@@ -124,7 +124,8 @@ class TestLqTransform:
         assert lq_transform(4.0, 0.5) == pytest.approx(2.0, rel=1e-14)
 
     def test_q_to_one_limit(self):
-        for q in (1.0 - 1e-10, 1.0 + 1e-10):
+        # within 1e-12 of 1 too, q != 1 takes the deformed logarithm
+        for q in (1.0 - 1e-10, 1.0 + 1e-10, 1.0 - 1e-13, 1.0 + 1e-13):
             assert abs(lq_transform(3.0, q) - math.log(3.0)) < 1e-8
 
     def test_uniform_convergence_near_one(self):

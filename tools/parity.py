@@ -21,6 +21,12 @@ differ; the fits with bitwise-equal mu, sigma and nu, by method; the
 largest |d mu|, |d sigma| and |d nu| over the fits both sides finished;
 and by method, on each side, the mean iterations and the count of
 unconverged fits over the fits that side finished.
+
+For case_i and case_ii the line also holds, under "simulation", the parity
+of run_simulation on the same specs (one report per seed): for each
+MethodSummary field, the largest |d| between parent and change (0 where
+both are NaN, inf where one is), and whether every selected_q and every
+summary's (method, q) is equal.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 SETS = ("case_i", "case_ii", "large")
+SIMULATED = ("case_i", "case_ii")
 
 
 def _grid(low: float, count: int) -> tuple[float, ...]:
@@ -55,18 +62,25 @@ def record_outcomes() -> dict[str, list[dict]]:
                 for outcomes in _fit_batch(datasets, configs)
                 for (method, _), outcome in zip(labels, outcomes)]
 
-    def paper(case, seed, replicates, grid):
-        spec = rt.SimulationSpec(true_params=rt.preset_case(case), n=200, n_outliers=5,
-                                 n_replications=replicates, seed=seed)
+    def paper(spec):
         datasets = [rt.contaminate(rt.generate_replicate(spec, k), spec, k)
-                    for k in range(replicates)]
-        return run(datasets, [("ml", 1.0)] + [("mlq", q) for q in grid])
+                    for k in range(spec.n_replications)]
+        return run(datasets, [("ml", 1.0)] + [("mlq", q) for q in spec.q_grid])
 
-    return {
-        "case_i": [fit for seed in range(100, 160) for fit in paper(1, seed, 2, _grid(0.8, 10))],
-        "case_ii": paper(2, 7, 30, _grid(0.7, 15)),
-        "large": run([large_dataset(0, 0, 2000, 10)], [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)]),
-    }
+    def specs(case, seeds, replicates, grid):
+        return [rt.SimulationSpec(true_params=rt.preset_case(case), n=200, n_outliers=5,
+                                  n_replications=replicates, q_grid=grid, seed=seed)
+                for seed in seeds]
+
+    simulated = {"case_i": specs(1, range(100, 160), 2, _grid(0.8, 10)),
+                 "case_ii": specs(2, [7], 30, _grid(0.7, 15))}
+    outcomes = {name: [fit for spec in simulated[name] for fit in paper(spec)]
+                for name in SIMULATED}
+    outcomes["large"] = run([large_dataset(0, 0, 2000, 10)],
+                            [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)])
+    outcomes["simulations"] = {name: [_report(rt.run_simulation(spec)) for spec in simulated[name]]
+                               for name in SIMULATED}
+    return outcomes
 
 
 def _record(method: str, outcome) -> dict:
@@ -77,6 +91,37 @@ def _record(method: str, outcome) -> dict:
     return {"method": method, "failure": None, "iterations": outcome.iterations,
             "converged": outcome.converged, "nu_clamped": outcome.nu_clamped,
             "mu": np.array(params.mu), "sigma": np.array(params.sigma), "nu": params.nu}
+
+
+def _report(report) -> dict:
+    """A SimulationReport's selected q and summaries as plain values."""
+    return {"selected_q": report.selected_q,
+            "summaries": [dict(vars(summary)) for summary in (report.ml, *report.q_sweep)]}
+
+
+def _largest_gap(a, b) -> float:
+    """The largest |a - b| over the entries, 0 where both are NaN and inf where one is."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    gap = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
+    return float(np.max(np.where(np.isnan(gap), np.inf, gap)))
+
+
+def compare_simulations(parent: list[dict], change: list[dict]) -> dict:
+    """The summary parity of one set, report k of parent against report k of change."""
+    if len(parent) != len(change):
+        raise ValueError(f"{len(parent)} parent reports against {len(change)} change reports")
+    pairs = [pair for a, b in zip(parent, change)
+             for pair in zip(a["summaries"], b["summaries"], strict=True)]
+    fields = [key for key in parent[0]["summaries"][0] if key not in ("method", "q")]
+    return {
+        "reports": len(parent),
+        "summaries": len(pairs),
+        "labels_equal": all((a["method"], a["q"]) == (b["method"], b["q"]) for a, b in pairs),
+        "selected_q_equal": all(a["selected_q"] == b["selected_q"]
+                                for a, b in zip(parent, change)),
+        "max_abs_d": {key: max(_largest_gap(a[key], b[key]) for a, b in pairs)
+                      for key in fields},
+    }
 
 
 def compare(parent: list[dict], change: list[dict]) -> dict:
@@ -157,7 +202,11 @@ def main(argv=None) -> int:
         print(f"{side}: {sha}", file=sys.stderr, flush=True)
         sides[side] = outcomes_of(tree)
     for name in SETS:
-        print(json.dumps({"set": name, **compare(sides["parent"][name], sides["change"][name])}))
+        line = {"set": name, **compare(sides["parent"][name], sides["change"][name])}
+        if name in SIMULATED:
+            line["simulation"] = compare_simulations(sides["parent"]["simulations"][name],
+                                                     sides["change"]["simulations"][name])
+        print(json.dumps(line))
     return 0
 
 
