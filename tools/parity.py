@@ -50,7 +50,7 @@ def _grid(low: float, count: int) -> tuple[float, ...]:
     return tuple(round(low + 0.02 * k, 2) for k in range(count))
 
 
-def record_outcomes() -> dict[str, list[dict]]:
+def record_outcomes() -> dict:
     """Every fit of SETS under the robust_t and perfbench found on sys.path."""
     import robust_t as rt
     from robust_t.estimators import _fit_batch
