@@ -184,11 +184,15 @@ def parse_q_grid(text: str) -> tuple[float, ...]:
         low, high, step = (float(v) for v in parts)
     except ValueError:
         raise _UsageError(f"q grid must be lo:hi:step, got {text!r}") from None
-    if not all(map(math.isfinite, (low, high, step))) or step <= 0 or high < low:
-        raise _UsageError(f"invalid q grid {text!r}")
+    # below 1e-12, the grid's rounding, values repeat; the ends are checked before any is made
+    if not all(map(math.isfinite, (low, high, step))) or step < 1e-12 or high < low:
+        raise _UsageError(f"invalid q grid {text!r}: need finite lo <= hi and step >= 1e-12")
     count = int(round((high - low) / step)) + 1
-    grid = tuple(round(low + k * step, 12) for k in range(count) if low + k * step <= high + step * 1e-9)
-    return grid
+    if low + (count - 1) * step > high + step * 1e-9:
+        count -= 1
+    if not (0.0 < round(low, 12) and round(low + (count - 1) * step, 12) <= 1.0):
+        raise _UsageError(f"q grid {text!r} leaves (0, 1]")
+    return tuple(round(low + k * step, 12) for k in range(count))
 
 
 def parse_range(text: str) -> tuple[float, float]:
@@ -263,8 +267,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_score_curve(args) -> int:
-    if args.points < 1:
-        raise _UsageError("--points must be at least 1")
+    for flag, value in (("--points", args.points), ("--p", args.p)):
+        if value < 1:
+            raise _UsageError(f"{flag} must be at least 1")
     if not 0.0 < args.s_min < args.s_max < math.inf:
         raise _UsageError("need 0 < --s-min < --s-max < inf for the log-spaced grid")
     params = MvtParams(np.zeros(args.p), np.eye(args.p), args.nu)

@@ -99,8 +99,8 @@ from .linalg import (
 )
 from .tdist import (
     MvtParams,
-    _observed_nu_slope,
-    _tilted_terms,
+    _nu_slope,
+    _nu_terms,
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
@@ -313,7 +313,7 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: floa
     first call asks for the values at lo, hi and start but the slope at
     start only. After the first call, the rows of equations whose root is
     already accepted are NaN: g skips them and returns NaN there (see
-    _open_rows), so each step costs only the equations still open. Where
+    _observed_nu_score), so each step costs only the open equations. Where
     the value does not change sign on the bracket, lo is returned where it
     is negative and hi where positive, flagged unbracketed. Otherwise the root
     is found by Newton's method from start, safeguarded by bisection: a
@@ -362,45 +362,29 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: floa
     return root, bracketed
 
 
-def _open_rows(evaluate):
-    """The g of _bracketed_root for B equations, from evaluate(rows, nu).
-
-    A row of nu that is NaN belongs to an equation whose root is already
-    accepted. It is dropped before evaluate, and so before any special
-    function, sees it; its values and slopes come back NaN. evaluate gets
-    the open rows (a slice when every row is open) and their candidates,
-    and returns their values and slopes.
-    """
-
-    def g(nu):
-        is_open = ~np.isnan(nu[:, 0])
-        if is_open.all():
-            return evaluate(slice(None), nu)
-        rows = np.flatnonzero(is_open)
-        value = np.full(nu.shape, np.nan)
-        slope = np.full((nu.shape[0], 1), np.nan)
-        value[rows], slope[rows] = evaluate(rows, nu[rows])
-        return value, slope
-
-    return g
-
-
 def _observed_nu_score(s, one_minus_q, p: int):
     """The nu equations sum f^(1 - q) T of B fits, as the g of _bracketed_root.
 
     f is the density at squared distances s (B, n) and the candidate nu with
     log det sigma taken as 0, which drops a factor free of nu, and with it the
-    data's units; d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2.
+    data's units; d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2. A NaN row of
+    nu, an accepted root, is dropped before any special function sees it and
+    comes back NaN.
     """
 
-    def evaluate(rows, nu):
-        dist, v, tilt = s[rows, None, :], nu[:, :, None], one_minus_q[rows, None, None]
-        t, weight, trigamma_gap = _tilted_terms(dist, v, tilt, 0.0, p)
-        last, gap = t[:, -1:], trigamma_gap[:, -1:]
-        slope = _observed_nu_slope(dist, v[:, -1:], p, gap) + 0.5 * tilt * last * last
-        return np.sum(t * weight, axis=2), np.sum(weight[:, -1:] * slope, axis=2)
+    def g(nu):
+        is_open = ~np.isnan(nu[:, 0])
+        # a slice leaves s uncopied while every row is open
+        rows = slice(None) if is_open.all() else np.flatnonzero(is_open)
+        dist, v, tilt = s[rows, None, :], nu[rows, :, None], one_minus_q[rows, None, None]
+        t, weight, trigamma_gap = _nu_terms(dist, v, p, tilt)
+        slope = _nu_slope(dist, v[:, -1:], p, t[:, -1:], trigamma_gap[:, -1:], tilt)
+        values, slopes = np.full(nu.shape, np.nan), np.full((nu.shape[0], 1), np.nan)
+        values[rows] = np.sum(t * weight, axis=2)
+        slopes[rows] = np.sum(weight[:, -1:] * slope, axis=2)
+        return values, slopes
 
-    return _open_rows(evaluate)
+    return g
 
 
 def solve_nu_ml(prev: MvtParams, est: EStepQuantities) -> NuSolveResult:

@@ -1,9 +1,9 @@
 """Multivariate t distribution core.
 
 Density, q-deformed logarithm, sampler, conditional expectations of the
-latent mixing variable, and the one nu score, T = 2 d log f / d nu: the
-plain score is T / 2, and the weighted score (score_curve) and the nu
-equation weight it by f^(1 - q).
+latent mixing variable, and the one nu kernel behind score_curve and the
+nu equation: _log_density (log f), _nu_terms (T = 2 d log f / d nu and
+f^(1 - q)) and _nu_slope (d (f^(1 - q) T) / d nu over f^(1 - q)).
 
 All density work happens in log space. The weight f(x)^(1-q) is always
 computed as exp((1 - q) * log_pdf(x)), because (nu + s) raised to the
@@ -97,9 +97,10 @@ def as_data_matrix(data) -> np.ndarray:
     return rows
 
 
-def _log_norm_const(nu, p: int, log_det_sigma, log_gamma_gap):
-    """Log of the t normalizing constant from gamma_gaps's log Gamma gap at nu / 2."""
-    return log_gamma_gap - 0.5 * p * np.log(np.pi * nu) - 0.5 * log_det_sigma
+def _log_density(log1p_ratio, nu, p: int, log_det_sigma, log_gamma_gap):
+    """The one expression for log f, from log1p(s / nu) and gamma_gaps's log Gamma gap."""
+    return (log_gamma_gap - 0.5 * p * np.log(np.pi * nu) - 0.5 * log_det_sigma
+            - 0.5 * (nu + p) * log1p_ratio)
 
 
 def log_pdf_from_dist(s, nu, p: int, log_det_sigma):
@@ -111,8 +112,7 @@ def log_pdf_from_dist(s, nu, p: int, log_det_sigma):
     nu = np.asarray(nu, dtype=float)
     if not (nu > 0.0).all():
         raise DomainError("degrees of freedom must be positive")
-    const = _log_norm_const(nu, p, log_det_sigma, gamma_gaps(0.5 * nu, p)[0])
-    return const - 0.5 * (nu + p) * np.log1p(s / nu)
+    return _log_density(np.log1p(s / nu), nu, p, log_det_sigma, gamma_gaps(0.5 * nu, p)[0])
 
 
 def log_pdf_rows(rows, params: MvtParams) -> np.ndarray:
@@ -200,23 +200,19 @@ def cond_expect_log_u(s, nu, p: int):
     return float(out) if np.isscalar(s) else out
 
 
-def _observed_nu_terms(s, nu, p: int):
-    """T = 2 d log f / d nu, the one nu score, log1p(s / nu) and gamma_gaps at nu / 2."""
-    gaps = gamma_gaps(0.5 * nu, p)
+def _nu_terms(s, nu, p: int, one_minus_q, log_det_sigma=0.0):
+    """The nu kernel: T = 2 d log f / d nu, f^(1 - q) and the trigamma gap at nu / 2."""
+    log_gamma_gap, digamma_gap, trigamma_gap = gamma_gaps(0.5 * nu, p)
     log1p_ratio = np.log1p(s / nu)
-    return gaps[1] - log1p_ratio + (s - p) / (nu + s), log1p_ratio, gaps
-
-
-def _observed_nu_slope(s, nu, p: int, trigamma_gap):
-    """dT/dnu of _observed_nu_terms's T, from gamma_gaps's trigamma gap at nu / 2."""
-    return 0.5 * trigamma_gap + s / (nu * (nu + s)) - (s - p) / (nu + s) / (nu + s)
-
-
-def _tilted_terms(s, nu, one_minus_q, log_det, p: int):
-    """T (_observed_nu_terms), the weights f^(1 - q) at distances s, and the trigamma gap."""
-    t, log1p_ratio, (log_gamma_gap, _, trigamma_gap) = _observed_nu_terms(s, nu, p)
-    log_f = _log_norm_const(nu, p, log_det, log_gamma_gap) - 0.5 * (nu + p) * log1p_ratio
+    t = digamma_gap - log1p_ratio + (s - p) / (nu + s)
+    log_f = _log_density(log1p_ratio, nu, p, log_det_sigma, log_gamma_gap)
     return t, np.exp(one_minus_q * log_f), trigamma_gap
+
+
+def _nu_slope(s, nu, p: int, t, trigamma_gap, one_minus_q):
+    """dT/dnu + (1 - q) T^2 / 2, the nu slope of f^(1 - q) T over f^(1 - q)."""
+    d_t = 0.5 * trigamma_gap + s / (nu * (nu + s)) - (s - p) / (nu + s) / (nu + s)
+    return d_t + 0.5 * one_minus_q * t * t
 
 
 def score_curve(params: MvtParams, s_grid, q: float = 1.0) -> np.ndarray:
@@ -242,5 +238,5 @@ def score_curve(params: MvtParams, s_grid, q: float = 1.0) -> np.ndarray:
         raise DomainError("s grid must be finite and nonnegative")
     if np.any(np.diff(grid) < 0.0):
         raise DomainError("s grid must be ascending")
-    t, weight, _ = _tilted_terms(grid, params.nu, 1.0 - q, params.log_det_sigma, params.dim)
+    t, weight, _ = _nu_terms(grid, params.nu, params.dim, 1.0 - q, params.log_det_sigma)
     return np.column_stack([grid, 0.5 * t * weight])

@@ -11,7 +11,9 @@ import robust_t
 
 SRC = str(Path(robust_t.__file__).resolve().parents[1])
 
-MODULES = ["robust_t"] + [f"robust_t.{info.name}" for info in pkgutil.iter_modules(robust_t.__path__)]
+MODULES = ["robust_t"] + [
+    f"robust_t.{info.name}" for info in pkgutil.iter_modules(robust_t.__path__)
+]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -198,13 +198,15 @@ class TestParseQGrid:
         assert grid[-1] == 0.98
         assert cli.parse_q_grid("0.8:0.95:0.1") == (0.8, 0.9)
         assert cli.parse_q_grid("0.9") == (0.9,)
+        assert cli.parse_q_grid("0.9:1.01:0.05") == (0.9, 0.95, 1.0)
 
     @pytest.mark.parametrize("text", ["0.9:0.8:0.1", "0.8:0.9:0", "a:b", "nan:1:0.1",
-                                      "0.8:inf:0.1"])
+                                      "0.8:inf:0.1", "0.8:0.98:1e-13", "-5:5:1e-12"])
     def test_invalid_grid_exits_1(self, capsys, tmp_path, monkeypatch, text):
         monkeypatch.setattr(cli, "run_simulation", no_simulation)
+        # one token, so that a grid starting with "-" reaches parse_q_grid
         code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30",
-                           "--q-grid", text, "--output", str(tmp_path / "report"))
+                           f"--q-grid={text}", "--output", str(tmp_path / "report"))
         assert code == 1
         assert_one_line_error(err)
 
@@ -233,6 +235,15 @@ class TestScoreCurve:
                            "--output", str(mlq))
         assert code == 0 and err == ""
         assert mlq.read_bytes() == ml.read_bytes()
+
+    @pytest.mark.parametrize("p", ["0", "-2"])
+    def test_dimension_below_one_rejected(self, capsys, tmp_path, p):
+        target = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "score-curve", "--p", p, "--output", str(target))
+        assert code == 1
+        assert_one_line_error(err)
+        assert "--p" in err
+        assert not target.exists()
 
     def test_infinite_grid_end_rejected(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"

@@ -212,7 +212,8 @@ class TestSolveNuMl:
 
         far = brentq(lambda s: 6.0 * t(0.5, 3.0) + t(s, 3.0), 2.0, 1e6, xtol=1e-14, rtol=1e-15)
         s = np.append(np.full(6, 0.5), far)
-        solved = solve_nu_ml(MvtParams(np.zeros(2), np.eye(2), 10.0), EStepQuantities(None, None, s))
+        prev = MvtParams(np.zeros(2), np.eye(2), 10.0)
+        solved = solve_nu_ml(prev, EStepQuantities(None, None, s))
         assert solved.bracketed
         assert solved.nu == pytest.approx(3.0, abs=1e-8)
 

@@ -506,15 +506,14 @@ class TestFitBatch:
 
 
 def log_equations(targets):
-    """g for the equations log(x) = target, evaluated only on the open rows."""
+    """g for the equations log(x) = target, recording the rows it gets that are not NaN."""
     evaluated = []
 
-    def evaluate(rows, x):
-        evaluated.append(np.arange(targets.shape[0])[rows])
-        value = targets[rows, None] - np.log(x)
-        return value, -1.0 / x[:, -1:]
+    def g(x):
+        evaluated.append(np.flatnonzero(~np.isnan(x[:, 0])))
+        return targets[:, None] - np.log(x), -1.0 / x[:, -1:]
 
-    return estimators._open_rows(evaluate), evaluated
+    return g, evaluated
 
 
 class TestBracketedRoot:
@@ -557,13 +556,12 @@ class TestBracketedRoot:
         lo, hi = self.LO, self.HI
         calls = []
 
-        def evaluate(rows, x):
+        def g(x):
             calls.append(x.shape)
             value = np.where((x == lo) | (x == hi), 1.0 - np.log(x), np.nan)
             return value, np.full((x.shape[0], 1), -1.0)
 
-        roots, bracketed = estimators._bracketed_root(estimators._open_rows(evaluate), lo, hi,
-                                                      np.array([3.0]))
+        roots, bracketed = estimators._bracketed_root(g, lo, hi, np.array([3.0]))
         assert np.isnan(roots[0]) and bracketed[0] and len(calls) == 1
 
     def test_no_row_is_evaluated_again_at_an_earlier_candidate(self, monkeypatch):

@@ -9,8 +9,8 @@ from robust_t.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from robust_t.special import digamma, log_gamma
 from robust_t.tdist import (
     MvtParams,
-    _observed_nu_slope,
-    _observed_nu_terms,
+    _nu_slope,
+    _nu_terms,
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
@@ -240,7 +240,7 @@ class TestObservedNuTerms:
         # T / 2 is the paper's complete-data score; both sides cancel near
         # their zero, so the error is taken relative to the size of its terms
         for nu in np.geomspace(0.1, 200.0, 25):
-            t = _observed_nu_terms(self.S_GRID, nu, p)[0]
+            t = _nu_terms(self.S_GRID, nu, p, 0.0)[0]
             u1 = cond_expect_u(self.S_GRID, nu, p)
             u2 = cond_expect_log_u(self.S_GRID, nu, p)
             paper = 0.5 * (1.0 + u2 - u1 + math.log(0.5 * nu) - special.digamma(0.5 * nu))
@@ -252,10 +252,10 @@ class TestObservedNuTerms:
     @pytest.mark.parametrize("nu", [0.3, 3.0, 150.0])
     def test_slope_matches_finite_difference(self, nu):
         h = 1e-6 * nu
-        trigamma_gap = _observed_nu_terms(self.S_GRID, nu, 3)[2][2]
-        slope = _observed_nu_slope(self.S_GRID, nu, 3, trigamma_gap)
-        fd = (_observed_nu_terms(self.S_GRID, nu + h, 3)[0]
-              - _observed_nu_terms(self.S_GRID, nu - h, 3)[0]) / (2.0 * h)
+        t, _, trigamma_gap = _nu_terms(self.S_GRID, nu, 3, 0.0)
+        slope = _nu_slope(self.S_GRID, nu, 3, t, trigamma_gap, 0.0)
+        fd = (_nu_terms(self.S_GRID, nu + h, 3, 0.0)[0]
+              - _nu_terms(self.S_GRID, nu - h, 3, 0.0)[0]) / (2.0 * h)
         assert np.allclose(slope, fd, rtol=1e-5, atol=1e-7 / nu ** 2)
 
 
@@ -299,7 +299,7 @@ class TestScoreCurve:
         grid = np.array([0.0, 0.5, 2.0, 10.0, 1e8])
         curve = score_curve(STANDARD_2D, grid, q=1.0)
         assert np.array_equal(curve[:, 0], grid)
-        assert np.array_equal(curve[:, 1], 0.5 * _observed_nu_terms(grid, 3.0, 2)[0])
+        assert np.array_equal(curve[:, 1], 0.5 * _nu_terms(grid, 3.0, 2, 0.0)[0])
 
     def test_mlq_curve_respects_scatter_geometry(self):
         # f^(1 - q) T / 2 = d f^(1 - q) / d nu / (1 - q), by central differences
