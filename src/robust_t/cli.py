@@ -52,6 +52,8 @@ _CSV = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
 # a line of only whitespace, commas and quotes, matched from the \n before it
 _BLANK_CANDIDATE = re.compile(r'\n(?:[^\S\n]|[,"])*(?=\n|\Z)')
 _NUMBER = "%.17g"
+# a longer q grid is rejected before any value is built; simulate fits each one
+_MAX_Q_VALUES = 10_000
 
 
 class _UsageError(Exception):
@@ -187,9 +189,11 @@ def parse_q_grid(text: str) -> tuple[float, ...]:
     # below 1e-12, the grid's rounding, values repeat; the ends are checked before any is made
     if not all(map(math.isfinite, (low, high, step))) or step < 1e-12 or high < low:
         raise _UsageError(f"invalid q grid {text!r}: need finite lo <= hi and step >= 1e-12")
-    count = int(round((high - low) / step)) + 1
+    count = int(round(min((high - low) / step, _MAX_Q_VALUES))) + 1  # capped, so finite
     if low + (count - 1) * step > high + step * 1e-9:
         count -= 1
+    if count > _MAX_Q_VALUES:
+        raise _UsageError(f"q grid {text!r} has more than {_MAX_Q_VALUES} values")
     if not (0.0 < round(low, 12) and round(low + (count - 1) * step, 12) <= 1.0):
         raise _UsageError(f"q grid {text!r} leaves (0, 1]")
     return tuple(round(low + k * step, 12) for k in range(count))

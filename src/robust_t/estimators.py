@@ -37,13 +37,15 @@ paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
   digamma(nu/2)) = 0, holding the E-step's u1 and u2 fixed; by Fisher's
   identity its term equals T at the same parameters, so the two equations
   agree at a fixed point, f^(1 - q) weights included. F at a SQUAREM point
-  solves it to the root; elsewhere the search ends at its first Newton step
-  from the previous nu that lands in the sign-change interval, a step that
-  is zero exactly where the score is. The plain method's location and
-  scatter step is EM's, which does not lower the log-likelihood, and a root
-  maximizes it over nu where the score changes sign once on NU_BRACKET;
-  one Newton step need not. So that its trace does not decrease rests on
-  the solve at each SQUAREM point and on measurement, not on a proof.
+  solves it to the root. Elsewhere F takes one Newton step from the previous
+  nu, zero exactly where the score is; only where the slope is not negative
+  or the step leaves NU_BRACKET does the search read the bracket's ends, to
+  stop at its first Newton step in the sign-change interval or clamp. The
+  plain method's location and scatter step is EM's, which does not lower
+  the log-likelihood, and a root maximizes it over nu where the score
+  changes sign once on NU_BRACKET; one Newton step need not. So that its
+  trace does not decrease rests on the solve at each SQUAREM point and on
+  measurement, not on a proof.
 * SQUAREM (Varadhan & Roland 2008, scheme S3). Every three iterations
   form one cycle: from x0 the engine takes x1 = F(x0) and x2 = F(x1),
   then moves to x' = x0 - 2 alpha r + alpha^2 v, with r = x1 - x0 and
@@ -62,9 +64,9 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   of mu, the upper triangle of sigma, and nu (nu omitted when held fixed),
   taken over one evaluation of F, so a fit stops when F moves it by less
   than epsilon;
-* where the score does not change sign on NU_BRACKET, the nu search clamps
-  to lo if it is negative and to hi if positive (near-normal data), and the
-  result is flagged rather than treated as an error;
+* where a nu search that reads NU_BRACKET's ends finds no sign change, it
+  clamps to lo if the score is negative and to hi if positive (near-normal
+  data), and the result is flagged rather than treated as an error;
 * every scatter is floored at SPD_FLOOR on the correlation scale, so a
   change of a column's units moves no fit, and a variance below SPD_FLOOR
   times its column's squared median absolute deviation fails the fit.
@@ -215,7 +217,8 @@ class FitResult:
     nu equation has several roots on NU_BRACKET, that solve returns the root
     its Newton search reaches from the nu that F starts at. nu_clamped is
     True when the last nu step found no sign change on the bracket and
-    returned an endpoint.
+    returned an endpoint. A one-step iteration that takes its Newton step
+    reads no end, so it is not clamped even where the score keeps its sign.
     """
 
     params: MvtParams
@@ -309,34 +312,46 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: floa
     """Roots of B scalar equations on the common bracket [lo, hi].
 
     g maps candidate values of shape (B, k) to the B equations' values
-    there, (B, k), and their slopes at the last candidate, (B, 1): the
-    first call asks for the values at lo, hi and start but the slope at
-    start only. After the first call, the rows of equations whose root is
-    already accepted are NaN: g skips them and returns NaN there (see
-    _observed_nu_score), so each step costs only the open equations. Where
-    the value does not change sign on the bracket, lo is returned where it
-    is negative and hi where positive, flagged unbracketed. Otherwise the root
-    is found by Newton's method from start, safeguarded by bisection: a
-    Newton step that lands in the closed sign-change interval [a, b] is
-    taken, even onto the current iterate, and any other is replaced by the
-    geometric midpoint sqrt(a b), which needs lo > 0. A root is accepted
-    after a Newton step of at most newton_tol, once its interval is _NU_XTOL
-    narrow, or at an exact zero; a NaN value or slope gives a NaN root. The
-    engine passes newton_tol = inf where F does not start from a SQUAREM
-    point, so the search ends at its first Newton step in [a, b].
-    Every equation's iterates depend on its own values only. Returns
-    (roots, bracketed), both of shape (B,).
+    there, (B, k), and their slopes at the last candidate, (B, 1). Rows of
+    equations already settled are NaN: g skips them and returns NaN there
+    (see _observed_nu_score), so each call costs only the open equations.
+    The search starts from x, start clipped to the bracket. With newton_tol
+    = inf (the engine's iterations that do not start from a SQUAREM point)
+    the first call asks for x alone, and an equation whose slope there is
+    negative and whose Newton step stays on [lo, hi] takes that step,
+    flagged bracketed. The others, and all at a finite newton_tol, evaluate
+    lo and hi too. Where the value does not change sign on the bracket, lo
+    is returned where it is negative and hi where positive, flagged
+    unbracketed. Otherwise the root is found by Newton's method from x,
+    safeguarded by bisection: a Newton step that lands in the closed
+    sign-change interval [a, b] is taken, even onto the current iterate, and
+    any other is replaced by the geometric midpoint sqrt(a b), which needs
+    lo > 0. A root is accepted after a Newton step of at most newton_tol
+    (at inf, the first in [a, b]), once its interval is _NU_XTOL narrow, or
+    at an exact zero; a NaN value or slope gives a NaN root. Every
+    equation's iterates depend on its own values only. Returns (roots,
+    bracketed), both of shape (B,).
     """
-    count = start.shape[0]
     x = np.clip(start, lo, hi)
-    value, slope = g(np.column_stack([np.full(count, lo), np.full(count, hi), x]))
-    f_lo, f_hi, fx, dfx = value[:, 0], value[:, 1], value[:, 2], slope[:, 0]
+    ends = np.tile([lo, hi], (x.shape[0], 1))
+    one_step = newton_tol == math.inf
+    value, slope = g(x[:, None] if one_step else np.column_stack([ends, x]))
+    fx, dfx = value[:, -1], slope[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = x - fx / dfx
+    # one step: where the score falls at x and its Newton step stays on the bracket, no end
+    guarded = one_step & (dfx < 0.0) & (lo <= newton) & (newton <= hi)
+    if one_step:
+        if guarded.all():
+            return newton, guarded
+        value, _ = g(np.where(guarded[:, None], np.nan, ends))
+    f_lo, f_hi = value[:, 0], value[:, 1]
     # no sign change: lo where f < 0 at both ends, hi where f > 0, or an end where f = 0
-    root = np.where((f_hi == 0.0) | (f_lo > 0.0), hi, lo)
+    root = np.where(guarded, newton, np.where((f_hi == 0.0) | (f_lo > 0.0), hi, lo))
     todo = np.sign(f_lo) * np.sign(f_hi) < 0.0
-    bracketed = todo | (f_lo == 0.0) | (f_hi == 0.0)
+    bracketed = guarded | todo | (f_lo == 0.0) | (f_hi == 0.0)
     # the sign-change interval is [a, b], with f(a) of the sign of f(lo)
-    a, b = np.full(count, lo), np.full(count, hi)
+    a, b = ends.T
     for _ in range(_NU_MAX_STEPS):
         hit = todo & (fx == 0.0)
         root = np.where(hit, x, root)

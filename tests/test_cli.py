@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -201,14 +202,23 @@ class TestParseQGrid:
         assert cli.parse_q_grid("0.9:1.01:0.05") == (0.9, 0.95, 1.0)
 
     @pytest.mark.parametrize("text", ["0.9:0.8:0.1", "0.8:0.9:0", "a:b", "nan:1:0.1",
-                                      "0.8:inf:0.1", "0.8:0.98:1e-13", "-5:5:1e-12"])
+                                      "0.8:inf:0.1", "0.8:0.98:1e-13", "-5:5:1e-12",
+                                      "1e-12:1:1e-12", "-1e300:1e300:1e-12"])
     def test_invalid_grid_exits_1(self, capsys, tmp_path, monkeypatch, text):
         monkeypatch.setattr(cli, "run_simulation", no_simulation)
+        began = time.perf_counter()
         # one token, so that a grid starting with "-" reaches parse_q_grid
         code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30",
                            f"--q-grid={text}", "--output", str(tmp_path / "report"))
+        assert time.perf_counter() - began < 1.0
         assert code == 1
         assert_one_line_error(err)
+
+    def test_the_longest_grid_is_accepted(self):
+        grid = cli.parse_q_grid("0.0001:1:0.0001")
+        assert len(grid) == cli._MAX_Q_VALUES and grid[-1] == 1.0
+        with pytest.raises(cli._UsageError):
+            cli.parse_q_grid("0.00005:1:0.00005")
 
 
 class TestScoreCurve:

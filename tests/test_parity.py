@@ -104,3 +104,35 @@ def test_compare_simulations_flags_a_moved_q_and_a_one_sided_nan():
     assert not result["selected_q_equal"] and not result["labels_equal"]
     assert result["max_abs_d"]["mean_nu"] == float("inf")
     assert result["max_abs_d"]["n_used"] == 2.0
+
+
+def test_counting_nu_scores_counts_each_fit_at_each_candidate():
+    import robust_t as rt
+    from robust_t import estimators
+
+    rows = np.random.default_rng(0).standard_t(4.0, size=(60, 2))
+    configs = [rt.FitConfig(max_iter=1), rt.FitConfig(method="mlq", q=0.9, max_iter=1)]
+    original = estimators._observed_nu_score
+    with parity.counting_nu_scores(estimators) as count:
+        one_step = rt.fit_many(rows, configs)
+    assert estimators._observed_nu_score is original
+    # a first iteration whose Newton steps stay on the bracket: one candidate per fit
+    assert not any(result.nu_clamped for result in one_step) and count == [2]
+    with parity.counting_nu_scores(estimators) as count:
+        rt.fit_many(rows, [rt.FitConfig(max_iter=3)])
+    # the third starts from a SQUAREM point: both ends, the start, then its steps
+    assert count[0] >= 2 + 3
+
+
+def test_set_line_reports_each_sides_nu_score_evaluations():
+    fits = [finished("ml", 3.0)]
+    sim = [report(0.9, summary("ml", None, 3.0))]
+    parent = {"case_i": fits, "large": fits, "simulations": {"case_i": sim},
+              "nu_score_evaluations": {"case_i": 300, "large": 12}}
+    change = dict(parent, nu_score_evaluations={"case_i": 200, "large": 9})
+    line = parity.set_line("case_i", parent, change)
+    assert line["set"] == "case_i" and line["fits"] == 1
+    assert line["nu_score_evaluations"] == {"parent": 300, "change": 200}
+    assert line["simulation"]["selected_q_equal"]
+    line = parity.set_line("large", parent, change)
+    assert line["nu_score_evaluations"] == {"parent": 12, "change": 9} and "simulation" not in line

@@ -89,14 +89,20 @@ def observed_nu_roots(rows, mu, sigma, q):
 def first_newton_step(rows, mu, sigma, q, nu):
     """The engine's one-step nu search from nu on sum f^(1 - q) T at (mu, sigma).
 
-    Newton's method on the sum, safeguarded by bisection on the bracket: the
-    first Newton step that lands in the closed sign-change interval [a, b]
-    is returned, and any other is replaced by the geometric midpoint
-    sqrt(a b). Without a sign change on the bracket, the end the value's
-    sign points to is returned: a where it is negative, b where positive.
+    nu is clipped to the bracket. Where the slope there is negative and the
+    Newton step stays on the bracket, that step is returned. Elsewhere the
+    search is Newton's method safeguarded by bisection: the first Newton step
+    that lands in the closed sign-change interval [a, b] is returned, and any
+    other is replaced by the geometric midpoint sqrt(a b). Without a sign
+    change on the bracket, the end the value's sign points to is returned: a
+    where it is negative, b where positive.
     """
     score, slope = observed_nu_score(rows, mu, sigma, q)
     a, b = estimators.NU_BRACKET
+    nu = min(max(nu, a), b)
+    step = nu - score(nu) / slope(nu)
+    if slope(nu) < 0.0 and a <= step <= b:
+        return step
     if (score(a) < 0.0) == (score(b) < 0.0):
         return b if score(b) == 0.0 or score(a) > 0.0 else a
     low_negative = score(a) < 0.0
@@ -421,7 +427,7 @@ class TestFitMany:
     def test_one_batched_iteration_matches_the_scalar_steps(self):
         # mu and sigma are the paper's steps, written here in plain numpy with
         # the PX-EM denominator sum(w) and every scatter centered on the
-        # updated mu; nu takes one safeguarded Newton step on the observed-data
+        # updated mu; nu takes one guarded Newton step on the observed-data
         # equation at the updated mu and sigma (the inexact ECME step)
         rows = replicate_data(small_spec(), 2)
         configs = batch_configs(FitConfig(max_iter=1))
@@ -442,6 +448,58 @@ class TestFitMany:
             # nu is one step, not the root
             nu = first_newton_step(rows, mu, sigma, config.q, nu0)
             assert abs(result.params.nu - nu) <= 1e-9
+
+    def test_a_guarded_step_where_the_score_keeps_its_sign_on_the_bracket(self):
+        # at the first update of q = 0.8 the score is positive at both ends
+        # of NU_BRACKET; the guarded step from 3 stops at 4.37 instead of
+        # clamping to 200, and still raises the objective
+        rows = replicate_data(small_spec(), 2)
+        config = FitConfig(method="mlq", q=0.8)
+        first = fit(rows, replace(config, max_iter=1))
+        mu, sigma, nu = first.params.mu, first.params.sigma, first.params.nu
+        assert observed_nu_roots(rows, mu, sigma, config.q) == [estimators.NU_BRACKET[1]]
+        assert not first.nu_clamped and abs(nu - 4.368478) < 1e-6
+        assert abs(nu - first_newton_step(rows, mu, sigma, config.q, 3.0)) <= 1e-9
+        log_f = multivariate_t(mu, sigma, df=3.0).logpdf(rows)
+        before = np.sum(np.expm1((1.0 - config.q) * log_f)) / (1.0 - config.q)
+        assert first.objective > before
+        result = fit(rows, config)
+        assert result.converged
+        roots = observed_nu_roots(rows, result.params.mu, result.params.sigma, config.q)
+        assert min(abs(result.params.nu - root) for root in roots) <= 1e-8
+
+    def test_fits_that_fall_back_leave_the_guarded_steps_alone(self, monkeypatch):
+        # near-normal rows run nu to 200, where the Newton step leaves the
+        # bracket and the search evaluates its ends; other fits of the batch
+        # take the guarded step in the same calls
+        contaminated = replicate_data(small_spec(), 0)
+        normal = np.random.default_rng(5).normal(size=contaminated.shape) @ [[2.0, 0.5],
+                                                                           [0.0, 1.0]]
+        configs = batch_configs()
+        original = estimators._bracketed_root
+        mixed = []
+
+        def root(g, lo, hi, start, *args):
+            calls = []
+
+            def recorded(nu):
+                calls.append(nu)
+                return g(nu)
+
+            roots = original(recorded, lo, hi, start, *args)
+            # a one-candidate first call, then the ends of some of its fits only
+            if len(calls) > 1 and calls[0].shape[1] == 1:
+                done = np.isnan(calls[1][:, 0])
+                mixed.append(done.any() and not done.all())
+            return roots
+
+        monkeypatch.setattr(estimators, "_bracketed_root", root)
+        batched = estimators._fit_batch([normal, contaminated], configs)
+        assert any(mixed)
+        assert all(result.params.nu == estimators.NU_BRACKET[1] for result in batched[0])
+        for data, outcomes in zip([normal, contaminated], batched):
+            for got, want in zip(outcomes, fit_many(data, configs)):
+                assert same_fit(got, want) and got.iterations == want.iterations
 
     def test_an_iteration_from_a_squarem_point_solves_for_nu(self):
         # the third iteration evaluates F at the SQUAREM point and solves the
@@ -592,8 +650,9 @@ class TestBracketedRoot:
         assert solves and repeats == []
 
     def test_a_step_away_from_squarem_points_evaluates_the_score_once(self, monkeypatch):
-        # where the first Newton step lands in the sign-change interval, an
-        # iteration that does not start from a SQUAREM point stops there
+        # an iteration that does not start from a SQUAREM point first asks for
+        # the score at each fit's nu alone; where every fit's Newton step from
+        # there goes downhill and stays on the bracket, it stops at that step
         original = estimators._bracketed_root
         calls = []
 
@@ -609,18 +668,22 @@ class TestBracketedRoot:
             return original(g_counted, lo, hi, start, *args)
 
         monkeypatch.setattr(estimators, "_bracketed_root", counted)
-        result = fit(replicate_data(small_spec(), 0), FitConfig())
-        assert len(calls) == result.iterations
+        results = fit_many(replicate_data(small_spec(), 0), batch_configs())
+        assert len(calls) == max(result.iterations for result in results)
+        lo, hi = estimators.NU_BRACKET
         one_step = []
         for iteration, evaluations in enumerate(calls, 1):
             nu, value, slope = evaluations[0]
-            (lo, hi, x), (f_lo, f_hi, fx) = nu[0], value[0]
-            a, b = (x, hi) if (fx < 0.0) == (f_lo < 0.0) else (lo, x)
-            newton = x - fx / slope[0, 0]
-            if iteration % 3 and (f_lo < 0.0) != (f_hi < 0.0) and a <= newton <= b:
+            if iteration % 3 == 0:
+                # from a SQUAREM point: both ends and the start
+                assert (nu[:, 0] == lo).all() and (nu[:, 1] == hi).all() and nu.shape[1] == 3
+                continue
+            assert nu.shape[1] == 1 and not np.isin(nu, [lo, hi]).any()
+            newton = nu[:, 0] - value[:, 0] / slope[:, 0]
+            if ((slope[:, 0] < 0.0) & (lo <= newton) & (newton <= hi)).all():
                 assert len(evaluations) == 1
                 one_step.append(iteration)
-        # on these rows every such first step lands inside
+        # on these rows every such step is taken
         assert one_step == [k for k in range(1, len(calls) + 1) if k % 3]
 
     def test_closed_rows_reach_no_special_function(self):

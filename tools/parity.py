@@ -19,8 +19,9 @@ Per set it prints one JSON line: the fits; the failures on each side; the
 fits whose failure state, iteration count or (converged, nu_clamped)
 differ; the fits with bitwise-equal mu, sigma and nu, by method; the
 largest |d mu|, |d sigma| and |d nu| over the fits both sides finished;
-and by method, on each side, the mean iterations and the count of
-unconverged fits over the fits that side finished.
+by method, on each side, the mean iterations and the count of unconverged
+fits over the fits that side finished; and, on each side, the nu-score
+evaluations of the set's fits, one per fit and candidate nu.
 
 For case_i and case_ii the line also holds, under "simulation", the parity
 of run_simulation on the same specs (one report per seed): for each
@@ -38,6 +39,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +52,43 @@ def _grid(low: float, count: int) -> tuple[float, ...]:
     return tuple(round(low + 0.02 * k, 2) for k in range(count))
 
 
+@contextmanager
+def counting_nu_scores(estimators):
+    """Count the engine's nu-score evaluations while open, one per fit and candidate nu.
+
+    Wraps estimators._observed_nu_score, whose evaluators take one row of
+    candidates per fit, NaN for a fit that is not evaluated. Yields a
+    one-item list holding the count.
+    """
+    count = [0]
+    original = estimators._observed_nu_score
+
+    def counted_score(*args):
+        g = original(*args)
+
+        def counted(nu):
+            count[0] += int(np.count_nonzero(~np.isnan(nu[:, 0]))) * nu.shape[1]
+            return g(nu)
+
+        return counted
+
+    estimators._observed_nu_score = counted_score
+    try:
+        yield count
+    finally:
+        estimators._observed_nu_score = original
+
+
 def record_outcomes() -> dict:
     """Every fit of SETS under the robust_t and perfbench found on sys.path."""
     import robust_t as rt
-    from robust_t.estimators import _fit_batch
+    from robust_t import estimators
     from workloads import large_dataset
 
     def run(datasets, labels):
         configs = [rt.FitConfig(method=method, q=q) for method, q in labels]
         return [_record(method, outcome)
-                for outcomes in _fit_batch(datasets, configs)
+                for outcomes in estimators._fit_batch(datasets, configs)
                 for (method, _), outcome in zip(labels, outcomes)]
 
     def paper(spec):
@@ -74,10 +103,15 @@ def record_outcomes() -> dict:
 
     simulated = {"case_i": specs(1, range(100, 160), 2, _grid(0.8, 10)),
                  "case_ii": specs(2, [7], 30, _grid(0.7, 15))}
-    outcomes = {name: [fit for spec in simulated[name] for fit in paper(spec)]
-                for name in SIMULATED}
-    outcomes["large"] = run([large_dataset(0, 0, 2000, 10)],
-                            [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)])
+    outcomes, evaluations = {}, {}
+    for name in SETS:
+        with counting_nu_scores(estimators) as count:
+            outcomes[name] = ([fit for spec in simulated[name] for fit in paper(spec)]
+                              if name in SIMULATED else
+                              run([large_dataset(0, 0, 2000, 10)],
+                                  [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)]))
+        evaluations[name] = count[0]
+    outcomes["nu_score_evaluations"] = evaluations
     outcomes["simulations"] = {name: [_report(rt.run_simulation(spec)) for spec in simulated[name]]
                                for name in SIMULATED}
     return outcomes
@@ -168,6 +202,18 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
     }
 
 
+def set_line(name: str, parent: dict, change: dict) -> dict:
+    """The printed parity line of set name, from each side's record_outcomes."""
+    sides = {"parent": parent, "change": change}
+    line = {"set": name, **compare(parent[name], change[name]),
+            "nu_score_evaluations": {side: outcomes["nu_score_evaluations"][name]
+                                     for side, outcomes in sides.items()}}
+    if name in SIMULATED:
+        line["simulation"] = compare_simulations(parent["simulations"][name],
+                                                 change["simulations"][name])
+    return line
+
+
 def outcomes_of(tree: Path) -> dict[str, list[dict]]:
     """record_outcomes run by a fresh interpreter on tree's committed files."""
     target = tree / "parity.pickle"
@@ -202,11 +248,7 @@ def main(argv=None) -> int:
         print(f"{side}: {sha}", file=sys.stderr, flush=True)
         sides[side] = outcomes_of(tree)
     for name in SETS:
-        line = {"set": name, **compare(sides["parent"][name], sides["change"][name])}
-        if name in SIMULATED:
-            line["simulation"] = compare_simulations(sides["parent"]["simulations"][name],
-                                                     sides["change"]["simulations"][name])
-        print(json.dumps(line))
+        print(json.dumps(set_line(name, sides["parent"], sides["change"])))
     return 0
 
 
