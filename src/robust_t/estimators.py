@@ -36,11 +36,12 @@ paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
   paper's ECM step solves sum f^(1 - q) (1 + u2 - u1 + log(nu/2) -
   digamma(nu/2)) = 0, holding the E-step's u1 and u2 fixed; by Fisher's
   identity its term equals T at the same parameters, so the two equations
-  agree at a fixed point, f^(1 - q) weights included. F at a SQUAREM point
-  solves it to the root. Elsewhere F takes one Newton step from the previous
-  nu, zero exactly where the score is; only where the slope is not negative
-  or the step leaves NU_BRACKET does the search read the bracket's ends, to
-  stop at its first Newton step in the sign-change interval or clamp. The
+  agree at a fixed point, f^(1 - q) weights included. From the nu F starts
+  at, the search takes Newton steps while the slope is negative and the step
+  stays on NU_BRACKET: to the root at a SQUAREM point, else one, zero exactly
+  where the score is. Only after a step fails that guard does it read the
+  bracket's ends, to clamp or to go on in the sign-change interval, to the
+  root or (off SQUAREM points) to its first Newton step there. The
   plain method's location and scatter step is EM's, which does not lower
   the log-likelihood, and a root maximizes it over nu where the score
   changes sign once on NU_BRACKET; one Newton step need not. So that its
@@ -64,9 +65,10 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   of mu, the upper triangle of sigma, and nu (nu omitted when held fixed),
   taken over one evaluation of F, so a fit stops when F moves it by less
   than epsilon;
-* where a nu search that reads NU_BRACKET's ends finds no sign change, it
-  clamps to lo if the score is negative and to hi if positive (near-normal
-  data), and the result is flagged rather than treated as an error;
+* a nu search reads NU_BRACKET's ends only after a Newton step fails its
+  guard; where it finds no sign change there, it clamps to lo if the score
+  is negative and to hi if positive (near-normal data), and the result is
+  flagged rather than treated as an error;
 * every scatter is floored at SPD_FLOOR on the correlation scale, so a
   change of a column's units moves no fit, and a variance below SPD_FLOOR
   times its column's squared median absolute deviation fails the fit.
@@ -214,11 +216,13 @@ class FitResult:
     objective at its result. Every third evaluation starts from a SQUAREM
     point, or from the previous result where that point failed its checks,
     and solves for nu to the root; the others take one Newton step. Where the
-    nu equation has several roots on NU_BRACKET, that solve returns the root
-    its Newton search reaches from the nu that F starts at. nu_clamped is
-    True when the last nu step found no sign change on the bracket and
-    returned an endpoint. A one-step iteration that takes its Newton step
-    reads no end, so it is not clamped even where the score keeps its sign.
+    nu equation has several roots on NU_BRACKET, that solve returns the one
+    Newton steps reach from the nu F starts at while the score falls there
+    (a local maximum in nu), or after a step fails that guard the one its
+    bracketed search reaches. nu_clamped is True when the last nu step read
+    the bracket's ends, found no sign change and returned an endpoint. A
+    solve that never reads the ends is never clamped, even where the score
+    keeps its sign.
     """
 
     params: MvtParams
@@ -312,56 +316,59 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: floa
     """Roots of B scalar equations on the common bracket [lo, hi].
 
     g maps candidate values of shape (B, k) to the B equations' values
-    there, (B, k), and their slopes at the last candidate, (B, 1). Rows of
-    equations already settled are NaN: g skips them and returns NaN there
-    (see _observed_nu_score), so each call costs only the open equations.
-    The search starts from x, start clipped to the bracket. With newton_tol
-    = inf (the engine's iterations that do not start from a SQUAREM point)
-    the first call asks for x alone, and an equation whose slope there is
-    negative and whose Newton step stays on [lo, hi] takes that step,
-    flagged bracketed. The others, and all at a finite newton_tol, evaluate
-    lo and hi too. Where the value does not change sign on the bracket, lo
+    there, (B, k), and their slopes at the last candidate, (B, 1); it
+    returns NaN at a NaN candidate and skips a row that is all NaN, an
+    equation already settled (see _observed_nu_score). The search starts
+    from x, start clipped to the bracket, and the first call asks for x
+    alone. Each equation takes Newton steps while its slope at x is negative
+    and the step stays on [lo, hi], flagged bracketed: at newton_tol = inf
+    (the engine's iterations that do not start from a SQUAREM point) it
+    stops after the first, otherwise after one of at most newton_tol. An
+    equation whose step fails that guard reads lo and hi in one call, bar an
+    end that x is. Where the value does not change sign on the bracket, lo
     is returned where it is negative and hi where positive, flagged
     unbracketed. Otherwise the root is found by Newton's method from x,
     safeguarded by bisection: a Newton step that lands in the closed
     sign-change interval [a, b] is taken, even onto the current iterate, and
     any other is replaced by the geometric midpoint sqrt(a b), which needs
-    lo > 0. A root is accepted after a Newton step of at most newton_tol
-    (at inf, the first in [a, b]), once its interval is _NU_XTOL narrow, or
-    at an exact zero; a NaN value or slope gives a NaN root. Every
-    equation's iterates depend on its own values only. Returns (roots,
-    bracketed), both of shape (B,).
+    lo > 0. Such a root is accepted after a Newton step of at most
+    newton_tol (at inf, the first in [a, b]) or once its interval is
+    _NU_XTOL narrow. Every search stops at an exact zero; a NaN value or
+    slope gives a NaN root. Every equation's iterates depend on its own
+    values only. Returns (roots, bracketed), both of shape (B,).
     """
     x = np.clip(start, lo, hi)
+    value, slope = g(x[:, None])
+    fx, dfx = value[:, 0], slope[:, 0]
     ends = np.tile([lo, hi], (x.shape[0], 1))
-    one_step = newton_tol == math.inf
-    value, slope = g(x[:, None] if one_step else np.column_stack([ends, x]))
-    fx, dfx = value[:, -1], slope[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = x - fx / dfx
-    # one step: where the score falls at x and its Newton step stays on the bracket, no end
-    guarded = one_step & (dfx < 0.0) & (lo <= newton) & (newton <= hi)
-    if one_step:
-        if guarded.all():
-            return newton, guarded
-        value, _ = g(np.where(guarded[:, None], np.nan, ends))
-    f_lo, f_hi = value[:, 0], value[:, 1]
-    # no sign change: lo where f < 0 at both ends, hi where f > 0, or an end where f = 0
-    root = np.where(guarded, newton, np.where((f_hi == 0.0) | (f_lo > 0.0), hi, lo))
-    todo = np.sign(f_lo) * np.sign(f_hi) < 0.0
-    bracketed = guarded | todo | (f_lo == 0.0) | (f_hi == 0.0)
     # the sign-change interval is [a, b], with f(a) of the sign of f(lo)
     a, b = ends.T
+    f_lo = root = np.full(x.shape, np.nan)
+    todo = free = bracketed = np.ones(x.shape, dtype=bool)  # free: has read no end
     for _ in range(_NU_MAX_STEPS):
+        free = free & todo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - fx / dfx
+        guarded = free & (dfx < 0.0) & (lo <= newton) & (newton <= hi)
+        fall = free & ~guarded & (fx != 0.0)
+        if fall.any():
+            held = ends == x[:, None]
+            ask = np.where(fall[:, None] & ~held, ends, np.nan)
+            need = ~np.isnan(ask).all(axis=0)
+            value = np.full(ends.shape, np.nan)
+            value[:, need] = g(ask[:, need])[0]
+            value = np.where(held, fx[:, None], value)
+            f_lo, f_hi = np.where(fall, value[:, 0], f_lo), value[:, 1]
+            # no sign change: lo where f < 0 at both ends, hi where f > 0, or an end where f = 0
+            change = np.sign(f_lo) * np.sign(f_hi) < 0.0
+            root = np.where(fall, np.where((f_hi == 0.0) | (f_lo > 0.0), hi, lo), root)
+            bracketed = np.where(fall, change | (f_lo == 0.0) | (f_hi == 0.0), bracketed)
+            todo, free = todo & ~(fall & ~change), free & ~fall
         hit = todo & (fx == 0.0)
         root = np.where(hit, x, root)
         todo = todo & ~hit
-        if not todo.any():
-            break
-        low = (fx < 0.0) == (f_lo < 0.0)
-        a, b = np.where(low, x, a), np.where(low, b, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - fx / dfx
+        low = ~free & ((fx < 0.0) == (f_lo < 0.0))
+        a, b = np.where(low, x, a), np.where(low | free, b, x)
         # a NaN step (from a NaN value or slope) is taken and accepted: the root is NaN
         use_newton = ~((newton < a) | (newton > b))
         step = np.where(use_newton, newton, np.sqrt(a * b))
@@ -382,21 +389,24 @@ def _observed_nu_score(s, one_minus_q, p: int):
 
     f is the density at squared distances s (B, n) and the candidate nu with
     log det sigma taken as 0, which drops a factor free of nu, and with it the
-    data's units; d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2. A NaN row of
-    nu, an accepted root, is dropped before any special function sees it and
-    comes back NaN.
+    data's units; d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2. A row of nu
+    that is all NaN, an accepted root, is dropped before any special function
+    sees it, and a NaN nu comes back NaN.
     """
+    s_minus_p = s - p
 
     def g(nu):
-        is_open = ~np.isnan(nu[:, 0])
+        is_open = ~np.isnan(nu).all(axis=1)
         # a slice leaves s uncopied while every row is open
         rows = slice(None) if is_open.all() else np.flatnonzero(is_open)
         dist, v, tilt = s[rows, None, :], nu[rows, :, None], one_minus_q[rows, None, None]
-        t, weight, trigamma_gap = _nu_terms(dist, v, p, tilt)
-        slope = _nu_slope(dist, v[:, -1:], p, t[:, -1:], trigamma_gap[:, -1:], tilt)
+        t, weight, shared = _nu_terms(dist, v, p, tilt, s_minus_p=s_minus_p[rows, None, :])
+        slope = _nu_slope(dist, v[:, -1:], t[:, -1:], [term[:, -1:] for term in shared], tilt)
+        sums = np.sum(t * weight, axis=2), np.sum(weight[:, -1:] * slope, axis=2)
+        if isinstance(rows, slice):
+            return sums
         values, slopes = np.full(nu.shape, np.nan), np.full((nu.shape[0], 1), np.nan)
-        values[rows] = np.sum(t * weight, axis=2)
-        slopes[rows] = np.sum(weight[:, -1:] * slope, axis=2)
+        values[rows], slopes[rows] = sums
         return values, slopes
 
     return g
@@ -643,12 +653,13 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
 
         converged = change < shared.epsilon
         stop = converged | ~ok | (iteration == shared.max_iter)
-        # no result carries an objective that overflowed
-        failure = np.select([collapsed, ~ok, stop & ~np.isfinite(objective)], [
-            "scatter collapsed", "weighted update produced non-finite parameters",
-            "the objective is not finite"], "")
+        failure = [""] * stop.shape[0]
+        if stop.any():  # no result carries an objective that overflowed
+            failure = np.select([collapsed, ~ok, stop & ~np.isfinite(objective)], [
+                "scatter collapsed", "weighted update produced non-finite parameters",
+                "the objective is not finite"], "").tolist()
         nu_values, clamped = nu.tolist(), (~bracketed).tolist()
-        fits = zip(state["index"].tolist(), failure.tolist(), stop.tolist(),
+        fits = zip(state["index"].tolist(), failure, stop.tolist(),
                    converged.tolist(), change.tolist(), objective.tolist())
         for row, (i, reason, stopped, done, step, value) in enumerate(fits):
             if reason:

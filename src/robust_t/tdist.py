@@ -3,7 +3,8 @@
 Density, q-deformed logarithm, sampler, conditional expectations of the
 latent mixing variable, and the one nu kernel behind score_curve and the
 nu equation: _log_density (log f), _nu_terms (T = 2 d log f / d nu and
-f^(1 - q)) and _nu_slope (d (f^(1 - q) T) / d nu over f^(1 - q)).
+f^(1 - q)) and _nu_slope (d (f^(1 - q) T) / d nu over f^(1 - q)), which
+takes the terms it shares with T from _nu_terms instead of computing them.
 
 All density work happens in log space. The weight f(x)^(1-q) is always
 computed as exp((1 - q) * log_pdf(x)), because (nu + s) raised to the
@@ -200,18 +201,24 @@ def cond_expect_log_u(s, nu, p: int):
     return float(out) if np.isscalar(s) else out
 
 
-def _nu_terms(s, nu, p: int, one_minus_q, log_det_sigma=0.0):
-    """The nu kernel: T = 2 d log f / d nu, f^(1 - q) and the trigamma gap at nu / 2."""
+def _nu_terms(s, nu, p: int, one_minus_q, log_det_sigma=0.0, s_minus_p=None):
+    """The nu kernel: T = 2 d log f / d nu, f^(1 - q) and the terms _nu_slope shares with T.
+
+    Those are the trigamma gap at nu / 2, nu + s and (s - p) / (nu + s); s_minus_p may hold s - p.
+    """
     log_gamma_gap, digamma_gap, trigamma_gap = gamma_gaps(0.5 * nu, p)
     log1p_ratio = np.log1p(s / nu)
-    t = digamma_gap - log1p_ratio + (s - p) / (nu + s)
-    log_f = _log_density(log1p_ratio, nu, p, log_det_sigma, log_gamma_gap)
-    return t, np.exp(one_minus_q * log_f), trigamma_gap
+    # the weight first, so that its temporaries are freed before the shared terms are made
+    weight = np.exp(one_minus_q * _log_density(log1p_ratio, nu, p, log_det_sigma, log_gamma_gap))
+    nu_s = nu + s
+    excess = (s - p if s_minus_p is None else s_minus_p) / nu_s
+    return digamma_gap - log1p_ratio + excess, weight, (trigamma_gap, nu_s, excess)
 
 
-def _nu_slope(s, nu, p: int, t, trigamma_gap, one_minus_q):
-    """dT/dnu + (1 - q) T^2 / 2, the nu slope of f^(1 - q) T over f^(1 - q)."""
-    d_t = 0.5 * trigamma_gap + s / (nu * (nu + s)) - (s - p) / (nu + s) / (nu + s)
+def _nu_slope(s, nu, t, shared, one_minus_q):
+    """dT/dnu + (1 - q) T^2 / 2, the nu slope of f^(1 - q) T over f^(1 - q); shared: _nu_terms's."""
+    trigamma_gap, nu_s, excess = shared
+    d_t = 0.5 * trigamma_gap + s / (nu * nu_s) - excess / nu_s
     return d_t + 0.5 * one_minus_q * t * t
 
 

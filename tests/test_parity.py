@@ -116,23 +116,37 @@ def test_counting_nu_scores_counts_each_fit_at_each_candidate():
     with parity.counting_nu_scores(estimators) as count:
         one_step = rt.fit_many(rows, configs)
     assert estimators._observed_nu_score is original
-    # a first iteration whose Newton steps stay on the bracket: one candidate per fit
-    assert not any(result.nu_clamped for result in one_step) and count == [2]
+    # a first iteration whose Newton steps stay on the bracket: one call, one candidate per fit
+    assert not any(result.nu_clamped for result in one_step)
+    assert count == {"calls": 1, "evaluations": 2}
     with parity.counting_nu_scores(estimators) as count:
         rt.fit_many(rows, [rt.FitConfig(max_iter=3)])
-    # the third starts from a SQUAREM point: both ends, the start, then its steps
-    assert count[0] >= 2 + 3
+    # the third starts from a SQUAREM point and takes Newton steps to the root
+    assert count["calls"] >= 2 + 2 and count["evaluations"] == count["calls"]
+
+
+def test_counting_nu_scores_counts_no_nan_candidate():
+    from robust_t import estimators
+
+    with parity.counting_nu_scores(estimators) as count:
+        g = estimators._observed_nu_score(np.ones((3, 4)), np.zeros(3), 2)
+        g(np.array([[np.nan, 200.0], [0.1, 200.0], [np.nan, np.nan]]))
+    assert count == {"calls": 1, "evaluations": 3}
 
 
 def test_set_line_reports_each_sides_nu_score_evaluations():
     fits = [finished("ml", 3.0)]
     sim = [report(0.9, summary("ml", None, 3.0))]
     parent = {"case_i": fits, "large": fits, "simulations": {"case_i": sim},
-              "nu_score_evaluations": {"case_i": 300, "large": 12}}
-    change = dict(parent, nu_score_evaluations={"case_i": 200, "large": 9})
+              "nu_score_evaluations": {"case_i": 300, "large": 12},
+              "nu_score_calls": {"case_i": 40, "large": 5}}
+    change = dict(parent, nu_score_evaluations={"case_i": 200, "large": 9},
+                  nu_score_calls={"case_i": 38, "large": 4})
     line = parity.set_line("case_i", parent, change)
     assert line["set"] == "case_i" and line["fits"] == 1
     assert line["nu_score_evaluations"] == {"parent": 300, "change": 200}
+    assert line["nu_score_calls"] == {"parent": 40, "change": 38}
     assert line["simulation"]["selected_q_equal"]
     line = parity.set_line("large", parent, change)
     assert line["nu_score_evaluations"] == {"parent": 12, "change": 9} and "simulation" not in line
+    assert line["nu_score_calls"] == {"parent": 5, "change": 4}

@@ -9,7 +9,7 @@ from scipy.special import digamma, polygamma
 from scipy.stats import multivariate_t
 
 import robust_t as rt
-from robust_t import estimators, simulation
+from robust_t import estimators, simulation, special
 from robust_t.errors import DegenerateData, DimensionMismatch, DomainError
 from robust_t.estimators import (
     FitConfig,
@@ -471,7 +471,8 @@ class TestFitMany:
     def test_fits_that_fall_back_leave_the_guarded_steps_alone(self, monkeypatch):
         # near-normal rows run nu to 200, where the Newton step leaves the
         # bracket and the search evaluates its ends; other fits of the batch
-        # take the guarded step in the same calls
+        # take guarded steps in the same calls, one-step and SQUAREM-point
+        # solves alike
         contaminated = replicate_data(small_spec(), 0)
         normal = np.random.default_rng(5).normal(size=contaminated.shape) @ [[2.0, 0.5],
                                                                            [0.0, 1.0]]
@@ -479,23 +480,22 @@ class TestFitMany:
         original = estimators._bracketed_root
         mixed = []
 
-        def root(g, lo, hi, start, *args):
-            calls = []
+        def root(g, lo, hi, start, newton_tol):
+            reads = np.zeros(start.shape, dtype=bool)
 
             def recorded(nu):
-                calls.append(nu)
+                reads[np.isin(nu, [lo, hi]).any(axis=1)] = True
                 return g(nu)
 
-            roots = original(recorded, lo, hi, start, *args)
-            # a one-candidate first call, then the ends of some of its fits only
-            if len(calls) > 1 and calls[0].shape[1] == 1:
-                done = np.isnan(calls[1][:, 0])
-                mixed.append(done.any() and not done.all())
+            roots = original(recorded, lo, hi, start, newton_tol)
+            # some fits of the solve read an end, the others never do
+            if reads.any() and not reads.all():
+                mixed.append("squarem" if newton_tol < math.inf else "one step")
             return roots
 
         monkeypatch.setattr(estimators, "_bracketed_root", root)
         batched = estimators._fit_batch([normal, contaminated], configs)
-        assert any(mixed)
+        assert set(mixed) == {"squarem", "one step"}
         assert all(result.params.nu == estimators.NU_BRACKET[1] for result in batched[0])
         for data, outcomes in zip([normal, contaminated], batched):
             for got, want in zip(outcomes, fit_many(data, configs)):
@@ -515,6 +515,27 @@ class TestFitMany:
             roots = observed_nu_roots(rows, before.params.mu, before.params.sigma, config.q)
             off_root += min(abs(before.params.nu - nu) for nu in roots) > 1e-6
         assert off_root > 0
+
+    def test_a_root_from_a_squarem_point_is_where_the_score_falls_or_a_clamp(self, monkeypatch):
+        # the guarded Newton steps reach a root at which the score falls, a
+        # local maximum in nu; near-normal rows clamp at 200
+        original = estimators._bracketed_root
+        kinds = []
+
+        def root(g, lo, hi, start, newton_tol):
+            roots, bracketed = original(g, lo, hi, start, newton_tol)
+            if newton_tol < math.inf:
+                _, slope = g(roots[:, None])
+                assert ((slope[:, 0] < 0.0) | ~bracketed).all()
+                kinds.extend(np.where(bracketed, "root", "clamp").tolist())
+            return roots, bracketed
+
+        monkeypatch.setattr(estimators, "_bracketed_root", root)
+        spec = small_spec()
+        datasets = [replicate_data(spec, k) for k in range(spec.n_replications)]
+        datasets.append(np.random.default_rng(5).normal(size=datasets[0].shape))
+        estimators._fit_batch(datasets, batch_configs())
+        assert {"root", "clamp"} <= set(kinds)
 
     def test_converged_nu_solves_the_observed_equation(self):
         # the fixed point in nu of the paper's equations, by Fisher's identity
@@ -564,14 +585,63 @@ class TestFitBatch:
 
 
 def log_equations(targets):
-    """g for the equations log(x) = target, recording the rows it gets that are not NaN."""
-    evaluated = []
+    """g for the equations log(x) = target, recording the candidates of each call."""
+    calls = []
 
     def g(x):
-        evaluated.append(np.flatnonzero(~np.isnan(x[:, 0])))
+        calls.append(x.copy())
         return targets[:, None] - np.log(x), -1.0 / x[:, -1:]
 
-    return g, evaluated
+    return g, calls
+
+
+def row_candidates(calls, row):
+    """The candidates that are not NaN of one row, call by call, over the calls that hold one."""
+    return [c[row][~np.isnan(c[row])].tolist() for c in calls if not np.isnan(c[row]).all()]
+
+
+def recording_repeats(monkeypatch):
+    """Patch _bracketed_root to record every (solve, row, candidate) it evaluates again.
+
+    A candidate that a call holds twice for one row counts as a repeat too.
+    Returns the repeats and the number of rows of each solve.
+    """
+    original = estimators._bracketed_root
+    repeats, solves = [], []
+
+    def root(g, lo, hi, start, *args):
+        seen = [[] for _ in start]
+        solves.append(start.shape[0])
+
+        def checked(nu):
+            for row, candidates in enumerate(nu):
+                new = candidates[~np.isnan(candidates)].tolist()
+                repeats.extend((len(solves), row, x) for k, x in enumerate(new)
+                               if x in seen[row] or x in new[:k])
+                seen[row].extend(new)
+            return g(nu)
+
+        return original(checked, lo, hi, start, *args)
+
+    monkeypatch.setattr(estimators, "_bracketed_root", root)
+    return repeats, solves
+
+
+def nu_score_formulas(s, nu, p, one_minus_q, gaps):
+    """sum f^(1 - q) T over the rows s at one nu, and its nu slope, term by term.
+
+    Written out as the engine's formulas read before T and the slope shared
+    their terms. gaps are special.gamma_gaps's log Gamma, digamma and
+    trigamma gaps at nu / 2.
+    """
+    log_gamma_gap, digamma_gap, trigamma_gap = gaps
+    log1p_ratio = np.log1p(s / nu)
+    t = digamma_gap - log1p_ratio + (s - p) / (nu + s)
+    log_f = (log_gamma_gap - 0.5 * p * np.log(np.pi * nu) - 0.5 * 0.0
+             - 0.5 * (nu + p) * log1p_ratio)
+    weight = np.exp(one_minus_q * log_f)
+    d_t = 0.5 * trigamma_gap + s / (nu * (nu + s)) - (s - p) / (nu + s) / (nu + s)
+    return np.sum(t * weight), np.sum(weight * (d_t + 0.5 * one_minus_q * t * t))
 
 
 class TestBracketedRoot:
@@ -580,25 +650,33 @@ class TestBracketedRoot:
     def test_each_row_equals_its_own_solve(self):
         lo, hi = self.LO, self.HI
         targets = np.array([
-            np.log(lo) - 1.0,  # below the bracket: no sign change, closed at once
+            np.log(lo) - 1.0,  # below the bracket: no sign change
             np.log(hi) + 1.0,  # above it
             np.log(lo),  # an exact zero at the lower endpoint
             np.log(5.0),  # an exact zero at the start
             0.3, 1.7, -1.2, 4.9, np.log(3.0) + 1e-13,
+            np.log(hi) + 1.0,  # above the bracket, from a start clipped to hi
         ])
-        start = np.array([3.0, 3.0, 3.0, 5.0, 3.0, 0.5, 150.0, 3.0, 3.0])
-        g, evaluated = log_equations(targets)
+        start = np.array([3.0, 3.0, 3.0, 5.0, 3.0, 0.5, 150.0, 3.0, 3.0, 250.0])
+        g, calls = log_equations(targets)
         roots, bracketed = estimators._bracketed_root(g, lo, hi, start)
-        assert bracketed.tolist() == [False, False, True, True, True, True, True, True, True]
+        assert bracketed.tolist() == [False, False] + [True] * 7 + [False]
         assert roots[0] == lo and roots[1] == hi and roots[2] == lo and roots[3] == 5.0
+        assert roots[9] == hi
+        # the first call holds each row's clipped start alone
+        assert calls[0].tolist() == np.clip(start, lo, hi)[:, None].tolist()
         for b in range(targets.shape[0]):
-            g_one, _ = log_equations(targets[b:b + 1])
+            g_one, alone = log_equations(targets[b:b + 1])
             root, flag = estimators._bracketed_root(g_one, lo, hi, start[b:b + 1])
             assert root[0] == roots[b] and flag[0] == bracketed[b]
-        # every row is evaluated on the first call, only the open ones after it
-        assert evaluated[0].tolist() == list(range(targets.shape[0]))
-        assert all(not set(rows) & {0, 1, 2, 3} for rows in evaluated[1:])
-        assert len(evaluated) > 2 and len(evaluated[-1]) < len(evaluated[1])
+            # a row gets the candidates of its own solve, so none after the call that closes it
+            assert row_candidates(calls, b) == row_candidates(alone, 0)
+        # an exact zero at the start closes its row at once; a step off the
+        # bracket reads the ends, bar the one the start already is
+        assert row_candidates(calls, 3) == [[5.0]]
+        assert row_candidates(calls, 0) == row_candidates(calls, 2) == [[3.0], [lo, hi]]
+        assert row_candidates(calls, 9) == [[hi], [lo]]
+        assert len(calls) > 2
 
     def test_without_a_sign_change_the_end_the_value_points_to_is_returned(self):
         # +-1/x: the smaller |value| is at hi for both, but a negative value
@@ -620,7 +698,8 @@ class TestBracketedRoot:
             return value, np.full((x.shape[0], 1), -1.0)
 
         roots, bracketed = estimators._bracketed_root(g, lo, hi, np.array([3.0]))
-        assert np.isnan(roots[0]) and bracketed[0] and len(calls) == 1
+        # x alone, then both ends; the NaN Newton step from x is taken and accepted
+        assert np.isnan(roots[0]) and bracketed[0] and calls == [(1, 1), (1, 2)]
 
     def test_no_row_is_evaluated_again_at_an_earlier_candidate(self, monkeypatch):
         # a Newton step that rounds onto its iterate must end the search, not
@@ -628,31 +707,28 @@ class TestBracketedRoot:
         q_grid = tuple(round(0.80 + 0.02 * k, 12) for k in range(10))
         spec = rt.SimulationSpec(true_params=rt.preset_case(1), n=200, n_outliers=5,
                                  n_replications=8, q_grid=q_grid, seed=1)
-        original = estimators._bracketed_root
-        repeats, solves = [], []
-
-        def root(g, lo, hi, start, *args):
-            seen = [set() for _ in start]
-            solves.append(start.shape[0])
-
-            def checked(nu):
-                # within one call a candidate may repeat: start clamped at hi
-                for row, candidates in enumerate(nu):
-                    new = set(candidates[~np.isnan(candidates)].tolist())
-                    repeats.extend((len(solves), row, x) for x in new & seen[row])
-                    seen[row] |= new
-                return g(nu)
-
-            return original(checked, lo, hi, start, *args)
-
-        monkeypatch.setattr(estimators, "_bracketed_root", root)
+        repeats, solves = recording_repeats(monkeypatch)
         rt.run_simulation(spec)
         assert solves and repeats == []
 
+    def test_a_start_at_a_bracket_end_is_not_evaluated_again(self, monkeypatch):
+        # near-normal rows run nu to 200, where the Newton step leaves the
+        # bracket; the search reads lo only and takes the value at 200 from its
+        # first call. The iterations are those of the search that read 200 again.
+        rows = np.random.default_rng(5).normal(size=(205, 2))
+        repeats, solves = recording_repeats(monkeypatch)
+        results = fit_many(rows, batch_configs())
+        assert solves and repeats == []
+        assert [result.iterations for result in results] == [10, 17, 14, 13, 12]
+        assert all(result.converged and result.nu_clamped for result in results)
+        assert all(result.params.nu == estimators.NU_BRACKET[1] for result in results)
+
     def test_a_step_away_from_squarem_points_evaluates_the_score_once(self, monkeypatch):
-        # an iteration that does not start from a SQUAREM point first asks for
-        # the score at each fit's nu alone; where every fit's Newton step from
-        # there goes downhill and stays on the bracket, it stops at that step
+        # every search first asks for the score at each fit's nu alone, and a
+        # fit reads an end of the bracket only after a Newton step that fails
+        # the guard (a slope that is not negative, or a step off the bracket):
+        # an iteration whose steps all hold makes one call off SQUAREM points,
+        # and at them takes its steps to the root without reading an end
         original = estimators._bracketed_root
         calls = []
 
@@ -664,27 +740,34 @@ class TestBracketedRoot:
                 evaluations.append((nu, value, slope))
                 return value, slope
 
-            calls.append(evaluations)
+            calls.append((np.clip(start, lo, hi), evaluations))
             return original(g_counted, lo, hi, start, *args)
 
         monkeypatch.setattr(estimators, "_bracketed_root", counted)
         results = fit_many(replicate_data(small_spec(), 0), batch_configs())
         assert len(calls) == max(result.iterations for result in results)
         lo, hi = estimators.NU_BRACKET
-        one_step = []
-        for iteration, evaluations in enumerate(calls, 1):
-            nu, value, slope = evaluations[0]
-            if iteration % 3 == 0:
-                # from a SQUAREM point: both ends and the start
-                assert (nu[:, 0] == lo).all() and (nu[:, 1] == hi).all() and nu.shape[1] == 3
-                continue
-            assert nu.shape[1] == 1 and not np.isin(nu, [lo, hi]).any()
-            newton = nu[:, 0] - value[:, 0] / slope[:, 0]
-            if ((slope[:, 0] < 0.0) & (lo <= newton) & (newton <= hi)).all():
-                assert len(evaluations) == 1
-                one_step.append(iteration)
-        # on these rows every such step is taken
-        assert one_step == [k for k in range(1, len(calls) + 1) if k % 3]
+
+        def guard_holds(nu, value, slope):
+            newton = nu[:, -1] - value[:, -1] / slope[:, 0]
+            return (slope[:, 0] < 0.0) & (lo <= newton) & (newton <= hi)
+
+        guarded = []
+        for iteration, (start, evaluations) in enumerate(calls, 1):
+            assert evaluations[0][0].tolist() == start[:, None].tolist()
+            # a row reads an end right after its guard fails, and only then
+            for before, after in zip(evaluations, evaluations[1:]):
+                reads = np.isin(after[0], [lo, hi]).any(axis=1)
+                assert not (reads & guard_holds(*before)).any()
+            if all(guard_holds(*evaluation)[~np.isnan(evaluation[0][:, 0])].all()
+                   for evaluation in evaluations):
+                assert not any(np.isin(nu, [lo, hi]).any() for nu, _, _ in evaluations)
+                assert len(evaluations) == 1 or iteration % 3 == 0
+                guarded.append(iteration)
+        # on these rows every one-step iteration takes its step, and some
+        # SQUAREM-point solves take several steps to the root and read no end
+        assert [k for k in range(1, len(calls) + 1) if k % 3] == [k for k in guarded if k % 3]
+        assert any(len(calls[k - 1][1]) > 1 for k in guarded if k % 3 == 0)
 
     def test_closed_rows_reach_no_special_function(self):
         data = replicate_data(small_spec(), 0)
@@ -695,6 +778,31 @@ class TestBracketedRoot:
         assert np.isnan(value[[0, 2]]).all() and np.isnan(slope[[0, 2]]).all()
         alone_value, alone_slope = score(np.array([[4.0], [4.0], [4.0]]))
         assert value[1, 0] == alone_value[1, 0] and slope[1, 0] == alone_slope[1, 0]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    def test_nu_score_is_bitwise_its_formulas(self, p):
+        # values and last-candidate slopes against nu_score_formulas, one fit
+        # and one candidate at a time, with 1 to 3 candidates and a NaN row.
+        # The gaps are taken over the evaluator's block of nu: for p other
+        # than 2 their matrix products can round otherwise on fewer values.
+        rng = np.random.default_rng(p)
+        q = np.array([1.0, 0.9, 0.7, 0.9])
+        s = rng.chisquare(p, size=(4, 40)) * 1.5
+        s[:, :2] = [0.0, 1e6]
+        g = estimators._observed_nu_score(s, 1.0 - q, p)
+        for k in (1, 2, 3):
+            nu = np.geomspace(0.1, 200.0, 4 * k)[rng.permutation(4 * k)].reshape(4, k)
+            nu[1] = np.nan
+            values, slopes = g(nu)
+            assert np.isnan(values[1]).all() and np.isnan(slopes[1]).all()
+            open_rows = [0, 2, 3]
+            gaps = special.gamma_gaps(0.5 * nu[open_rows, :, None], p)
+            for i, b in enumerate(open_rows):
+                for j in range(k):
+                    value, slope = nu_score_formulas(s[b], nu[b, j], p, 1.0 - q[b],
+                                                     [gap[i, j, 0] for gap in gaps])
+                    assert values[b, j] == value
+                assert slopes[b, 0] == slope
 
     def test_nu_score_slopes_match_finite_differences(self):
         data = replicate_data(small_spec(), 0)

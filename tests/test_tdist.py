@@ -252,8 +252,8 @@ class TestObservedNuTerms:
     @pytest.mark.parametrize("nu", [0.3, 3.0, 150.0])
     def test_slope_matches_finite_difference(self, nu):
         h = 1e-6 * nu
-        t, _, trigamma_gap = _nu_terms(self.S_GRID, nu, 3, 0.0)
-        slope = _nu_slope(self.S_GRID, nu, 3, t, trigamma_gap, 0.0)
+        t, _, shared = _nu_terms(self.S_GRID, nu, 3, 0.0)
+        slope = _nu_slope(self.S_GRID, nu, t, shared, 0.0)
         fd = (_nu_terms(self.S_GRID, nu + h, 3, 0.0)[0]
               - _nu_terms(self.S_GRID, nu - h, 3, 0.0)[0]) / (2.0 * h)
         assert np.allclose(slope, fd, rtol=1e-5, atol=1e-7 / nu ** 2)

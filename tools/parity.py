@@ -21,7 +21,8 @@ differ; the fits with bitwise-equal mu, sigma and nu, by method; the
 largest |d mu|, |d sigma| and |d nu| over the fits both sides finished;
 by method, on each side, the mean iterations and the count of unconverged
 fits over the fits that side finished; and, on each side, the nu-score
-evaluations of the set's fits, one per fit and candidate nu.
+evaluations of the set's fits, one per fit and candidate nu, and the
+evaluator calls that made them.
 
 For case_i and case_ii the line also holds, under "simulation", the parity
 of run_simulation on the same specs (one report per seed): for each
@@ -54,20 +55,22 @@ def _grid(low: float, count: int) -> tuple[float, ...]:
 
 @contextmanager
 def counting_nu_scores(estimators):
-    """Count the engine's nu-score evaluations while open, one per fit and candidate nu.
+    """Count the engine's nu-score evaluator calls and evaluations while open.
 
     Wraps estimators._observed_nu_score, whose evaluators take one row of
-    candidates per fit, NaN for a fit that is not evaluated. Yields a
-    one-item list holding the count.
+    candidates per fit, NaN where a fit or candidate is not evaluated.
+    Yields a dict whose "calls" counts the evaluator calls and whose
+    "evaluations" counts the (fit, candidate nu) pairs they evaluate.
     """
-    count = [0]
+    count = {"calls": 0, "evaluations": 0}
     original = estimators._observed_nu_score
 
     def counted_score(*args):
         g = original(*args)
 
         def counted(nu):
-            count[0] += int(np.count_nonzero(~np.isnan(nu[:, 0]))) * nu.shape[1]
+            count["calls"] += 1
+            count["evaluations"] += int(np.count_nonzero(~np.isnan(nu)))
             return g(nu)
 
         return counted
@@ -103,15 +106,16 @@ def record_outcomes() -> dict:
 
     simulated = {"case_i": specs(1, range(100, 160), 2, _grid(0.8, 10)),
                  "case_ii": specs(2, [7], 30, _grid(0.7, 15))}
-    outcomes, evaluations = {}, {}
+    outcomes, evaluations, calls = {}, {}, {}
     for name in SETS:
         with counting_nu_scores(estimators) as count:
             outcomes[name] = ([fit for spec in simulated[name] for fit in paper(spec)]
                               if name in SIMULATED else
                               run([large_dataset(0, 0, 2000, 10)],
                                   [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)]))
-        evaluations[name] = count[0]
+        evaluations[name], calls[name] = count["evaluations"], count["calls"]
     outcomes["nu_score_evaluations"] = evaluations
+    outcomes["nu_score_calls"] = calls
     outcomes["simulations"] = {name: [_report(rt.run_simulation(spec)) for spec in simulated[name]]
                                for name in SIMULATED}
     return outcomes
@@ -205,9 +209,9 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
 def set_line(name: str, parent: dict, change: dict) -> dict:
     """The printed parity line of set name, from each side's record_outcomes."""
     sides = {"parent": parent, "change": change}
-    line = {"set": name, **compare(parent[name], change[name]),
-            "nu_score_evaluations": {side: outcomes["nu_score_evaluations"][name]
-                                     for side, outcomes in sides.items()}}
+    line = {"set": name, **compare(parent[name], change[name])}
+    for key in ("nu_score_evaluations", "nu_score_calls"):
+        line[key] = {side: outcomes[key][name] for side, outcomes in sides.items()}
     if name in SIMULATED:
         line["simulation"] = compare_simulations(parent["simulations"][name],
                                                  change["simulations"][name])
