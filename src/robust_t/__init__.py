@@ -36,7 +36,6 @@ from .linalg import (
 from .simulation import (
     MethodSummary,
     ReplicateRecord,
-    ShowcaseResult,
     SimulationReport,
     SimulationSpec,
     contaminate,
@@ -44,7 +43,6 @@ from .simulation import (
     generate_replicate,
     preset_case,
     run_simulation,
-    run_single_showcase,
 )
 from .special import digamma, log_gamma
 from .tdist import (
@@ -84,7 +82,6 @@ __all__ = [
     "symmetrize",
     "MethodSummary",
     "ReplicateRecord",
-    "ShowcaseResult",
     "SimulationReport",
     "SimulationSpec",
     "contaminate",
@@ -92,7 +89,6 @@ __all__ = [
     "generate_replicate",
     "preset_case",
     "run_simulation",
-    "run_single_showcase",
     "digamma",
     "log_gamma",
     "MvtParams",

@@ -4,9 +4,10 @@ Subcommands: fit, sample, score-curve, density-grid, simulate, showcase.
 All input and output is plain CSV and JSON; numpy reads and writes every
 CSV, each number as %.17g so that it reads back bit for bit. A file numpy
 refuses is scanned again only to name its first bad row or cell. Exit codes:
-0 success; 1 input or usage error; 2 non-convergence: a fit of fit,
-density-grid or showcase stopped at --max-iter, or simulate ran fits and
-none converged. Every output is written before a 2 is returned.
+0 success; 1 input or usage error, or a size too large to allocate; 2
+non-convergence: a fit of fit, density-grid or showcase stopped at
+--max-iter, or simulate ran fits and none converged. Every output is
+written before a 2 is returned.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 from itertools import compress
 from pathlib import Path
 
@@ -27,17 +29,16 @@ from .errors import (
     DomainError,
     NotPositiveDefinite,
 )
-from .estimators import DEFAULT_Q, METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit
+from .estimators import DEFAULT_Q, METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit, fit_many
 from .simulation import (
-    ShowcaseResult,
     SimulationReport,
     SimulationSpec,
-    fit_and_grid,
+    contaminate,
+    generate_replicate,
     preset_case,
     run_simulation,
-    run_single_showcase,
 )
-from .tdist import MvtParams, sample, score_curve
+from .tdist import MvtParams, log_pdf_rows, sample, score_curve
 
 _INPUT_ERRORS = (
     DegenerateData,
@@ -45,6 +46,7 @@ _INPUT_ERRORS = (
     DomainError,
     NotPositiveDefinite,
     OSError,
+    MemoryError,
 )
 
 # numpy's CSV dialect: '"' quotes a cell, and '#' is a cell like any other
@@ -374,38 +376,56 @@ def cmd_simulate(args) -> int:
     return 0 if any(record.converged for record in report.records) else 2
 
 
-def _write_showcase_outputs(prefix: str, show: ShowcaseResult, extra: dict | None = None) -> int:
-    write_matrix_csv(f"{prefix}_data.csv", show.data)
-    payload = {"ml": _result_dict(show.ml_fit), "mlq": _result_dict(show.mlq_fit)}
-    if extra:
-        payload.update(extra)
-    _write_json(f"{prefix}_fits.json", payload)
-    x, y = np.meshgrid(show.grid_x, show.grid_y)
-    write_matrix_csv(f"{prefix}_grid.csv",
-                     np.column_stack([x.ravel(), y.ravel(), show.ml_density.ravel(),
-                                      show.mlq_density.ravel()]),
+def _write_density_grid(prefix: str, data: np.ndarray, config: FitConfig, q: float,
+                        grid_points: int, extra: dict | None = None) -> int:
+    """Fit bivariate data by ML and MLq at q in one fit_many batch, and write both densities.
+
+    A fit that fails raises its DegenerateData error. The grid has grid_points values per
+    axis, x varying fastest, over the data's bounding box padded by two marginal standard
+    deviations (ddof = 1). Writes prefix_data.csv, prefix_fits.json (with extra's keys) and
+    prefix_grid.csv; returns 2 if a fit stopped at max_iter, else 0.
+    """
+    if data.shape[1] != 2:
+        raise DimensionMismatch("density grids require bivariate data")
+    if grid_points < 2:
+        raise DomainError("grid needs at least 2 points per axis")
+    fits = fit_many(data, [replace(config, method=METHOD_ML, q=1.0),
+                           replace(config, method=METHOD_MLQ, q=q)])
+    for outcome in fits:
+        if isinstance(outcome, DegenerateData):
+            raise outcome
+    sd = np.std(data, axis=0, ddof=1)
+    axes = np.linspace(data.min(axis=0) - 2.0 * sd, data.max(axis=0) + 2.0 * sd, grid_points)
+    points = np.column_stack([axis.ravel() for axis in np.meshgrid(*axes.T)])
+    densities = [np.exp(log_pdf_rows(points, result.params)) for result in fits]
+    write_matrix_csv(f"{prefix}_data.csv", data)
+    _write_json(f"{prefix}_fits.json",
+                {"ml": _result_dict(fits[0]), "mlq": _result_dict(fits[1]), **(extra or {})})
+    write_matrix_csv(f"{prefix}_grid.csv", np.column_stack([points, *densities]),
                      header="x,y,ml_density,mlq_density")
-    return 0 if (show.ml_fit.converged and show.mlq_fit.converged) else 2
+    return 0 if all(result.converged for result in fits) else 2
 
 
 def cmd_density_grid(args) -> int:
     data = read_matrix_csv(args.input)
-    show = fit_and_grid(data, _fit_config_from(args, METHOD_ML, 1.0), _q_for(args, METHOD_MLQ),
-                        args.grid_points)
-    return _write_showcase_outputs(args.out, show)
+    return _write_density_grid(args.out, data, _fit_config_from(args, METHOD_ML, 1.0),
+                               _q_for(args, METHOD_MLQ), args.grid_points)
 
 
 def cmd_showcase(args) -> int:
     if args.case is not None:
+        if (args.mu, args.sigma, args.nu) != (None, None, None):
+            raise _UsageError("--case sets the truth; it takes no --mu, --sigma or --nu")
         truth = preset_case(args.case)
     else:
         if args.mu is None or args.sigma is None or args.nu is None:
             raise _UsageError("showcase needs --case or all of --mu/--sigma/--nu")
         truth = MvtParams(parse_vector(args.mu), parse_matrix(args.sigma), args.nu)
-    show = run_single_showcase(_spec_from(args, truth, (_q_for(args, METHOD_MLQ),), 1),
-                               grid_points=args.grid_points)
+    spec = _spec_from(args, truth, (_q_for(args, METHOD_MLQ),), 1)
+    data = contaminate(generate_replicate(spec, 0), spec, 0)
     truth_dict = {"mu": truth.mu.tolist(), "sigma": truth.sigma.tolist(), "nu": float(truth.nu)}
-    return _write_showcase_outputs(args.out, show, {"truth": truth_dict})
+    return _write_density_grid(args.out, data, spec.fit_config, spec.q_grid[0], args.grid_points,
+                               {"truth": truth_dict})
 
 
 def _add_fit_flags(sub):
@@ -480,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(func=cmd_density_grid)
 
     p_show = subs.add_parser("showcase", help="one contaminated replicate, both fits")
-    p_show.add_argument("--case", type=int, choices=[1, 2], default=None)
+    p_show.add_argument("--case", type=int, choices=[1, 2], default=None,
+                        help="preset truth, instead of --mu, --sigma and --nu")
     p_show.add_argument("--mu", default=None)
     p_show.add_argument("--sigma", default=None)
     p_show.add_argument("--nu", type=float, default=None, help="true degrees of freedom")

@@ -25,8 +25,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, DomainError
-from .estimators import DEFAULT_Q, METHOD_ML, METHOD_MLQ, FitConfig, FitResult, _fit_batch, fit_many
-from .tdist import MvtParams, as_data_matrix, log_pdf_rows, sample
+from .estimators import DEFAULT_Q, METHOD_ML, METHOD_MLQ, FitConfig, _fit_batch
+from .tdist import MvtParams, as_data_matrix, sample
 
 __all__ = [
     "SimulationSpec",
@@ -34,14 +34,11 @@ __all__ = [
     "MethodSummary",
     "ReplicateRecord",
     "DistanceMetrics",
-    "ShowcaseResult",
     "preset_case",
     "generate_replicate",
     "contaminate",
     "distance_metrics",
     "run_simulation",
-    "fit_and_grid",
-    "run_single_showcase",
 ]
 
 # Stream tag separating the contamination draws from the data draws.
@@ -150,17 +147,6 @@ class SimulationReport:
     selected_q: float
     q_sweep: tuple[MethodSummary, ...]
     records: tuple[ReplicateRecord, ...]
-
-
-@dataclass(frozen=True)
-class ShowcaseResult:
-    data: np.ndarray
-    ml_fit: FitResult
-    mlq_fit: FitResult
-    grid_x: np.ndarray
-    grid_y: np.ndarray
-    ml_density: np.ndarray
-    mlq_density: np.ndarray
 
 
 def _stream(*key: int) -> np.random.Generator:
@@ -315,48 +301,3 @@ def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
         records=tuple(records),
     )
 
-
-def fit_and_grid(data, config: FitConfig, q: float, grid_points: int) -> ShowcaseResult:
-    """Fit bivariate data by ML and by MLq at q, and evaluate both densities.
-
-    Both fits run in one fit_many batch with config's shared settings; a
-    fit that fails raises its DegenerateData error. The grid has
-    grid_points values per axis and covers the data bounding box padded by
-    two marginal standard deviations, ready for external contour plotting.
-    """
-    data = as_data_matrix(data)
-    if data.shape[1] != 2:
-        raise DimensionMismatch("density grids require bivariate data")
-    if grid_points < 2:
-        raise DomainError("grid needs at least 2 points per axis")
-    outcomes = fit_many(data, [replace(config, method=METHOD_ML, q=1.0),
-                               replace(config, method=METHOD_MLQ, q=q)])
-    for outcome in outcomes:
-        if isinstance(outcome, DegenerateData):
-            raise outcome
-    ml_fit, mlq_fit = outcomes
-
-    sd = np.std(data, axis=0, ddof=1)
-    lo = data.min(axis=0) - 2.0 * sd
-    hi = data.max(axis=0) + 2.0 * sd
-    grid_x = np.linspace(lo[0], hi[0], grid_points)
-    grid_y = np.linspace(lo[1], hi[1], grid_points)
-    xx, yy = np.meshgrid(grid_x, grid_y)
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    ml_density = np.exp(log_pdf_rows(points, ml_fit.params)).reshape(xx.shape)
-    mlq_density = np.exp(log_pdf_rows(points, mlq_fit.params)).reshape(xx.shape)
-    return ShowcaseResult(
-        data=data,
-        ml_fit=ml_fit,
-        mlq_fit=mlq_fit,
-        grid_x=grid_x,
-        grid_y=grid_y,
-        ml_density=ml_density,
-        mlq_density=mlq_density,
-    )
-
-
-def run_single_showcase(spec: SimulationSpec, grid_points: int = 60) -> ShowcaseResult:
-    """fit_and_grid on replicate 0 of spec at its first q value."""
-    data = contaminate(generate_replicate(spec, 0), spec, 0)
-    return fit_and_grid(data, spec.fit_config, spec.q_grid[0], grid_points)

@@ -3,13 +3,15 @@
 gamma_gaps computes the gaps for F = log Gamma, digamma and trigamma together:
 sums of f(x + i), f(z) = F(z + 1) - F(z), and for odd p the half step G(z) =
 F(z + 1/2) - F(z), from its asymptotic series at y = x + _SHIFT and G(z) =
-G(z + 1) - f(z + 1/2) + f(z). log_gamma and digamma raise DomainError unless x > 0.
+G(z + 1) - f(z + 1/2) + f(z). Every operation is elementwise, its sums running
+sums and digamma's series in Horner form, so a value's result does not depend
+on the others it is given with. log_gamma and digamma raise DomainError unless x > 0.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import reduce
 
 import numpy as np
 
@@ -49,21 +51,10 @@ def digamma(x):
     """Logarithmic derivative of Gamma for x > 0 (scalar or array)."""
     x = _positive(x, "digamma")
     y = x + _SHIFT
-    series = (1.0 / (y * y))[..., None] ** _J @ (_B2J / (2 * _J))
+    u = 1.0 / (y * y)
+    # the sum of B_2j / (2 j) u^j over j, in Horner form
+    series = u * reduce(lambda total, c: total * u + c, (_B2J / (2 * _J))[::-1])
     return (np.log(y) - 0.5 / y - series - gamma_gaps(x, 2 * _SHIFT)[1])[()]
-
-
-@lru_cache
-def _sums(p: int):
-    """gamma_gaps's offsets i and weights of f(x + i) for p, and the shift y - x."""
-    half, odd = divmod(p, 2)
-    shift = max(_SHIFT, half) if odd else half
-    # 1/z and -1/z^2: f(x + i), i < shift, less f(x + i + 1/2), half <= i < shift; log z, free
-    # of cancellation: log(x + i), i < half, log(y)/2, less log1p(1/(2 (x + i))), half <= i < shift
-    return (np.r_[np.arange(shift), np.arange(half, shift) + 0.5],
-            np.r_[np.ones(shift), -np.ones(shift - half)],
-            np.r_[np.arange(half), shift], np.r_[np.ones(half), 0.5 * odd],
-            np.arange(half, shift), shift)
 
 
 def gamma_gaps(x, p: int):
@@ -71,12 +62,22 @@ def gamma_gaps(x, p: int):
     if p == 2:
         r = 1.0 / x
         return np.log(x), r, -r * r
-    offsets, weights, log_offsets, log_weights, pairs, shift = _sums(p)
-    flat = np.reshape(x, (-1, 1))
-    r = 1.0 / (flat + offsets)
-    gaps = [np.log(flat + log_offsets) @ log_weights, r @ weights, -((r * r) @ weights)]
-    if p % 2:
-        series = (1.0 / (flat + shift)) ** np.arange(1.0, 16.0) @ _HALF_SERIES
-        gaps[0] = gaps[0] - np.log1p(0.5 / (flat + pairs)).sum(axis=1)
-        gaps = [gap + series[:, k] for k, gap in enumerate(gaps)]
-    return tuple(gap.reshape(np.shape(x)) for gap in gaps)
+    x = np.asarray(x, dtype=float)
+    half, odd = divmod(p, 2)
+    shift = max(_SHIFT, half) if odd else half
+    # row i: (log z, 1/z, -1/z^2) at z = x + i, less for half <= i < shift the same at z + 1/2,
+    # the log difference free of cancellation as -log1p(1/(2 z))
+    z = np.add.outer(np.arange(shift), x)
+    r = 1.0 / z
+    rows = np.stack([np.log(z), r, -r * r], axis=1)
+    if odd:
+        r_half = 1.0 / (z[half:] + 0.5)
+        rows[half:, 0] = -np.log1p(0.5 / z[half:])
+        rows[half:, 1] -= r_half
+        rows[half:, 2] += r_half * r_half
+        # then G(y): (log(y) / 2, 0, 0) and the series's terms, y^-15 first
+        powers = np.multiply.accumulate(np.full((15,) + x.shape, 1.0 / (x + shift)))[::-1, None]
+        rows = np.concatenate([rows, np.multiply.outer([[0.5, 0.0, 0.0]], np.log(x + shift)),
+                               _HALF_SERIES[::-1].reshape(15, 3, *[1] * x.ndim) * powers])
+    # accumulate adds the rows in order, so every add is elementwise
+    return tuple(np.add.accumulate(rows)[-1])

@@ -3,9 +3,11 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_t
 
 from robust_t import cli
-from robust_t.estimators import NORM_DEFINITION
+from robust_t.estimators import DEFAULT_Q, NORM_DEFINITION
+from robust_t.simulation import SimulationSpec, contaminate, generate_replicate, preset_case
 from robust_t.tdist import MvtParams, sample
 
 
@@ -355,12 +357,86 @@ class TestDensityGrid:
         for key in ("ml", "mlq"):
             assert fits[key]["nu"] == 5.0 and fits[key]["nu_estimated"] is False
 
+    def test_grid_spans_the_padded_bounding_box_with_x_fastest(self, capsys, tmp_path, data_csv):
+        code, _, err = run(capsys, "density-grid", str(data_csv), "--q", "0.9",
+                           "--grid-points", "4", "--out", str(tmp_path / "grid"))
+        assert code == 0 and err == ""
+        data = np.loadtxt(data_csv, delimiter=",")
+        grid = np.loadtxt(tmp_path / "grid_grid.csv", delimiter=",", skiprows=1)
+        sd = np.std(data, axis=0, ddof=1)
+        axes = [np.linspace(data[:, j].min() - 2 * sd[j], data[:, j].max() + 2 * sd[j], 4)
+                for j in range(2)]
+        np.testing.assert_allclose(grid[:, 0], np.tile(axes[0], 4), rtol=1e-14)
+        np.testing.assert_allclose(grid[:, 1], np.repeat(axes[1], 4), rtol=1e-14)
+
+    def test_densities_are_the_fitted_t_densities(self, capsys, tmp_path, data_csv):
+        code, _, err = run(capsys, "density-grid", str(data_csv), "--q", "0.9",
+                           "--grid-points", "4", "--out", str(tmp_path / "grid"))
+        assert code == 0 and err == ""
+        fits = json.loads((tmp_path / "grid_fits.json").read_text())
+        assert (fits["ml"]["method"], fits["mlq"]["method"], fits["mlq"]["q"]) == ("ml", "mlq", 0.9)
+        grid = np.loadtxt(tmp_path / "grid_grid.csv", delimiter=",", skiprows=1)
+        for column, key in ((2, "ml"), (3, "mlq")):
+            truth = multivariate_t(fits[key]["mu"], fits[key]["sigma"], df=fits[key]["nu"])
+            np.testing.assert_allclose(grid[:, column], truth.pdf(grid[:, :2]), rtol=1e-12)
+
+    def test_data_csv_reads_back_as_the_input(self, capsys, tmp_path, data_csv):
+        code, _, err = run(capsys, "density-grid", str(data_csv), "--grid-points", "2",
+                           "--out", str(tmp_path / "grid"))
+        assert code == 0 and err == ""
+        written = np.loadtxt(tmp_path / "grid_data.csv", delimiter=",")
+        assert np.array_equal(written, cli.read_matrix_csv(str(data_csv)))
+
     def test_estimate_nu_flag_is_gone(self, capsys, tmp_path, data_csv):
         code, _, err = run(capsys, "density-grid", str(data_csv), "--nu", "5", "--estimate-nu",
                            "--out", str(tmp_path / "grid"))
         assert code == 1
         assert_one_line_error(err)
         assert not (tmp_path / "grid_fits.json").exists()
+
+
+class TestShowcase:
+    def test_writes_replicate_zero_of_its_spec_and_the_truth(self, capsys, tmp_path):
+        code, _, err = run(capsys, "showcase", "--case", "1", "--n", "60", "--grid-points", "3",
+                           "--out", str(tmp_path / "show"))
+        assert code == 0 and err == ""
+        spec = SimulationSpec(preset_case(1), n=60, n_replications=1, q_grid=(DEFAULT_Q,))
+        written = np.loadtxt(tmp_path / "show_data.csv", delimiter=",")
+        assert np.array_equal(written, contaminate(generate_replicate(spec, 0), spec, 0))
+        fits = json.loads((tmp_path / "show_fits.json").read_text())
+        assert set(fits) == {"ml", "mlq", "truth"}
+        assert fits["mlq"]["q"] == DEFAULT_Q
+        assert fits["truth"] == {"mu": [2.0, 1.0], "sigma": [[1.0, 0.0], [0.0, 1.0]], "nu": 3.0}
+
+    @pytest.mark.parametrize("flags", [["--nu", "5"], ["--mu", "9,9"], ["--sigma", "1,0;0,1"],
+                                       ["--nu", "5", "--mu", "9,9"]],
+                             ids=["nu", "mu", "sigma", "nu-mu"])
+    def test_case_with_a_truth_flag_rejected(self, capsys, tmp_path, flags):
+        code, out, err = run(capsys, "showcase", "--case", "1", *flags,
+                             "--out", str(tmp_path / "show"))
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert "--case" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,callee", [
+    (["density-grid", "DATA", "--grid-points", "3", "--out", "OUT"], "log_pdf_rows"),
+    (["score-curve", "--points", "5", "--output", "OUT"], "score_curve"),
+    (["sample", "--n", "5", "--mu", "0,0", "--sigma", "1,0;0,1", "--nu", "3", "--output", "OUT"],
+     "sample"),
+], ids=["density-grid", "score-curve", "sample"])
+def test_an_allocation_that_fails_is_a_one_line_error(capsys, tmp_path, monkeypatch, data_csv,
+                                                      command, callee):
+    # numpy raises this for a size too large to allocate; the stub raises it without allocating
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array with shape (900000000,)")
+    monkeypatch.setattr(cli, callee, out_of_memory)
+    argv = [{"DATA": str(data_csv), "OUT": str(tmp_path / "out")}.get(arg, arg) for arg in command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert_one_line_error(err)
+    assert "Unable to allocate" in err
 
 
 @pytest.mark.parametrize("command", [["density-grid", "DATA"], ["showcase", "--case", "1"]],

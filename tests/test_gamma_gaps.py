@@ -44,3 +44,16 @@ def test_gaps_keep_the_shape_of_x():
     for p in (1, 2, 3, 10):
         assert [gap.shape for gap in gamma_gaps(x, p)] == [x.shape] * 3
         assert [np.shape(gap) for gap in gamma_gaps(1.5, p)] == [()] * 3
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 10, 20])
+def test_each_value_gets_the_gaps_it_gets_alone(p):
+    # a fit's result must not depend on what else its batch holds
+    x = np.concatenate([0.5 * NU, np.random.default_rng(p).uniform(0.05, 100.0, 97)])
+    whole = gamma_gaps(x, p)
+    block = gamma_gaps(np.tile(x, (3, 1)), p)
+    for i in range(len(x)):
+        for gap, in_block, alone in zip(whole, block, gamma_gaps(x[i:i + 1], p)):
+            assert gap[i] == alone[0] == in_block[2, i], (p, x[i])
+    digammas = digamma(x)
+    assert all(digammas[i] == digamma(x[i:i + 1])[0] for i in range(len(x)))

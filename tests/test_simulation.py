@@ -335,8 +335,14 @@ class TestDistanceMetrics:
 
 
 class TestFitMany:
-    def test_each_result_equals_its_single_fit(self):
-        data = replicate_data(small_spec(), 0)
+    @pytest.mark.parametrize("p", [None, 1, 2, 3, 5, 10],
+                             ids=["contaminated", "p1", "p2", "p3", "p5", "p10"])
+    def test_each_result_equals_its_single_fit(self, p):
+        # the Gamma-function gaps of p != 2 must not round with the batch's size either
+        if p is None:
+            data = replicate_data(small_spec(), 0)
+        else:
+            data = np.random.default_rng(p).standard_t(3.0, size=(150, p))
         configs = batch_configs() + [FitConfig(method="mlq", q=1.0)]
         for result, config in zip(fit_many(data, configs), configs):
             assert same_fit(result, fit(data, config))
