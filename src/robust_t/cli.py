@@ -2,12 +2,12 @@
 
 Subcommands: fit, sample, score-curve, density-grid, simulate, showcase.
 All input and output is plain CSV and JSON; numpy reads and writes every
-CSV, each number as %.17g so that it reads back bit for bit. A file numpy
-refuses is scanned again only to name its first bad row or cell. Exit codes:
-0 success; 1 input or usage error, or a size too large to allocate; 2
-non-convergence: a fit of fit, density-grid or showcase stopped at
---max-iter, or simulate ran fits and none converged. Every output is
-written before a 2 is returned.
+CSV, each number as %.17g so that it reads back bit for bit. A CSV is one
+numpy parse; blank rows and bad cells are sought only where numpy refuses
+it. Exit codes: 0 success; 1 input or usage error, or a size too large to
+allocate; 2 non-convergence: a fit of fit, density-grid or showcase
+stopped at --max-iter, or simulate ran fits and none converged. Every
+output is written before a 2 is returned.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ _BLANK_CANDIDATE = re.compile(r'\n(?:[^\S\n]|[,"])*(?=\n|\Z)')
 _NUMBER = "%.17g"
 # a longer q grid is rejected before any value is built; simulate fits each one
 _MAX_Q_VALUES = 10_000
+_MAX_GRID_POINTS = 1_000  # per axis; a contour grid holds its square, each row as text
 
 
 class _UsageError(Exception):
@@ -69,8 +70,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cells(line: str) -> list[str]:
-    """The cells of one non-empty line as numpy splits them, quotes removed."""
-    return np.loadtxt([line], dtype=str, **_CSV)[0].tolist()
+    """The cells of one non-empty line as numpy splits them, quotes and trailing NULs removed."""
+    return [cell.rstrip("\x00") for cell in np.loadtxt([line], dtype=object, **_CSV)[0]]
 
 
 def _non_blank_lines(text: str) -> tuple[list[int], list[str]]:
@@ -135,8 +136,10 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
     Rows whose cells are all blank are skipped. The first remaining row is a
     header only when none of its cells is a number; a first row with some
-    numeric cells is data. numpy parses the rest in one call; only when it
-    refuses them or reads a NaN or infinity are they searched again, to name
+    numeric cells is data. numpy parses the lines in one call, skipping "".
+    Only where line 0 is blank, no data or a quote follows the header, or
+    numpy refuses the lines (as at any other blank row) or reads a NaN or
+    infinity, are blank rows found by a scan and the rest searched, to name
     the first bad row or cell by its row number in the file.
     """
     try:
@@ -144,6 +147,14 @@ def read_matrix_csv(path: str) -> np.ndarray:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    lines = text.split("\n")
+    if lines[0].strip():
+        header = _is_header_row(_cells(lines[0]))
+        body = lines[header:]
+        # a quoted cell may span lines, so no quote may follow the header
+        if any(body) and text.find('"', header * len(lines[0])) < 0:
+            if (values := _read_finite(body)) is not None:
+                return values
     numbers, body = _non_blank_lines(text)
     if numbers and _is_header_row(_cells(body[0])):
         numbers, body = numbers[1:], body[1:]
@@ -387,8 +398,8 @@ def _write_density_grid(prefix: str, data: np.ndarray, config: FitConfig, q: flo
     """
     if data.shape[1] != 2:
         raise DimensionMismatch("density grids require bivariate data")
-    if grid_points < 2:
-        raise DomainError("grid needs at least 2 points per axis")
+    if not 2 <= grid_points <= _MAX_GRID_POINTS:
+        raise DomainError(f"grid needs 2 to {_MAX_GRID_POINTS} points per axis")
     fits = fit_many(data, [replace(config, method=METHOD_ML, q=1.0),
                            replace(config, method=METHOD_MLQ, q=q)])
     for outcome in fits:

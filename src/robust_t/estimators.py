@@ -73,11 +73,12 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   change of a column's units moves no fit, and a variance below SPD_FLOOR
   times its column's squared median absolute deviation fails the fit.
 
-The engine sorts each dataset's rows into lexicographic order once and
-then uses plain sums along the observation axis. Every fit of a batch
-goes through the same elementwise operations, the SQUAREM step and its
-fallback included, so a fit's result is bitwise the same whatever else
-the batch holds and however the input rows are permuted.
+The engine sorts each dataset's rows into lexicographic order once (an
+argsort of column 0; a lexsort where column 0 has ties) and then uses
+plain sums along the observation axis. Every fit of a batch goes through
+the same elementwise operations, the SQUAREM step and its fallback
+included, so a fit's result is bitwise the same whatever else the batch
+holds and however the input rows are permuted.
 
 e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq run the
 engine's phases for one fit, from the previous iterate and its e_step, and
@@ -586,7 +587,8 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     outcomes: list[Optional[FitOutcome]] = []
     live, starts, columns, spreads = [], [], [], []
     for slot, rows in enumerate(matrices):
-        rows = rows[np.lexsort(rows.T[::-1])]
+        first = np.argsort(rows[:, 0])  # the lexicographic order where column 0 has no tie
+        rows = rows[first if np.diff(rows[first, 0]).all() else np.lexsort(rows.T[::-1])]
         try:
             starts.append(_checked_start(rows))
         except DegenerateData as exc:

@@ -42,6 +42,10 @@ def no_simulation(*args, **kwargs):
     raise AssertionError("run_simulation must not be called")
 
 
+def no_fit(*args, **kwargs):
+    raise AssertionError("fit_many must not be called")
+
+
 def strict_json(path):
     """Parse path as JSON, failing on the NaN and Infinity tokens strict parsers reject."""
     def reject(token):
@@ -186,6 +190,65 @@ class TestReadMatrixCsv:
         assert code == 1
         assert_one_line_error(err)
         assert "row 3, column 2" in err
+
+    # Blank rows, quotes and NULs, each input with the array or error of the blank-row scan;
+    # most reach that scan only after the one numpy call is refused. loadtxt warns on an
+    # input with no rows, and the warning filter makes that warning fail the test.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("raw", [
+        b"\n\nx,y\n1,-0\n0.1,4\n",
+        b"  \n , \nx,y\n1,-0\n0.1,4\n",
+        b"\n\n1,-0\n0.1,4\n",
+        b"x,y\n1,-0\n   \n0.1,4\n",
+        b'x,y\n1,-0\n""\n0.1,4\n',
+        b'1,-0\n" "\n0.1,4\n\t\n',
+        b",\n1,-0\n0.1,4\n",
+        b",\nx,y\n1,-0\n0.1,4\n",
+        b",,,\n1,-0\n0.1,4\n",
+        b"x,y\r\n\r\n1,-0\r\n\r\n0.1,4\r\n\r\n",
+        b"\r\n\r\n1,-0\r\n \r\n0.1,4\r\n",
+        b"x\x00,y\n1,-0\n0.1,4\n",
+        b"x,y\x00\x00\n1,-0\n\n0.1,4\n",
+        b'"x","y"\n1,-0\n\n0.1,4\n',
+        b'1,"\n  \n-0"\n0.1,4\n',
+    ], ids=["blank-before-header", "blank-cells-before-header", "blank-before-data",
+            "whitespace-row", "quotes-row", "blank-quote-and-tab-rows", "comma-line-0",
+            "comma-line-0-then-header", "commas-line-0", "crlf-header", "crlf-data",
+            "header-nul", "header-nuls", "quoted-header", "quote-over-a-blank-row"])
+    def test_blank_rows_anywhere_give_the_rows(self, tmp_path, raw):
+        path = tmp_path / "input.csv"
+        path.write_bytes(raw)
+        values = cli.read_matrix_csv(str(path))
+        assert values.shape == (2, 2)
+        assert values.tobytes() == np.array([[1.0, -0.0], [0.1, 4.0]]).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("raw, message", [
+        (b"x,y\n\n\n", "no observations"),
+        (b"x,y\n  \n , \n", "no observations"),
+        (b'x,y\n""\n', "no observations"),
+        (b"x,y\r\n\r\n \r\n", "no observations"),
+        (b"1\x00,2\n3,4\n5,6\n", "non-numeric value '1' at row 1, column 1"),
+        (b'1,"2\n\n3,4\n', "unreadable row 1"),
+        (b'x,y\n1,"2\n" \n3,4\n', "unreadable row 2"),
+    ], ids=["header-then-empty", "header-then-blank", "header-then-quotes", "crlf-header-only",
+            "data-nul", "quote-before-an-empty-row", "quote-before-a-blank-row"])
+    def test_blank_rows_anywhere_give_the_error(self, tmp_path, raw, message):
+        path = tmp_path / "input.csv"
+        path.write_bytes(raw)
+        with pytest.raises(cli._UsageError) as error:
+            cli.read_matrix_csv(str(path))
+        assert str(error.value) == f"{path}: {message}"
+
+    def test_a_plain_file_is_one_parse(self, tmp_path, monkeypatch):
+        def no_scan(text):
+            raise AssertionError("the blank-row scan must not run")
+        monkeypatch.setattr(cli, "_non_blank_lines", no_scan)
+        path = tmp_path / "input.csv"
+        for text in ("x,y\n1,-0\n\n0.1,4\n\n", "1,-0\n0.1,4\n", '"x","y"\n1,-0\n0.1,4\n'):
+            path.write_text(text)
+            values = cli.read_matrix_csv(str(path))
+            assert values.tobytes() == np.array([[1.0, -0.0], [0.1, 4.0]]).tobytes()
 
 
 def test_write_matrix_csv_keeps_every_bit(tmp_path):
@@ -342,6 +405,16 @@ class TestDensityGrid:
         assert_one_line_error(err)
         assert not (tmp_path / "grid_grid.csv").exists()
 
+    def test_more_grid_points_than_the_cap_rejected_before_a_fit(self, capsys, tmp_path,
+                                                               monkeypatch, data_csv):
+        monkeypatch.setattr(cli, "fit_many", no_fit)
+        code, out, err = run(capsys, "density-grid", str(data_csv), "--grid-points",
+                             str(cli._MAX_GRID_POINTS + 1), "--out", str(tmp_path / "grid"))
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert f"2 to {cli._MAX_GRID_POINTS} points" in err
+        assert list(tmp_path.iterdir()) == [data_csv]
+
     def test_two_grid_points_accepted(self, capsys, tmp_path, data_csv):
         code, _, err = run(capsys, "density-grid", str(data_csv), "--grid-points", "2",
                            "--out", str(tmp_path / "grid"))
@@ -407,6 +480,16 @@ class TestShowcase:
         assert set(fits) == {"ml", "mlq", "truth"}
         assert fits["mlq"]["q"] == DEFAULT_Q
         assert fits["truth"] == {"mu": [2.0, 1.0], "sigma": [[1.0, 0.0], [0.0, 1.0]], "nu": 3.0}
+
+    def test_more_grid_points_than_the_cap_rejected_before_a_fit(self, capsys, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.setattr(cli, "fit_many", no_fit)
+        code, out, err = run(capsys, "showcase", "--case", "1", "--grid-points",
+                             str(cli._MAX_GRID_POINTS + 1), "--out", str(tmp_path / "show"))
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert f"2 to {cli._MAX_GRID_POINTS} points" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [["--nu", "5"], ["--mu", "9,9"], ["--sigma", "1,0;0,1"],
                                        ["--nu", "5", "--mu", "9,9"]],

@@ -588,9 +588,19 @@ class TestAlgorithmicInvariants:
         assert rel < 1e-6
         assert abs(moved.params.nu - base.params.nu) < 1e-6
 
-    @pytest.mark.parametrize("method,q", [("ml", 1.0), ("mlq", 0.88)])
-    def test_permutation_invariance_bitwise(self, method, q):
+    @pytest.mark.parametrize("method,q,ties", [
+        pytest.param("ml", 1.0, False, id="ml-1.0"),
+        pytest.param("mlq", 0.88, False, id="mlq-0.88"),
+        pytest.param("ml", 1.0, True, id="ml-1.0-ties"),
+        pytest.param("mlq", 0.88, True, id="mlq-0.88-ties"),
+    ])
+    def test_permutation_invariance_bitwise(self, method, q, ties):
         rows = contaminated_data(n=80, seed=19)
+        if ties:
+            # column 0 on a grid of 0.5, so that the rows are ordered by column 1 within a tie
+            rows[:, 0] = np.round(2.0 * rows[:, 0]) / 2.0
+            rows[:2, 0] = [-0.0, 0.0]
+            assert len(np.unique(rows[:, 0])) < len(rows) // 4
         perm = np.random.default_rng(1).permutation(rows.shape[0])
         config = FitConfig(method=method, q=q)
         base = fit(rows, config)
