@@ -37,16 +37,16 @@ paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
   digamma(nu/2)) = 0, holding the E-step's u1 and u2 fixed; by Fisher's
   identity its term equals T at the same parameters, so the two equations
   agree at a fixed point, f^(1 - q) weights included. From the nu F starts
-  at, the search takes Newton steps while the slope is negative and the step
-  stays on NU_BRACKET: to the root at a SQUAREM point, else one, zero exactly
-  where the score is. Only after a step fails that guard does it read the
-  bracket's ends, to clamp or to go on in the sign-change interval, to the
-  root or (off SQUAREM points) to its first Newton step there. The
-  plain method's location and scatter step is EM's, which does not lower
-  the log-likelihood, and a root maximizes it over nu where the score
-  changes sign once on NU_BRACKET; one Newton step need not. So that its
-  trace does not decrease rests on the solve at each SQUAREM point and on
-  measurement, not on a proof.
+  at, the search takes lean Newton steps while every open fit's slope is
+  negative and its step stays on NU_BRACKET: to the root at a SQUAREM point,
+  else one, zero exactly where the score is. After a step fails that guard, a
+  fit whose own step fails it reads the bracket's ends, to clamp or to go on
+  in the sign-change interval, to the root or (off SQUAREM points) to its
+  first Newton step there. The plain method's location and scatter step is
+  EM's, which does not lower the log-likelihood, and a root maximizes it over
+  nu where the score changes sign once on NU_BRACKET; one Newton step need
+  not. So that its trace does not decrease rests on the solve at each SQUAREM
+  point and on measurement, not on a proof.
 * SQUAREM (Varadhan & Roland 2008, scheme S3). Every three iterations
   form one cycle: from x0 the engine takes x1 = F(x0) and x2 = F(x1),
   then moves to x' = x0 - 2 alpha r + alpha^2 v, with r = x1 - x0 and
@@ -316,64 +316,75 @@ def m_step_ml(data, est: EStepQuantities) -> tuple[np.ndarray, np.ndarray]:
 def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: float = _NU_XTOL):
     """Roots of B scalar equations on the common bracket [lo, hi].
 
-    g maps candidate values of shape (B, k) to the B equations' values
-    there, (B, k), and their slopes at the last candidate, (B, 1); it
-    returns NaN at a NaN candidate and skips a row that is all NaN, an
-    equation already settled (see _observed_nu_score). The search starts
-    from x, start clipped to the bracket, and the first call asks for x
-    alone. Each equation takes Newton steps while its slope at x is negative
-    and the step stays on [lo, hi], flagged bracketed: at newton_tol = inf
-    (the engine's iterations that do not start from a SQUAREM point) it
-    stops after the first, otherwise after one of at most newton_tol. An
-    equation whose step fails that guard reads lo and hi in one call, bar an
-    end that x is. Where the value does not change sign on the bracket, lo
-    is returned where it is negative and hi where positive, flagged
+    g maps candidate values of shape (B, k) to the B equations' values there,
+    (B, k), and their slopes at the last candidate, (B, 1); it returns NaN at a
+    NaN candidate and skips a row that is all NaN, an equation already settled
+    (see _observed_nu_score). The search starts from x, start clipped to the
+    bracket, and the first call asks for x alone. While every open equation's
+    slope at x is negative and its Newton step stays on [lo, hi], the search is
+    lean: it takes those steps and keeps no bracket state, flagged bracketed;
+    at newton_tol = inf (the engine's iterations that do not start from a
+    SQUAREM point) an equation stops after the first, otherwise after one of at
+    most newton_tol. Once a step fails that guard, the open equations go on
+    from x bracketed: an equation whose step fails it reads lo and hi in one
+    call, bar an end that x is. Where the value does not change sign on the
+    bracket, lo is returned where it is negative and hi where positive, flagged
     unbracketed. Otherwise the root is found by Newton's method from x,
     safeguarded by bisection: a Newton step that lands in the closed
     sign-change interval [a, b] is taken, even onto the current iterate, and
     any other is replaced by the geometric midpoint sqrt(a b), which needs
-    lo > 0. Such a root is accepted after a Newton step of at most
-    newton_tol (at inf, the first in [a, b]) or once its interval is
-    _NU_XTOL narrow. Every search stops at an exact zero; a NaN value or
-    slope gives a NaN root. Every equation's iterates depend on its own
-    values only. Returns (roots, bracketed), both of shape (B,).
+    lo > 0. Such a root is accepted after a Newton step of at most newton_tol
+    (at inf, the first in [a, b]) or once its interval is _NU_XTOL narrow. After
+    _NU_MAX_STEPS steps of either kind an open equation returns its x. Every
+    search stops at an exact zero; a NaN value or slope gives a NaN root. Every
+    equation's iterates depend on its own values only. Returns (roots,
+    bracketed), both of shape (B,).
     """
     x = np.clip(start, lo, hi)
     value, slope = g(x[:, None])
     fx, dfx = value[:, 0], slope[:, 0]
-    ends = np.tile([lo, hi], (x.shape[0], 1))
+    ends = np.array([lo, hi])
     # the sign-change interval is [a, b], with f(a) of the sign of f(lo)
-    a, b = ends.T
+    a, b = lo, hi
     f_lo = root = np.full(x.shape, np.nan)
     todo = free = bracketed = np.ones(x.shape, dtype=bool)  # free: has read no end
+    # lean: no end read yet; a bracket _NU_XTOL narrow takes the bracketed steps at once
+    lean = hi - lo > _NU_XTOL
     for _ in range(_NU_MAX_STEPS):
-        free = free & todo
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - fx / dfx
-        guarded = free & (dfx < 0.0) & (lo <= newton) & (newton <= hi)
-        fall = free & ~guarded & (fx != 0.0)
-        if fall.any():
-            held = ends == x[:, None]
-            ask = np.where(fall[:, None] & ~held, ends, np.nan)
-            need = ~np.isnan(ask).all(axis=0)
-            value = np.full(ends.shape, np.nan)
-            value[:, need] = g(ask[:, need])[0]
-            value = np.where(held, fx[:, None], value)
-            f_lo, f_hi = np.where(fall, value[:, 0], f_lo), value[:, 1]
-            # no sign change: lo where f < 0 at both ends, hi where f > 0, or an end where f = 0
-            change = np.sign(f_lo) * np.sign(f_hi) < 0.0
-            root = np.where(fall, np.where((f_hi == 0.0) | (f_lo > 0.0), hi, lo), root)
-            bracketed = np.where(fall, change | (f_lo == 0.0) | (f_hi == 0.0), bracketed)
-            todo, free = todo & ~(fall & ~change), free & ~fall
-        hit = todo & (fx == 0.0)
-        root = np.where(hit, x, root)
-        todo = todo & ~hit
-        low = ~free & ((fx < 0.0) == (f_lo < 0.0))
-        a, b = np.where(low, x, a), np.where(low | free, b, x)
-        # a NaN step (from a NaN value or slope) is taken and accepted: the root is NaN
-        use_newton = ~((newton < a) | (newton > b))
-        step = np.where(use_newton, newton, np.sqrt(a * b))
-        done = todo & ((use_newton & ~(np.abs(step - x) > newton_tol)) | (b - a <= _NU_XTOL))
+        # the guard; a NaN value or slope gives a NaN step, which fails it
+        guarded = (dfx < 0.0) & (lo <= newton) & (newton <= hi)
+        lean = lean and np.count_nonzero(guarded & todo) == np.count_nonzero(todo)
+        if lean:  # every open step holds the guard, and an exact zero steps onto x
+            step, done = newton, todo & ~(np.abs(newton - x) > newton_tol)
+        else:
+            free = free & todo
+            guarded &= free
+            fall = free & ~guarded & (fx != 0.0)
+            if fall.any():
+                held = ends == x[:, None]
+                ask = np.where(fall[:, None] & ~held, ends, np.nan)
+                need = ~np.isnan(ask).all(axis=0)
+                value = np.full(held.shape, np.nan)
+                value[:, need] = g(ask[:, need])[0]
+                value = np.where(held, fx[:, None], value)
+                f_lo, f_hi = np.where(fall, value[:, 0], f_lo), value[:, 1]
+                # no sign change: lo where f < 0 at both ends, hi where f > 0, or an f = 0 end
+                change = np.sign(f_lo) * np.sign(f_hi) < 0.0
+                root = np.where(fall, np.where((f_hi == 0.0) | (f_lo > 0.0), hi, lo), root)
+                bracketed = np.where(fall, change | (f_lo == 0.0) | (f_hi == 0.0), bracketed)
+                todo, free = todo & ~(fall & ~change), free & ~fall
+            hit = todo & (fx == 0.0)
+            root = np.where(hit, x, root)
+            todo = todo & ~hit
+            low = ~free & ((fx < 0.0) == (f_lo < 0.0))
+            a, b = np.where(low, x, a), np.where(low | free, b, x)
+            # a NaN step (from a NaN value or slope) is taken and accepted: the root is NaN
+            use_newton = ~((newton < a) | (newton > b))
+            step = np.where(use_newton, newton, np.sqrt(a * b))
+            close = use_newton & ~(np.abs(step - x) > newton_tol)
+            done = todo & (close | (b - a <= _NU_XTOL))
         root = np.where(done, step, root)
         todo = todo & ~done
         if not todo.any():
@@ -392,7 +403,8 @@ def _observed_nu_score(s, one_minus_q, p: int):
     log det sigma taken as 0, which drops a factor free of nu, and with it the
     data's units; d f^(1 - q) / d nu = (1 - q) f^(1 - q) T / 2. A row of nu
     that is all NaN, an accepted root, is dropped before any special function
-    sees it, and a NaN nu comes back NaN.
+    sees it, and a NaN nu comes back NaN. A call whose open fits all have
+    q = 1 computes no weight.
     """
     s_minus_p = s - p
 
@@ -401,9 +413,15 @@ def _observed_nu_score(s, one_minus_q, p: int):
         # a slice leaves s uncopied while every row is open
         rows = slice(None) if is_open.all() else np.flatnonzero(is_open)
         dist, v, tilt = s[rows, None, :], nu[rows, :, None], one_minus_q[rows, None, None]
-        t, weight, shared = _nu_terms(dist, v, p, tilt, s_minus_p=s_minus_p[rows, None, :])
+        plain = not tilt.any()  # q = 1 throughout: the weights f^0 are not computed
+        t, weight, shared = _nu_terms(dist, v, p, None if plain else tilt,
+                                      s_minus_p=s_minus_p[rows, None, :])
         slope = _nu_slope(dist, v[:, -1:], t[:, -1:], [term[:, -1:] for term in shared], tilt)
-        sums = np.sum(t * weight, axis=2), np.sum(weight[:, -1:] * slope, axis=2)
+        if plain:  # f^0 is 1, but NaN where log f overflowed: there, and only there, T is -inf
+            total = np.sum(t, axis=2)
+            sums = np.where(total == -np.inf, np.nan, total), np.sum(slope, axis=2)
+        else:
+            sums = np.sum(t * weight, axis=2), np.sum(weight[:, -1:] * slope, axis=2)
         if isinstance(rows, slice):
             return sums
         values, slopes = np.full(nu.shape, np.nan), np.full((nu.shape[0], 1), np.nan)

@@ -205,11 +205,13 @@ def _nu_terms(s, nu, p: int, one_minus_q, log_det_sigma=0.0, s_minus_p=None):
     """The nu kernel: T = 2 d log f / d nu, f^(1 - q) and the terms _nu_slope shares with T.
 
     Those are the trigamma gap at nu / 2, nu + s and (s - p) / (nu + s); s_minus_p may hold s - p.
+    With one_minus_q None the weight is not computed, and comes back None.
     """
     log_gamma_gap, digamma_gap, trigamma_gap = gamma_gaps(0.5 * nu, p)
     log1p_ratio = np.log1p(s / nu)
     # the weight first, so that its temporaries are freed before the shared terms are made
-    weight = np.exp(one_minus_q * _log_density(log1p_ratio, nu, p, log_det_sigma, log_gamma_gap))
+    weight = None if one_minus_q is None else np.exp(
+        one_minus_q * _log_density(log1p_ratio, nu, p, log_det_sigma, log_gamma_gap))
     nu_s = nu + s
     excess = (s - p if s_minus_p is None else s_minus_p) / nu_s
     return digamma_gap - log1p_ratio + excess, weight, (trigamma_gap, nu_s, excess)

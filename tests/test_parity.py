@@ -150,3 +150,44 @@ def test_set_line_reports_each_sides_nu_score_evaluations():
     line = parity.set_line("large", parent, change)
     assert line["nu_score_evaluations"] == {"parent": 12, "change": 9} and "simulation" not in line
     assert line["nu_score_calls"] == {"parent": 5, "change": 4}
+
+
+def test_counting_end_reads_counts_the_solves_that_read_an_end():
+    import math
+
+    import robust_t as rt
+    from robust_t import estimators
+
+    original = estimators._bracketed_root
+    lo, hi = estimators.NU_BRACKET
+
+    def log_equation(root):
+        return lambda nu: (np.log(root) - np.log(nu), -1.0 / nu[:, -1:])
+
+    with parity.counting_end_reads(estimators) as count:
+        # a start at an end is the first call's, not a read of the end
+        assert estimators._bracketed_root(log_equation(150.0), lo, hi, np.array([hi]),
+                                          math.inf)[1].all()
+        assert count == {"solves": 1, "end_reads": 0}
+        # a step off the bracket reads the ends, and no sign change clamps to hi
+        assert not estimators._bracketed_root(log_equation(300.0), lo, hi,
+                                              np.array([3.0]))[1].any()
+        assert count == {"solves": 2, "end_reads": 1}
+    assert estimators._bracketed_root is original
+    # near-normal rows run nu to 200, where the Newton step leaves the bracket
+    rows = np.random.default_rng(5).normal(size=(205, 2))
+    with parity.counting_end_reads(estimators) as count:
+        result = rt.fit(rows, rt.FitConfig())
+    assert result.nu_clamped and count["solves"] == result.iterations
+    assert 0 < count["end_reads"] < count["solves"]
+
+
+def test_set_line_reports_each_sides_solves_and_end_reads():
+    fits = [finished("ml", 3.0)]
+    parent = {"large": fits, "nu_score_evaluations": {"large": 12},
+              "nu_score_calls": {"large": 5}, "nu_solves": {"large": 4},
+              "nu_end_reads": {"large": 1}}
+    change = dict(parent, nu_end_reads={"large": 0})
+    line = parity.set_line("large", parent, change)
+    assert line["nu_solves"] == {"parent": 4, "change": 4}
+    assert line["nu_end_reads"] == {"parent": 1, "change": 0}

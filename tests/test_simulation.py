@@ -601,6 +601,24 @@ def log_equations(targets):
     return g, calls
 
 
+def log_equation(root):
+    """The equation log(root) - log(x) = 0 as (value, slope) functions of x."""
+    return lambda x: np.log(root) - np.log(x), lambda x: -1.0 / x
+
+
+def row_equations(*rows):
+    """g for one equation per row, given as (value, slope) functions, recording each call."""
+    calls = []
+
+    def g(x):
+        calls.append(x.copy())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pairs = [(value(x[b]), slope(x[b, -1:])) for b, (value, slope) in enumerate(rows)]
+        return np.array([value for value, _ in pairs]), np.array([slope for _, slope in pairs])
+
+    return g, calls
+
+
 def row_candidates(calls, row):
     """The candidates that are not NaN of one row, call by call, over the calls that hold one."""
     return [c[row][~np.isnan(c[row])].tolist() for c in calls if not np.isnan(c[row]).all()]
@@ -707,6 +725,49 @@ class TestBracketedRoot:
         # x alone, then both ends; the NaN Newton step from x is taken and accepted
         assert np.isnan(roots[0]) and bracketed[0] and calls == [(1, 1), (1, 2)]
 
+    def test_a_search_that_never_settles_stops_at_the_step_budget(self):
+        # -sign(x - 5) sqrt|x - 5|: every Newton step holds its guard, and they cycle 3 <-> 7
+        cycling = (lambda x: -np.sign(x - 5.0) * np.sqrt(np.abs(x - 5.0)),
+                   lambda x: -0.5 / np.sqrt(np.abs(x - 5.0)))
+        g, alone = row_equations(cycling)
+        (root,), (flag,) = estimators._bracketed_root(g, self.LO, self.HI, np.array([3.0]))
+        budget = 1 + estimators._NU_MAX_STEPS
+        assert len(alone) == budget and flag and abs(root - 3.0) < 1e-12
+        candidates = row_candidates(alone, 0)
+        assert np.allclose(candidates, [[3.0], [7.0]] * (budget // 2) + [[3.0]], atol=1e-12)
+        # a row that converges closes early; the cycling one still stops at the budget
+        g, calls = row_equations(cycling, log_equation(5.0))
+        roots, bracketed = estimators._bracketed_root(g, self.LO, self.HI, np.array([3.0, 3.0]))
+        g_one, settled = row_equations(log_equation(5.0))
+        assert roots.tolist() == [root, estimators._bracketed_root(g_one, self.LO, self.HI,
+                                                                    np.array([3.0]))[0][0]]
+        assert bracketed.all() and len(calls) == budget
+        assert row_candidates(calls, 0) == candidates
+        assert row_candidates(calls, 1) == row_candidates(settled, 0)
+
+    def test_a_guard_that_fails_after_steps_hands_the_search_to_the_bracket(self):
+        # log 300 - log x from 3: three steps hold the guard, the fourth leaves the bracket;
+        # only then are the ends read, and the value keeps its sign there
+        lo, hi = self.LO, self.HI
+        g, alone = row_equations(log_equation(300.0))
+        (root,), (flag,) = estimators._bracketed_root(g, lo, hi, np.array([3.0]))
+        candidates = row_candidates(alone, 0)
+        assert root == hi and not flag
+        assert [c[0] for c in candidates[:4]] == pytest.approx(
+            [3.0, 16.8155105579643, 65.2690808126419, 164.821663023377], rel=1e-12)
+        assert candidates[4:] == [[lo, hi]]
+        # a row still open at that call goes on from its own x, as it would alone
+        g, calls = row_equations(log_equation(300.0), log_equation(5.0))
+        roots, bracketed = estimators._bracketed_root(g, lo, hi, np.array([3.0, 3.0]))
+        g_one, settled = row_equations(log_equation(5.0))
+        (settled_root,), (settled_flag,) = estimators._bracketed_root(g_one, lo, hi,
+                                                                      np.array([3.0]))
+        assert roots.tolist() == [root, settled_root]
+        assert bracketed.tolist() == [flag, settled_flag]
+        assert row_candidates(calls, 0) == candidates
+        assert row_candidates(calls, 1) == row_candidates(settled, 0)
+        assert len(row_candidates(settled, 0)) > len(candidates)
+
     def test_no_row_is_evaluated_again_at_an_earlier_candidate(self, monkeypatch):
         # a Newton step that rounds onto its iterate must end the search, not
         # send the row back to a nu it was already evaluated at
@@ -784,6 +845,38 @@ class TestBracketedRoot:
         assert np.isnan(value[[0, 2]]).all() and np.isnan(slope[[0, 2]]).all()
         alone_value, alone_slope = score(np.array([[4.0], [4.0], [4.0]]))
         assert value[1, 0] == alone_value[1, 0] and slope[1, 0] == alone_slope[1, 0]
+
+    def test_a_call_whose_open_fits_are_all_plain_computes_no_weight(self, monkeypatch):
+        # f^(1 - q) is 1 at q = 1: plain rows read the same bitwise in a call that
+        # computes the weight for a q < 1 row and in one that computes none
+        from robust_t import tdist
+
+        s = np.random.default_rng(3).chisquare(2, size=(3, 50)) * 1.5
+        g = estimators._observed_nu_score(s, np.array([0.0, 0.0, 0.2]), 2)
+        nu = np.array([[0.7, 4.0], [60.0, 9.0], [4.0, 4.0]])
+        values, slopes = g(nu)
+
+        def no_density(*args):
+            raise AssertionError("the density was evaluated")
+
+        monkeypatch.setattr(tdist, "_log_density", no_density)
+        plain_values, plain_slopes = g(np.where([[True], [True], [False]], nu, np.nan))
+        assert plain_values[:2].tolist() == values[:2].tolist()
+        assert plain_slopes[:2].tolist() == slopes[:2].tolist()
+        assert np.isnan(plain_values[2]).all()
+        with pytest.raises(AssertionError, match="density"):
+            g(nu)
+
+    def test_a_plain_call_is_nan_where_the_density_overflows(self):
+        # log1p(s / nu) overflows at s = 1.7e308 and nu = 0.1: f^0 is NaN there, and T is -inf
+        s = np.tile([1.0, 2.0, 1.7e308], (2, 1))
+        nu = np.array([[0.1, 3.0], [0.1, 3.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = estimators._observed_nu_score(s, np.zeros(2), 2)(nu)
+            mixed = estimators._observed_nu_score(s, np.array([0.0, 0.1]), 2)(nu)
+        assert np.isnan(plain[0][:, 0]).all() and np.isfinite(plain[0][:, 1]).all()
+        for got, want in zip(plain, mixed):
+            assert np.array_equal(got[0], want[0], equal_nan=True)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
     def test_nu_score_is_bitwise_its_formulas(self, p):

@@ -21,8 +21,10 @@ differ; the fits with bitwise-equal mu, sigma and nu, by method; the
 largest |d mu|, |d sigma| and |d nu| over the fits both sides finished;
 by method, on each side, the mean iterations and the count of unconverged
 fits over the fits that side finished; and, on each side, the nu-score
-evaluations of the set's fits, one per fit and candidate nu, and the
-evaluator calls that made them.
+evaluations of the set's fits, one per fit and candidate nu, the
+evaluator calls that made them, the nu solves (estimators._bracketed_root
+calls) and the solves that read a bracket end, that is, held a candidate
+at an end of the bracket after their first call.
 
 For case_i and case_ii the line also holds, under "simulation", the parity
 of run_simulation on the same specs (one report per seed): for each
@@ -47,6 +49,8 @@ import numpy as np
 
 SETS = ("case_i", "case_ii", "large")
 SIMULATED = ("case_i", "case_ii")
+# the per-set counts of record_outcomes, each reported per side
+COUNTS = ("nu_score_evaluations", "nu_score_calls", "nu_solves", "nu_end_reads")
 
 
 def _grid(low: float, count: int) -> tuple[float, ...]:
@@ -82,6 +86,37 @@ def counting_nu_scores(estimators):
         estimators._observed_nu_score = original
 
 
+@contextmanager
+def counting_end_reads(estimators):
+    """Count the engine's nu solves, and those that read a bracket end, while open.
+
+    Wraps estimators._bracketed_root. A solve reads an end when a call after
+    its first holds a candidate at lo or hi; the first call holds each fit's
+    start, which may be an end. Yields a dict whose "solves" counts the
+    solves and whose "end_reads" counts those that read an end.
+    """
+    count = {"solves": 0, "end_reads": 0}
+    original = estimators._bracketed_root
+
+    def counted_root(g, lo, hi, *args):
+        reads = []
+
+        def watched(nu):
+            reads.append(bool(((nu == lo) | (nu == hi)).any()))
+            return g(nu)
+
+        result = original(watched, lo, hi, *args)
+        count["solves"] += 1
+        count["end_reads"] += any(reads[1:])
+        return result
+
+    estimators._bracketed_root = counted_root
+    try:
+        yield count
+    finally:
+        estimators._bracketed_root = original
+
+
 def record_outcomes() -> dict:
     """Every fit of SETS under the robust_t and perfbench found on sys.path."""
     import robust_t as rt
@@ -106,16 +141,18 @@ def record_outcomes() -> dict:
 
     simulated = {"case_i": specs(1, range(100, 160), 2, _grid(0.8, 10)),
                  "case_ii": specs(2, [7], 30, _grid(0.7, 15))}
-    outcomes, evaluations, calls = {}, {}, {}
+    outcomes = {}
+    counts = {key: {} for key in COUNTS}
     for name in SETS:
-        with counting_nu_scores(estimators) as count:
+        with counting_nu_scores(estimators) as count, counting_end_reads(estimators) as solves:
             outcomes[name] = ([fit for spec in simulated[name] for fit in paper(spec)]
                               if name in SIMULATED else
                               run([large_dataset(0, 0, 2000, 10)],
                                   [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)]))
-        evaluations[name], calls[name] = count["evaluations"], count["calls"]
-    outcomes["nu_score_evaluations"] = evaluations
-    outcomes["nu_score_calls"] = calls
+        for key, value in zip(COUNTS, (count["evaluations"], count["calls"],
+                                       solves["solves"], solves["end_reads"])):
+            counts[key][name] = value
+    outcomes.update(counts)
     outcomes["simulations"] = {name: [_report(rt.run_simulation(spec)) for spec in simulated[name]]
                                for name in SIMULATED}
     return outcomes
@@ -210,8 +247,9 @@ def set_line(name: str, parent: dict, change: dict) -> dict:
     """The printed parity line of set name, from each side's record_outcomes."""
     sides = {"parent": parent, "change": change}
     line = {"set": name, **compare(parent[name], change[name])}
-    for key in ("nu_score_evaluations", "nu_score_calls"):
-        line[key] = {side: outcomes[key][name] for side, outcomes in sides.items()}
+    for key in COUNTS:
+        if key in parent:  # each count the records hold
+            line[key] = {side: outcomes[key][name] for side, outcomes in sides.items()}
     if name in SIMULATED:
         line["simulation"] = compare_simulations(parent["simulations"][name],
                                                  change["simulations"][name])
