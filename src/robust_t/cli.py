@@ -13,6 +13,7 @@ output is written before a 2 is returned.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -57,6 +58,7 @@ _NUMBER = "%.17g"
 # a longer q grid is rejected before any value is built; simulate fits each one
 _MAX_Q_VALUES = 10_000
 _MAX_GRID_POINTS = 1_000  # per axis; a contour grid holds its square, each row as text
+_parser = functools.cache(lambda: build_parser())  # main's, built at its first call
 
 
 class _UsageError(Exception):
@@ -528,9 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

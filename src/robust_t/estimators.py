@@ -31,22 +31,22 @@ paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
   sum(w s) = p sum(v) (v = 1 for the plain step), and since
   w (nu + s) = (nu + p) v, sum(w) = sum(v).
 * Inexact ECME (Liu & Rubin 1994; Lange 1995; McLachlan & Peel 2000,
-  section 7). The nu step works on sum f^(1 - q) T = 0 at the updated
-  location and scatter, T being twice the observed-data score in nu. The
-  paper's ECM step solves sum f^(1 - q) (1 + u2 - u1 + log(nu/2) -
-  digamma(nu/2)) = 0, holding the E-step's u1 and u2 fixed; by Fisher's
-  identity its term equals T at the same parameters, so the two equations
-  agree at a fixed point, f^(1 - q) weights included. From the nu F starts
-  at, the search takes lean Newton steps while every open fit's slope is
-  negative and its step stays on NU_BRACKET: to the root at a SQUAREM point,
-  else one, zero exactly where the score is. After a step fails that guard, a
-  fit whose own step fails it reads the bracket's ends, to clamp or to go on
-  in the sign-change interval, to the root or (off SQUAREM points) to its
-  first Newton step there. The plain method's location and scatter step is
-  EM's, which does not lower the log-likelihood, and a root maximizes it over
-  nu where the score changes sign once on NU_BRACKET; one Newton step need
-  not. So that its trace does not decrease rests on the solve at each SQUAREM
-  point and on measurement, not on a proof.
+  section 7). The nu step works on sum f^(1 - q) T = 0 at the updated location
+  and scatter, T being twice the observed-data score in nu. The paper's ECM step
+  solves sum f^(1 - q) (1 + u2 - u1 + log(nu/2) - digamma(nu/2)) = 0, holding
+  the E-step's u1 and u2 fixed; by Fisher's identity its term equals T at the
+  same parameters, so the two equations agree at a fixed point, f^(1 - q)
+  weights included. From the nu F starts at, the search takes lean Newton steps
+  while every open fit's slope is negative and its step stays on NU_BRACKET:
+  one, zero exactly where the score is, or at a SQUAREM point to the root, its
+  last step at most sqrt(_NU_XTOL), for an error near _NU_XTOL at a simple root.
+  After a step fails that guard, a fit whose own step fails it reads the
+  bracket's ends, to clamp or to go on in the sign-change interval, to the root
+  or (off SQUAREM points) to its first Newton step there. The plain method's
+  location and scatter step is EM's, which does not lower the log-likelihood,
+  and a root maximizes it over nu where the score changes sign once on
+  NU_BRACKET; one Newton step need not. So that its trace does not decrease
+  rests on the solve at each SQUAREM point and on measurement, not on a proof.
 * SQUAREM (Varadhan & Roland 2008, scheme S3). Every three iterations
   form one cycle: from x0 the engine takes x1 = F(x0) and x2 = F(x1),
   then moves to x' = x0 - 2 alpha r + alpha^2 v, with r = x1 - x0 and
@@ -104,13 +104,14 @@ from .linalg import (
 )
 from .tdist import (
     MvtParams,
+    _log_pdf,
+    _lq,
     _nu_slope,
     _nu_terms,
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
     log_pdf_from_dist,
-    lq_from_log,
 )
 
 __all__ = [
@@ -213,17 +214,17 @@ class FitResult:
     iterations counts evaluations of the map F: the paper's location and
     scatter step, then a step on the observed-data nu equation at the update
     (inexact ECME), with the paper's fixed point (see the module docstring).
-    trace holds one record per evaluation: its change norm and the
-    objective at its result. Every third evaluation starts from a SQUAREM
-    point, or from the previous result where that point failed its checks,
-    and solves for nu to the root; the others take one Newton step. Where the
-    nu equation has several roots on NU_BRACKET, that solve returns the one
-    Newton steps reach from the nu F starts at while the score falls there
-    (a local maximum in nu), or after a step fails that guard the one its
-    bracketed search reaches. nu_clamped is True when the last nu step read
-    the bracket's ends, found no sign change and returned an endpoint. A
-    solve that never reads the ends is never clamped, even where the score
-    keeps its sign.
+    trace holds one record per evaluation: its change norm and the objective at
+    its result. Every third evaluation starts from a SQUAREM point, or from the
+    previous result where that point failed its checks, and solves for nu to
+    the root, to about _NU_XTOL (its last Newton step is at most
+    sqrt(_NU_XTOL)); the others take one Newton step. Where the nu equation has
+    several roots on NU_BRACKET, that solve returns the one Newton steps reach
+    from the nu F starts at while the score falls there (a local maximum in
+    nu), or after a step fails that guard the one its bracketed search reaches.
+    nu_clamped is True when the last nu step read the bracket's ends, found no
+    sign change and returned an endpoint. A solve that never reads the ends is
+    never clamped, even where the score keeps its sign.
     """
 
     params: MvtParams
@@ -322,23 +323,24 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: floa
     (see _observed_nu_score). The search starts from x, start clipped to the
     bracket, and the first call asks for x alone. While every open equation's
     slope at x is negative and its Newton step stays on [lo, hi], the search is
-    lean: it takes those steps and keeps no bracket state, flagged bracketed;
-    at newton_tol = inf (the engine's iterations that do not start from a
-    SQUAREM point) an equation stops after the first, otherwise after one of at
-    most newton_tol. Once a step fails that guard, the open equations go on
-    from x bracketed: an equation whose step fails it reads lo and hi in one
-    call, bar an end that x is. Where the value does not change sign on the
-    bracket, lo is returned where it is negative and hi where positive, flagged
-    unbracketed. Otherwise the root is found by Newton's method from x,
-    safeguarded by bisection: a Newton step that lands in the closed
-    sign-change interval [a, b] is taken, even onto the current iterate, and
-    any other is replaced by the geometric midpoint sqrt(a b), which needs
-    lo > 0. Such a root is accepted after a Newton step of at most newton_tol
-    (at inf, the first in [a, b]) or once its interval is _NU_XTOL narrow. After
-    _NU_MAX_STEPS steps of either kind an open equation returns its x. Every
-    search stops at an exact zero; a NaN value or slope gives a NaN root. Every
-    equation's iterates depend on its own values only. Returns (roots,
-    bracketed), both of shape (B,).
+    lean: it takes those steps and keeps no bracket state, flagged bracketed; at
+    newton_tol = inf (the engine's iterations off SQUAREM points) an equation
+    stops after the first, else after one of at most newton_tol. Newton's error
+    after a step d is about (f'' / 2 f') d^2, so the engine's sqrt(_NU_XTOL) at
+    SQUAREM points leaves about _NU_XTOL at a simple root. Once a step fails
+    that guard, the open equations go on from x bracketed: an equation whose
+    step fails it reads lo and hi in one call, bar an end that x is. Where the
+    value does not change sign on the bracket, lo is returned where it is
+    negative and hi where positive, flagged unbracketed. Otherwise the root is
+    found by Newton's method from x, safeguarded by bisection: a Newton step
+    that lands in the closed sign-change interval [a, b] is taken, even onto the
+    current iterate, and any other is replaced by the geometric midpoint
+    sqrt(a b), which needs lo > 0. Such a root is accepted after a Newton step
+    of at most newton_tol (at inf, the first in [a, b]) or once its interval is
+    _NU_XTOL narrow. After _NU_MAX_STEPS steps of either kind an open equation
+    returns its x. Every search stops at an exact zero; a NaN value or slope
+    gives a NaN root. Every equation's iterates depend on its own values only.
+    Returns (roots, bracketed), both of shape (B,).
     """
     x = np.clip(start, lo, hi)
     value, slope = g(x[:, None])
@@ -420,8 +422,9 @@ def _observed_nu_score(s, one_minus_q, p: int):
         if plain:  # f^0 is 1, but NaN where log f overflowed: there, and only there, T is -inf
             total = np.sum(t, axis=2)
             sums = np.where(total == -np.inf, np.nan, total), np.sum(slope, axis=2)
-        else:
-            sums = np.sum(t * weight, axis=2), np.sum(weight[:, -1:] * slope, axis=2)
+        else:  # the products are written over t and the slope, which are not read again
+            slope *= weight[:, -1:]
+            sums = np.sum(np.multiply(t, weight, out=t), axis=2), np.sum(slope, axis=2)
         if isinstance(rows, slice):
             return sums
         values, slopes = np.full(nu.shape, np.nan), np.full((nu.shape[0], 1), np.nan)
@@ -531,9 +534,9 @@ def _distances(columns, mu, sigma):
 
 def _objective(s, log_det, nu, q, p: int):
     """The fits' objectives, sums of lq of the densities at s, and the log densities."""
-    log_f = log_pdf_from_dist(s, nu[:, None], p, log_det[:, None])
+    log_f = _log_pdf(s, nu[:, None], p, log_det[:, None])
     with np.errstate(over="ignore"):  # _fit_batch fails a fit stopping at an inf lq
-        return np.sum(lq_from_log(log_f, q[:, None]), axis=1), log_f
+        return np.sum(_lq(log_f, q[:, None]), axis=1), log_f
 
 
 def _squarem_step(state: dict, upper, with_nu: bool):
@@ -547,7 +550,7 @@ def _squarem_step(state: dict, upper, with_nu: bool):
     r, scale = state["r"], state["scale"]
     v = state["moved"] - r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.linalg.norm(r / scale, axis=1) / np.linalg.norm(v / scale, axis=1)
+        ratio = np.divide(*[np.sqrt(np.add.reduce(x * x, axis=1)) for x in (r / scale, v / scale)])
         alpha = np.minimum(-ratio, -1.0)[:, None]
         vec = state["anchor"] - 2.0 * alpha * r + alpha * alpha * v
     p = state["mu"].shape[1]
@@ -657,7 +660,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         chol, log_det, s = _distances(columns, mu, sigma)
         bracketed = np.ones_like(ok)
         if estimate_nu:
-            tol = _NU_XTOL if iteration % 3 == 0 else math.inf  # the root from x' only
+            tol = math.sqrt(_NU_XTOL) if iteration % 3 == 0 else math.inf  # the root from x' only
             nu, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - q, p), *NU_BRACKET, nu, tol)
             # a score whose weights overflowed has no root: that fit fails
             ok &= np.isfinite(nu)
@@ -669,7 +672,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         ok &= ~collapsed
         vec = _pack(mu, sigma, nu, upper, estimate_nu)
         moved = vec - state["vec"]
-        change = np.linalg.norm(moved, axis=1)
+        change = np.sqrt(np.add.reduce(moved * moved, axis=1))  # np.linalg.norm's arithmetic
 
         converged = change < shared.epsilon
         stop = converged | ~ok | (iteration == shared.max_iter)

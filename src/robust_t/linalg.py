@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
+_EPS = np.finfo(float).eps
+
 __all__ = [
     "symmetrize",
     "cholesky_lower",
@@ -139,5 +141,5 @@ def spd_shift_many(stack: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     if p == 1:
         return np.maximum(0.0, floor - stack[:, 0, 0])
     lam = _lambda_min_2x2(stack) if p == 2 else np.linalg.eigvalsh(stack)[:, 0]
-    bound = 2 * p * np.finfo(float).eps * np.linalg.norm(stack, axis=(1, 2))
+    bound = 2 * p * _EPS * np.sqrt(np.add.reduce(stack * stack, axis=(1, 2)))  # ||m||_F
     return np.maximum(0.0, floor - (lam - bound))

@@ -230,25 +230,23 @@ def _replicate_groups(spec: SimulationSpec, jobs: int) -> list[range]:
 
 def _group_records(args) -> list[ReplicateRecord]:
     """Fit a group of replicates by ML and across the q grid, all in one lockstep batch."""
-    spec, indices = args
+    spec, indices, upper = args
     datasets = [contaminate(generate_replicate(spec, index), spec, index) for index in indices]
     labels = [(METHOD_ML, None)] + [(METHOD_MLQ, q) for q in spec.q_grid]
     configs = [replace(spec.fit_config, method=method, q=(1.0 if q is None else q))
                for method, q in labels]
-    upper = np.triu_indices(spec.true_params.dim)
     return [_fit_record(index, method, q, outcome, spec, upper)
             for index, outcomes in zip(indices, _fit_batch(datasets, configs))
             for (method, q), outcome in zip(labels, outcomes)]
 
 
-def _summarize(records: list[ReplicateRecord], truth: MvtParams) -> MethodSummary:
+def _summarize(records: list[ReplicateRecord], truth: MvtParams, upper) -> MethodSummary:
     """One config's summary; its means are the column means of the converged rows."""
     table = np.array([(*r.mu, *r.sigma, r.nu, r.d_mu, r.d_sigma, r.sq_err_nu,
                        r.d_mu + r.d_sigma + abs(r.nu - truth.nu)) for r in records])
     used = np.array([r.converged for r in records])
     means = table[used].mean(axis=0) if used.any() else np.full(table.shape[1], math.nan)
     p = truth.dim
-    upper = np.triu_indices(p)
     mean_sigma = np.empty((p, p))
     mean_sigma[upper] = mean_sigma[upper[::-1]] = means[p:-5]
     mean_nu, mean_d_mu, mean_d_sigma, mse_nu, combined = means[-5:].tolist()
@@ -279,7 +277,8 @@ def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
     pool of at most one worker per usable CPU; the report does not depend on
     either (see the module docstring).
     """
-    tasks = [(spec, group) for group in _replicate_groups(spec, jobs)]
+    upper = np.triu_indices(spec.true_params.dim)  # one for the records and summaries
+    tasks = [(spec, group, upper) for group in _replicate_groups(spec, jobs)]
     if jobs > 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         # the pool starts all its workers at the first submit, so it gets no idle ones
@@ -290,7 +289,7 @@ def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
     records = [record for chunk in chunks for record in chunk]
 
     slots = 1 + len(spec.q_grid)
-    ml, *sweep = (_summarize(records[k::slots], spec.true_params) for k in range(slots))
+    ml, *sweep = (_summarize(records[k::slots], spec.true_params, upper) for k in range(slots))
     best = min(sweep, key=lambda s: (not math.isfinite(s.mean_combined), s.mean_combined))
     return SimulationReport(
         spec=spec,

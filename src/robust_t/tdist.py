@@ -113,6 +113,11 @@ def log_pdf_from_dist(s, nu, p: int, log_det_sigma):
     nu = np.asarray(nu, dtype=float)
     if not (nu > 0.0).all():
         raise DomainError("degrees of freedom must be positive")
+    return _log_pdf(s, nu, p, log_det_sigma)
+
+
+def _log_pdf(s, nu, p: int, log_det_sigma):
+    """log_pdf_from_dist without its check, for a float array nu > 0."""
     return _log_density(np.log1p(s / nu), nu, p, log_det_sigma, gamma_gaps(0.5 * nu, p)[0])
 
 
@@ -150,7 +155,11 @@ def lq_from_log(log_u, q):
     q = np.asarray(q, dtype=float)
     if not (q > 0.0).all():
         raise DomainError("q must be positive")
-    log_u = np.asarray(log_u, dtype=float)
+    return _lq(np.asarray(log_u, dtype=float), q)
+
+
+def _lq(log_u, q):
+    """lq_from_log without its checks, for float arrays log_u and q > 0."""
     plain = q == 1.0
     if plain.all():
         return log_u
@@ -205,23 +214,29 @@ def _nu_terms(s, nu, p: int, one_minus_q, log_det_sigma=0.0, s_minus_p=None):
     """The nu kernel: T = 2 d log f / d nu, f^(1 - q) and the terms _nu_slope shares with T.
 
     Those are the trigamma gap at nu / 2, nu + s and (s - p) / (nu + s); s_minus_p may hold s - p.
-    With one_minus_q None the weight is not computed, and comes back None.
+    With one_minus_q None the weight is not computed, and comes back None. Here and in
+    _nu_slope an operation writes into an array the call has made where it can.
     """
     log_gamma_gap, digamma_gap, trigamma_gap = gamma_gaps(0.5 * nu, p)
-    log1p_ratio = np.log1p(s / nu)
-    # the weight first, so that its temporaries are freed before the shared terms are made
-    weight = None if one_minus_q is None else np.exp(
-        one_minus_q * _log_density(log1p_ratio, nu, p, log_det_sigma, log_gamma_gap))
+    log1p_ratio = np.log1p(ratio := s / nu, out=ratio)
+    weight = None  # the weight first, so that log f's temporaries are freed before T's are made
+    if one_minus_q is not None:
+        weight = _log_density(log1p_ratio, nu, p, log_det_sigma, log_gamma_gap)
+        np.exp(np.multiply(one_minus_q, weight, out=weight), out=weight)
     nu_s = nu + s
     excess = (s - p if s_minus_p is None else s_minus_p) / nu_s
-    return digamma_gap - log1p_ratio + excess, weight, (trigamma_gap, nu_s, excess)
+    t = np.add(np.subtract(digamma_gap, log1p_ratio, out=log1p_ratio), excess, out=log1p_ratio)
+    return t, weight, (trigamma_gap, nu_s, excess)
 
 
 def _nu_slope(s, nu, t, shared, one_minus_q):
     """dT/dnu + (1 - q) T^2 / 2, the nu slope of f^(1 - q) T over f^(1 - q); shared: _nu_terms's."""
     trigamma_gap, nu_s, excess = shared
-    d_t = 0.5 * trigamma_gap + s / (nu * nu_s) - excess / nu_s
-    return d_t + 0.5 * one_minus_q * t * t
+    # 0.5 trigamma gap + s / (nu (nu + s)) - excess / (nu + s), + 0.5 (1 - q) T T
+    d_t = np.add(0.5 * trigamma_gap, np.divide(s, d_t := nu * nu_s, out=d_t), out=d_t)
+    d_t -= (term := excess / nu_s)
+    d_t += np.multiply(np.multiply(0.5 * one_minus_q, t, out=term), t, out=term)
+    return d_t
 
 
 def score_curve(params: MvtParams, s_grid, q: float = 1.0) -> np.ndarray:

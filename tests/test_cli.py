@@ -533,3 +533,28 @@ def test_iteration_cap_exits_2_and_still_writes_outputs(capsys, tmp_path, data_c
     assert fits["ml"]["converged"] is False and fits["mlq"]["converged"] is False
     assert (tmp_path / "out_data.csv").exists()
     assert np.loadtxt(tmp_path / "out_grid.csv", delimiter=",", skiprows=1).shape == (9, 4)
+
+
+def test_consecutive_main_calls_share_one_parser_and_leak_no_flag(tmp_path, data_csv):
+    # fit by MLq at --q 0.9, then fit with no --q (ML, which rejects a --q), then simulate;
+    # each call's outputs are byte for byte those of the same call on a fresh parser
+    def argvs(out):
+        out.mkdir()
+        return [["fit", str(data_csv), "--method", "mlq", "--q", "0.9",
+                 "--output", str(out / "mlq.json")],
+                ["fit", str(data_csv), "--output", str(out / "ml.json")],
+                ["simulate", "--case", "1", "--n", "30", "--replications", "2",
+                 "--q-grid", "0.9", "--output", str(out / "sim.csv")]]
+
+    cli._parser.cache_clear()
+    for argv in argvs(tmp_path / "shared"):
+        assert cli.main(argv) == 0
+    assert cli._parser.cache_info().misses == 1 and cli._parser.cache_info().hits == 2
+    for argv in argvs(tmp_path / "fresh"):
+        cli._parser.cache_clear()
+        assert cli.main(argv) == 0
+    names = ["mlq.json", "ml.json", "sim.csv", "sim.json"]
+    assert sorted(path.name for path in (tmp_path / "shared").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert json.loads((tmp_path / "shared" / "ml.json").read_text())["method"] == "ml"

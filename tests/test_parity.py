@@ -191,3 +191,41 @@ def test_set_line_reports_each_sides_solves_and_end_reads():
     line = parity.set_line("large", parent, change)
     assert line["nu_solves"] == {"parent": 4, "change": 4}
     assert line["nu_end_reads"] == {"parent": 1, "change": 0}
+
+
+def test_counting_squarem_solves_counts_the_solves_with_a_finite_tolerance():
+    import math
+
+    import robust_t as rt
+    from robust_t import estimators
+
+    original = estimators._bracketed_root
+    lo, hi = estimators.NU_BRACKET
+
+    def log_equation(root):
+        return lambda nu: (np.log(root) - np.log(nu), -1.0 / nu[:, -1:])
+
+    with parity.counting_squarem_solves(estimators) as count:
+        # a one-step solve is not counted; a solve to the root counts each call of g
+        estimators._bracketed_root(log_equation(30.0), lo, hi, np.array([3.0]), math.inf)
+        assert count == {"solves": 0, "calls": 0}
+        estimators._bracketed_root(log_equation(30.0), lo, hi, np.array([3.0]))
+        assert count["solves"] == 1 and count["calls"] > 2
+    assert estimators._bracketed_root is original
+    rows = np.random.default_rng(0).standard_t(4.0, size=(60, 2))
+    with (parity.counting_squarem_solves(estimators) as count,
+          parity.counting_nu_scores(estimators) as scores):
+        result = rt.fit(rows, rt.FitConfig(max_iter=5))
+    # iteration 3 starts from a SQUAREM point; 1, 2, 4 and 5 take one step, one call each
+    assert result.iterations == 5 and count["solves"] == 1
+    assert count["calls"] >= 2 and scores["calls"] == count["calls"] + 4
+
+
+def test_set_line_reports_each_sides_squarem_solves_and_calls():
+    fits = [finished("ml", 3.0)]
+    parent = {"large": fits, "squarem_nu_solves": {"large": 3},
+              "squarem_nu_score_calls": {"large": 12}}
+    change = dict(parent, squarem_nu_score_calls={"large": 9})
+    line = parity.set_line("large", parent, change)
+    assert line["squarem_nu_solves"] == {"parent": 3, "change": 3}
+    assert line["squarem_nu_score_calls"] == {"parent": 12, "change": 9}

@@ -522,6 +522,42 @@ class TestFitMany:
             off_root += min(abs(before.params.nu - nu) for nu in roots) > 1e-6
         assert off_root > 0
 
+    def test_squarem_point_solves_accept_a_step_of_sqrt_xtol(self, monkeypatch):
+        # a SQUAREM-point solve accepts a Newton step of at most sqrt(_NU_XTOL): its error
+        # after that step is about (f'' / 2 f') step^2, so each root stays within 1e-9 of
+        # the equation's, and the solves make fewer evaluator calls than with a last step of
+        # _NU_XTOL, which on these rows took 24 calls in 5 solves (19 with sqrt(_NU_XTOL))
+        rows = replicate_data(small_spec(), 0)
+        configs = batch_configs()
+        original = estimators._bracketed_root
+        count = {"solves": 0, "calls": 0}
+
+        def root(g, lo, hi, start, newton_tol):
+            def counted(nu):
+                count["calls"] += 1
+                return g(nu)
+
+            if newton_tol == math.inf:
+                return original(g, lo, hi, start, newton_tol)
+            count["solves"] += 1
+            return original(counted, lo, hi, start, newton_tol)
+
+        monkeypatch.setattr(estimators, "_bracketed_root", root)
+        longest = max(result.iterations for result in fit_many(rows, configs))
+        monkeypatch.setattr(estimators, "_bracketed_root", original)
+        assert count["solves"] == longest // 3
+        assert count["calls"] < 24, f"{count['calls']} evaluator calls, against 24 at _NU_XTOL"
+        checked = 0
+        for iteration in range(3, longest + 1, 3):
+            stopped = fit_many(rows, [replace(config, max_iter=iteration) for config in configs])
+            for result, config in zip(stopped, configs):
+                if result.iterations == iteration:  # its last iteration solved from x'
+                    mu, sigma = result.params.mu, result.params.sigma
+                    roots = observed_nu_roots(rows, mu, sigma, config.q)
+                    assert min(abs(result.params.nu - nu) for nu in roots) <= 1e-9
+                    checked += 1
+        assert checked >= len(configs) * 3
+
     def test_a_root_from_a_squarem_point_is_where_the_score_falls_or_a_clamp(self, monkeypatch):
         # the guarded Newton steps reach a root at which the score falls, a
         # local maximum in nu; near-normal rows clamp at 200
@@ -845,6 +881,24 @@ class TestBracketedRoot:
         assert np.isnan(value[[0, 2]]).all() and np.isnan(slope[[0, 2]]).all()
         alone_value, alone_slope = score(np.array([[4.0], [4.0], [4.0]]))
         assert value[1, 0] == alone_value[1, 0] and slope[1, 0] == alone_slope[1, 0]
+
+    @pytest.mark.parametrize("q", [(1.0, 1.0, 1.0), (1.0, 0.9, 0.7)])
+    def test_a_call_leaves_the_results_of_earlier_calls_alone(self, q):
+        # _bracketed_root keeps views of earlier values and slopes, so the kernel may
+        # write into the arrays a call makes, and never into one it has returned
+        s = np.random.default_rng(4).chisquare(2, size=(3, 50)) * 1.5
+        g = estimators._observed_nu_score(s, 1.0 - np.array(q), 2)
+        open_nu = np.array([[0.7, 4.0], [60.0, 9.0], [4.0, 150.0]])
+        nan_nu = np.where([[True], [False], [True]], 2.0 * open_nu, np.nan)
+        for first, second in [(open_nu, 1.5 * open_nu), (open_nu, nan_nu), (nan_nu, open_nu),
+                              (nan_nu, 0.5 * nan_nu)]:
+            values, slopes = g(first)
+            kept = values.copy(), slopes.copy()
+            later = g(second)
+            assert np.array_equal(values, kept[0], equal_nan=True)
+            assert np.array_equal(slopes, kept[1], equal_nan=True)
+            assert not np.shares_memory(values, later[0])
+            assert not np.shares_memory(slopes, later[1])
 
     def test_a_call_whose_open_fits_are_all_plain_computes_no_weight(self, monkeypatch):
         # f^(1 - q) is 1 at q = 1: plain rows read the same bitwise in a call that

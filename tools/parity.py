@@ -24,7 +24,9 @@ fits over the fits that side finished; and, on each side, the nu-score
 evaluations of the set's fits, one per fit and candidate nu, the
 evaluator calls that made them, the nu solves (estimators._bracketed_root
 calls) and the solves that read a bracket end, that is, held a candidate
-at an end of the bracket after their first call.
+at an end of the bracket after their first call; and, apart from the
+one-step solves, the solves from SQUAREM points (those given a finite
+Newton tolerance) and the evaluator calls they made.
 
 For case_i and case_ii the line also holds, under "simulation", the parity
 of run_simulation on the same specs (one report per seed): for each
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -50,7 +53,8 @@ import numpy as np
 SETS = ("case_i", "case_ii", "large")
 SIMULATED = ("case_i", "case_ii")
 # the per-set counts of record_outcomes, each reported per side
-COUNTS = ("nu_score_evaluations", "nu_score_calls", "nu_solves", "nu_end_reads")
+COUNTS = ("nu_score_evaluations", "nu_score_calls", "nu_solves", "nu_end_reads",
+          "squarem_nu_solves", "squarem_nu_score_calls")
 
 
 def _grid(low: float, count: int) -> tuple[float, ...]:
@@ -117,6 +121,35 @@ def counting_end_reads(estimators):
         estimators._bracketed_root = original
 
 
+@contextmanager
+def counting_squarem_solves(estimators):
+    """Count the engine's nu solves from SQUAREM points, and their evaluator calls, while open.
+
+    Wraps estimators._bracketed_root. A solve is from a SQUAREM point when its Newton
+    tolerance is finite (the default is); the one-step solves get an infinite one. Yields
+    a dict whose "solves" counts those solves and whose "calls" counts their calls of g.
+    """
+    count = {"solves": 0, "calls": 0}
+    original = estimators._bracketed_root
+
+    def counted_root(g, lo, hi, start, newton_tol=estimators._NU_XTOL):
+        if newton_tol == math.inf:
+            return original(g, lo, hi, start, newton_tol)
+
+        def counted(nu):
+            count["calls"] += 1
+            return g(nu)
+
+        count["solves"] += 1
+        return original(counted, lo, hi, start, newton_tol)
+
+    estimators._bracketed_root = counted_root
+    try:
+        yield count
+    finally:
+        estimators._bracketed_root = original
+
+
 def record_outcomes() -> dict:
     """Every fit of SETS under the robust_t and perfbench found on sys.path."""
     import robust_t as rt
@@ -144,13 +177,15 @@ def record_outcomes() -> dict:
     outcomes = {}
     counts = {key: {} for key in COUNTS}
     for name in SETS:
-        with counting_nu_scores(estimators) as count, counting_end_reads(estimators) as solves:
+        with (counting_nu_scores(estimators) as count, counting_end_reads(estimators) as solves,
+              counting_squarem_solves(estimators) as squarem):
             outcomes[name] = ([fit for spec in simulated[name] for fit in paper(spec)]
                               if name in SIMULATED else
                               run([large_dataset(0, 0, 2000, 10)],
                                   [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)]))
         for key, value in zip(COUNTS, (count["evaluations"], count["calls"],
-                                       solves["solves"], solves["end_reads"])):
+                                       solves["solves"], solves["end_reads"],
+                                       squarem["solves"], squarem["calls"]), strict=True):
             counts[key][name] = value
     outcomes.update(counts)
     outcomes["simulations"] = {name: [_report(rt.run_simulation(spec)) for spec in simulated[name]]
