@@ -74,11 +74,13 @@ Conventions pinned here and recorded in FitResult so runs are reproducible:
   times its column's squared median absolute deviation fails the fit.
 
 The engine sorts each dataset's rows into lexicographic order once (an
-argsort of column 0; a lexsort where column 0 has ties) and then uses
-plain sums along the observation axis. Every fit of a batch goes through
-the same elementwise operations, the SQUAREM step and its fallback
-included, so a fit's result is bitwise the same whatever else the batch
-holds and however the input rows are permuted.
+argsort of column 0; a lexsort where column 0 has ties). Every fit of a
+batch then goes through the same elementwise operations and numpy sums, the
+SQUAREM step and its fallback included, and one BLAS call per fit, of one
+shape and memory layout, in each reduction OpenBLAS does not split across
+threads (see linalg). It splits the location sums (a gemv over n) and a
+p = 1 scatter (a dot), so those stay numpy sums. So a fit is bitwise the
+same whatever the batch holds, the rows' order or the BLAS thread count.
 
 e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq run the
 engine's phases for one fit, from the previous iterate and its e_step, and
@@ -259,6 +261,11 @@ def _repair_scatter(sigma: np.ndarray) -> np.ndarray:
     return sigma + (shift[:, None] * scale)[:, :, None] * eye
 
 
+def _cross(a, b) -> np.ndarray:
+    """a @ b.T per (B, p, n) stack member: a gemm, or at p = 1 a numpy sum (a dot is split)."""
+    return np.matmul(a, b.transpose(0, 2, 1)) if a.shape[1] > 1 else np.sum(a * b, 2)[:, :, None]
+
+
 def init_params(data) -> MvtParams:
     """Starting point: column means, repaired sample covariance, nu = 3."""
     rows = as_data_matrix(data)
@@ -267,7 +274,7 @@ def init_params(data) -> MvtParams:
         raise DegenerateData("initialization needs at least two observations")
     mu = np.sum(rows, axis=0) / n
     centered = rows - mu
-    cov = np.sum(centered[:, :, None] * centered[:, None, :], axis=0) / (n - 1)
+    cov = _cross(centered.T[None], centered.T[None])[0] / (n - 1)
     if float(np.max(np.abs(cov))) == 0.0:
         raise DegenerateData("all observations are identical")
     return MvtParams(mu, _repair_scatter(cov[None])[0], 3.0)
@@ -292,9 +299,10 @@ def _m_step(columns, w, prev_sigma, upper):
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         sum_w = np.sum(w, axis=1)[:, None]
+        # a numpy sum: as a product it is a gemv over n, which OpenBLAS splits across threads
         mu = np.sum(w[:, None, :] * columns, axis=2) / sum_w
         d = columns - mu[:, :, None]
-        tri = np.sum(w[:, None, :] * d[:, upper[0]] * d[:, upper[1]], axis=2) / sum_w
+        tri = _cross(w[:, None, :] * d, d)[:, upper[0], upper[1]] / sum_w
     ok = np.all(np.isfinite(mu), axis=1) & np.all(np.isfinite(tri), axis=1)
     sigma = _where(ok, _from_upper(tri, upper, prev_sigma.shape[1]), prev_sigma)
     return mu, _repair_scatter(sigma), ok

@@ -6,9 +6,11 @@ explicit matrix inverse is formed anywhere, which keeps the per-observation
 weights stable when Mahalanobis distances get very large.
 
 The *_many functions work on a stack of B parameter sets at once, for the
-lockstep fits. Each stack member is computed by the same elementwise
-operations and last-axis sums as a stack of one, so a member's result does
-not depend on what else is in the stack.
+lockstep fits. A member's result depends neither on the rest of the stack
+nor on the BLAS threads: it comes from the same elementwise operations and
+numpy sums as a stack of one, and from one BLAS call per member, of one
+shape and memory layout, in a reduction OpenBLAS does not split across
+threads (gemm, or gemv over p); it splits a dot or gemv over n observations.
 """
 
 from __future__ import annotations
@@ -92,15 +94,15 @@ def mahalanobis_sq_many(columns, mu, chol) -> np.ndarray:
 
     columns is (p, n), shared by every set, or (B, p, n), one per set; mu is
     (B, p) and chol the (B, p, p) lower factors; the result is (B, n).
-    L z = x - mu is solved by forward substitution one coordinate at a
-    time, so the work is elementwise over (B, n) and needs no BLAS.
+    L z = x - mu is solved by forward substitution, one coordinate at a
+    time; coordinate j >= 2 sums over the j before it by one gemv per member.
     """
     d = columns - mu[:, :, None]
     z = np.empty_like(d)
     for j in range(d.shape[1]):
-        acc = d[:, j]
-        for k in range(j):
-            acc = acc - chol[:, j, k, None] * z[:, k]
+        acc = d[:, j] - chol[:, j, 0, None] * z[:, 0] if j == 1 else d[:, j]
+        if j > 1:  # coordinates 0 and 1 stay elementwise, which is faster for p <= 3
+            acc = acc - (chol[:, j, None, :j] @ z[:, :j])[:, 0]
         z[:, j] = acc / chol[:, j, j, None]
     return np.sum(z * z, axis=1)
 

@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -60,3 +61,25 @@ class TestSeeds:
                               "--seeds", "5-3", "--output", "unused.json"])
         assert exit_info.value.code == 2
         assert "5-3" in capsys.readouterr().err
+
+
+class TestEnvironment:
+    def test_the_cpu_model_is_the_first_model_name(self, tmp_path):
+        cpuinfo = tmp_path / "cpuinfo"
+        cpuinfo.write_text("processor\t: 0\nmodel name\t: Example CPU @ 2.0GHz\n\n"
+                           "processor\t: 1\nmodel name\t: Other CPU\n")
+        env = bench_pairs.environment(cpuinfo)
+        assert env["cpu_model"] == "Example CPU @ 2.0GHz"
+        assert env["cpu_count"] >= 1
+        assert set(env["blas_threads"]) == set(bench_pairs.BLAS_VARIABLES)
+
+    def test_a_missing_cpuinfo_or_model_name_gives_null(self, tmp_path):
+        assert bench_pairs.environment(tmp_path / "absent")["cpu_model"] is None
+        (tmp_path / "bare").write_text("processor\t: 0\n")
+        assert bench_pairs.cpu_model(tmp_path / "bare") is None
+
+    def test_the_blas_is_the_one_numpy_reports(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        want = {key: blas.get(key) for key in bench_pairs.BLAS_KEYS}
+        assert bench_pairs.environment()["blas"] == want
+        assert isinstance(want["name"], str)

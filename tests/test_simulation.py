@@ -1,6 +1,9 @@
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +349,42 @@ class TestFitMany:
         configs = batch_configs() + [FitConfig(method="mlq", q=1.0)]
         for result, config in zip(fit_many(data, configs), configs):
             assert same_fit(result, fit(data, config))
+
+    @pytest.mark.parametrize("n,p", [(20_000, 2), (2_000, 10)])
+    def test_each_result_equals_its_single_fit_at_the_large_fit_shapes(self, n, p):
+        # the scatter, start and substitution sums are one BLAS call per fit, of one
+        # shape and layout whatever the batch holds and whatever the input's memory order
+        rng = np.random.default_rng(n + p)
+        data = rng.standard_t(3.0, size=(n, p))
+        data[:n // 200] += rng.uniform(80.0, 160.0, size=(n // 200, p))
+        configs = [FitConfig(), FitConfig(method="mlq", q=0.9), FitConfig(method="mlq", q=0.7)]
+        alone = [fit(data, config) for config in configs]
+        for result, want in zip(fit_many(data, configs), alone):
+            assert same_fit(result, want)
+        assert same_fit(fit(np.asfortranarray(data), configs[0]), alone[0])
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
+    def test_a_fit_does_not_depend_on_the_blas_thread_count(self):
+        # at 50,000 rows OpenBLAS splits a gemv over the rows (p = 10) or a dot (p = 1)
+        # across threads; at 20,000 and 30,000 rows by 10 that gemv's bits did not change
+        code = "\n".join([
+            "import numpy as np",
+            "from robust_t.estimators import FitConfig, fit_many",
+            "for p in (10, 1):",
+            "    rows = np.random.default_rng(p).standard_t(3.0, size=(50_000, p))",
+            "    rows[:5] += 100.0",
+            "    configs = [FitConfig(max_iter=3), FitConfig(method='mlq', q=0.9, max_iter=3)]",
+            "    for r in fit_many(rows, configs):",
+            "        print(r.params.mu.tobytes().hex(), r.params.sigma.tobytes().hex(),",
+            "              r.params.nu.hex())",
+        ])
+        src = str(Path(rt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+        outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True).stdout
+                   for threads in ("1", "2")]
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("case", [1, 2])
     def test_ml_is_mlq_at_q_one(self, case):

@@ -14,10 +14,9 @@ bytecode caching off. The record holds every run's end-to-end metrics and
 check verdict; per metric, over the pairs where both runs reported it, the
 parent and change medians and quartiles, the relative change of the
 medians and the number of pairs the change won (direction from the
-change's BENCHMARK.json); and the CPU count, BLAS thread variables,
-Python/numpy/scipy versions, both git shas and the hashes of both src/
-trees.
-Standard library only.
+change's BENCHMARK.json); the environment (see environment()), both git
+shas and the hashes of both src/ trees.
+Standard library only; numpy's BLAS is read in a child interpreter.
 """
 
 from __future__ import annotations
@@ -36,6 +35,9 @@ from importlib import metadata
 from pathlib import Path
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_KEYS = ("name", "version", "openblas configuration")
+READ_BLAS = ("import json, numpy; "
+             "print(json.dumps(numpy.show_config(mode='dicts')['Build Dependencies']['blas']))")
 
 
 def git(*args: str) -> str:
@@ -54,6 +56,49 @@ def export(rev: str, workdir: Path) -> tuple[str, Path]:
         tar.extractall(tree, filter="data")
     archive.unlink()
     return sha, tree
+
+
+def cpu_model(cpuinfo: Path) -> str | None:
+    """The first "model name" of a /proc/cpuinfo file; None where it is missing or has none."""
+    try:
+        lines = cpuinfo.read_text().splitlines()
+    except OSError:
+        return None
+    names = [line.partition(":")[2].strip() for line in lines if line.startswith("model name")]
+    return names[0] if names else None
+
+
+def blas_library() -> dict | None:
+    """Name, version and OpenBLAS configuration of the BLAS numpy was built with.
+
+    Read by a child of this interpreter, so that this script imports no
+    numpy; None where that fails.
+    """
+    done = subprocess.run([sys.executable, "-c", READ_BLAS], capture_output=True, text=True)
+    try:
+        blas = json.loads(done.stdout)
+    except json.JSONDecodeError:
+        return None
+    return {key: blas.get(key) for key in BLAS_KEYS}
+
+
+def environment(cpuinfo: Path = Path("/proc/cpuinfo")) -> dict:
+    """Where the pairs ran: CPUs, the BLAS and its thread variables, versions.
+
+    OpenBLAS built with DYNAMIC_ARCH picks its kernels for the CPU it finds,
+    and the engine's scatter and substitution sums run through them.
+    """
+    return {
+        "cpu_count": os.cpu_count(),
+        "cpu_model": cpu_model(cpuinfo),
+        "blas": blas_library(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_VARIABLES},
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "scipy": metadata.version("scipy"),
+        "platform": platform.platform(),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -136,15 +181,7 @@ def main(argv=None) -> int:
         # the content hashes of src/, which later commits that leave src/ alone keep
         "parent_src_tree": git("rev-parse", f"{trees['parent'][0]}:src"),
         "change_src_tree": git("rev-parse", f"{trees['change'][0]}:src"),
-        "environment": {
-            "cpu_count": os.cpu_count(),
-            "blas_threads": {var: os.environ.get(var) for var in BLAS_VARIABLES},
-            "python": platform.python_version(),
-            "numpy": metadata.version("numpy"),
-            "scipy": metadata.version("scipy"),
-            "platform": platform.platform(),
-            "PYTHONDONTWRITEBYTECODE": "1",
-        },
+        "environment": environment(),
         "workloads": {},
     }
     for workload in args.workload:
