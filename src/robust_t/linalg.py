@@ -98,7 +98,7 @@ def mahalanobis_sq_many(columns, mu, chol) -> np.ndarray:
     time; coordinate j >= 2 sums over the j before it by one gemv per member.
     """
     d = columns - mu[:, :, None]
-    z = np.empty_like(d)
+    z = np.empty(d.shape)  # C order whatever the columns' order: one layout for the gemv
     for j in range(d.shape[1]):
         acc = d[:, j] - chol[:, j, 0, None] * z[:, 0] if j == 1 else d[:, j]
         if j > 1:  # coordinates 0 and 1 stay elementwise, which is faster for p <= 3

@@ -107,6 +107,17 @@ class TestMahalanobis:
         with pytest.raises(DimensionMismatch):
             mahalanobis_sq(np.ones(3), np.ones(2), CASE_II_SIGMA)
 
+    @pytest.mark.parametrize("p", [3, 5, 10])
+    def test_bitwise_the_same_for_either_memory_order(self, p):
+        # coordinates from the third on are one BLAS product each, which must see
+        # one layout whatever the order of the rows in memory
+        rng = np.random.default_rng(p)
+        rows = rng.standard_t(3.0, size=(500, p))
+        a = rng.standard_normal((p, p))
+        chol, mu = cholesky_lower(a @ a.T + np.eye(p)), rng.standard_normal(p)
+        want = mahalanobis_sq_from_chol(rows, mu, chol)
+        assert np.array_equal(mahalanobis_sq_from_chol(np.asfortranarray(rows), mu, chol), want)
+
 
 class TestSpdRepair:
     def test_spd_input_unchanged(self):
