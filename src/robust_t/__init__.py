@@ -50,10 +50,7 @@ from .tdist import (
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
-    log_pdf,
     log_pdf_rows,
-    lq_from_log,
-    lq_transform,
     sample,
     score_curve,
 )
@@ -95,10 +92,7 @@ __all__ = [
     "as_data_matrix",
     "cond_expect_log_u",
     "cond_expect_u",
-    "log_pdf",
     "log_pdf_rows",
-    "lq_from_log",
-    "lq_transform",
     "sample",
     "score_curve",
 ]

@@ -113,7 +113,6 @@ from .tdist import (
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
-    log_pdf_from_dist,
 )
 
 __all__ = [
@@ -272,9 +271,12 @@ def init_params(data) -> MvtParams:
     n, _ = rows.shape
     if n < 2:
         raise DegenerateData("initialization needs at least two observations")
-    mu = np.sum(rows, axis=0) / n
-    centered = rows - mu
-    cov = _cross(centered.T[None], centered.T[None])[0] / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.sum(rows, axis=0) / n
+        centered = rows - mu
+        cov = _cross(centered.T[None], centered.T[None])[0] / (n - 1)
+    if not np.isfinite(cov).all():  # as it is wherever a mean overflowed
+        raise DegenerateData("the column means or covariances overflow")
     if float(np.max(np.abs(cov))) == 0.0:
         raise DegenerateData("all observations are identical")
     return MvtParams(mu, _repair_scatter(cov[None])[0], 3.0)
@@ -479,7 +481,7 @@ def m_step_mlq(data, prev: MvtParams, q: float) -> tuple[np.ndarray, np.ndarray]
         raise DomainError("q must lie in (0, 1]")
     rows = as_data_matrix(data)
     s = mahalanobis_sq_from_chol(rows, prev.mu, prev.chol_lower)[None]
-    log_f = log_pdf_from_dist(s, prev.nu, prev.dim, prev.log_det_sigma)
+    log_f = _log_pdf(s, prev.nu, prev.dim, prev.log_det_sigma)
     w = _step_weights(s, prev.nu, prev.dim, log_f, np.array([[q]]))
     return _one_m_step(rows, w[0])
 
@@ -547,36 +549,60 @@ def _objective(s, log_det, nu, q, p: int):
         return np.sum(_lq(log_f, q[:, None]), axis=1), log_f
 
 
-def _squarem_step(state: dict, upper, with_nu: bool):
-    """Move each fit of the state from x2 to its SQUAREM point x'.
+class _Fits(NamedTuple):
+    """_fit_batch's running fits, one row each, replaced and never edited.
 
-    The state holds x2 = F(x1) with its objective and log densities
-    ("moved" is x2 - x1), and the cycle's anchor x0, the anchor's unit-free
-    scale and r = x1 - x0. A fit whose x' fails a check of the module
-    docstring stays at x2.
+    index places a fit among the outcomes, and floor is SPD_FLOOR times its columns' squared
+    MADs; moved is the last step in _pack's layout, and anchor and r are x0 and x1 - x0 of
+    the SQUAREM cycle. Before the first evaluation those three have no columns.
     """
-    r, scale = state["r"], state["scale"]
-    v = state["moved"] - r
+
+    index: np.ndarray
+    columns: np.ndarray
+    q: np.ndarray
+    floor: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    nu: np.ndarray
+    s: np.ndarray
+    log_f: np.ndarray
+    objective: np.ndarray
+    moved: np.ndarray
+    anchor: np.ndarray
+    r: np.ndarray
+
+    def take(self, keep) -> _Fits:
+        return _Fits(*(value[keep] for value in self))
+
+
+def _squarem_step(fits: _Fits, upper, with_nu: bool) -> _Fits:
+    """The fits at x2 = F(x1) moved to their SQUAREM points x', in a new record.
+
+    The norms of r and v are taken on the anchor's unit-free scale, from its
+    diagonal. A fit whose x' fails a check of the module docstring stays at x2.
+    """
+    p = fits.mu.shape[1]
+    root = np.sqrt(fits.anchor[:, p + np.flatnonzero(upper[0] == upper[1])])
+    scale = _pack(root, root[:, :, None] * root[:, None, :], np.ones(len(root)), upper, with_nu)
+    v = fits.moved - fits.r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.divide(*[np.sqrt(np.add.reduce(x * x, axis=1)) for x in (r / scale, v / scale)])
-        alpha = np.minimum(-ratio, -1.0)[:, None]
-        vec = state["anchor"] - 2.0 * alpha * r + alpha * alpha * v
-    p = state["mu"].shape[1]
+        norms = [np.sqrt(np.add.reduce(x * x, axis=1)) for x in (fits.r / scale, v / scale)]
+        alpha = np.minimum(-np.divide(*norms), -1.0)[:, None]
+        vec = fits.anchor - 2.0 * alpha * fits.r + alpha * alpha * v
     safe = np.all(np.isfinite(vec), axis=1)
-    nu = state["nu"]
+    nu = fits.nu
     if with_nu:
         nu = vec[:, -1]
         safe &= (NU_BRACKET[0] <= nu) & (nu <= NU_BRACKET[1])
-    point = {"mu": vec[:, :p], "sigma": _from_upper(vec[:, p:p + upper[0].shape[0]], upper, p),
-             "nu": nu}
     # an unsafe point is not measured: its fit is measured at x2, where it stays
-    point = {key: _where(safe, value, state[key]) for key, value in point.items()}
-    chol, log_det, point["s"] = _distances(state["columns"], point["mu"], point["sigma"])
-    objective, point["log_f"] = _objective(point["s"], log_det, point["nu"], state["q"], p)
+    mu, nu = _where(safe, vec[:, :p], fits.mu), np.where(safe, nu, fits.nu)
+    sigma = _where(safe, _from_upper(vec[:, p:p + upper[0].shape[0]], upper, p), fits.sigma)
+    chol, log_det, s = _distances(fits.columns, mu, sigma)
+    objective, log_f = _objective(s, log_det, nu, fits.q, p)
     safe &= np.all(np.isfinite(chol), axis=(1, 2)) & np.isfinite(objective)
-    safe &= objective >= state["objective"]
-    point["vec"] = vec
-    state.update({key: _where(safe, value, state[key]) for key, value in point.items()})
+    safe &= objective >= fits.objective
+    point = fits._replace(mu=mu, sigma=sigma, nu=nu, s=s, log_f=log_f, objective=objective)
+    return _Fits(*(old if new is old else _where(safe, new, old) for new, old in zip(point, fits)))
 
 
 FitOutcome = Union[FitResult, DegenerateData]
@@ -604,7 +630,8 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     fit_many returns for that dataset alone. A dataset that cannot be
     initialized, or whose centered rows have rank below the dimension,
     gives that error for each of its configs and leaves the others alone.
-    Every fit carries its own copy of its dataset's sorted columns.
+    Every fit carries its own copy of its dataset's sorted columns. The
+    running fits are one _Fits record, which each phase replaces.
     """
     configs = list(configs)
     shared = _shared_config(configs)
@@ -617,7 +644,8 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     live, starts, columns, spreads = [], [], [], []
     for slot, rows in enumerate(matrices):
         first = np.argsort(rows[:, 0])  # the lexicographic order where column 0 has no tie
-        rows = rows[first if np.diff(rows[first, 0]).all() else np.lexsort(rows.T[::-1])]
+        lead = rows[first, 0]
+        rows = rows[first if (lead[1:] != lead[:-1]).all() else np.lexsort(rows.T[::-1])]
         try:
             starts.append(_checked_start(rows))
         except DegenerateData as exc:
@@ -640,46 +668,38 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     def per_fit(values):
         return np.repeat(np.array(values), count, axis=0)
 
-    # per-fit state of the fits still running, one row per fit
     columns = per_fit(columns)
     mu, sigma = per_fit([start.mu for start in starts]), per_fit([start.sigma for start in starts])
     _, log_det, s = _distances(columns, mu, sigma)
     q = np.tile([c.q for c in configs], len(live))
     nu = np.full(mu.shape[0], 3.0 if estimate_nu else shared.fixed_nu)
-    state = {
-        "index": (np.array(live)[:, None] * count + np.arange(count)).ravel(),
-        "columns": columns,
-        "q": q,
-        "mu": mu,
-        "sigma": sigma,
-        "floor": SPD_FLOOR * per_fit(spreads),
-        "nu": nu,
-        "s": s,
-        "log_f": _objective(s, log_det, nu, q, p)[1],
-    }
-    state["vec"] = _pack(state["mu"], state["sigma"], state["nu"], upper, estimate_nu)
+    objective, log_f = _objective(s, log_det, nu, q, p)
+    blank = np.empty((mu.shape[0], 0))
+    fits = _Fits((np.array(live)[:, None] * count + np.arange(count)).ravel(), columns, q,
+                 SPD_FLOOR * per_fit(spreads), mu, sigma, nu, s, log_f, objective,
+                 blank, blank, blank)
     traces: list[list[IterationRecord]] = [[] for _ in outcomes]
 
     for iteration in range(1, shared.max_iter + 1):
-        columns, q, s, nu = state["columns"], state["q"], state["s"], state["nu"]
-        w = _step_weights(s, nu[:, None], p, state["log_f"], q[:, None])
+        w = _step_weights(fits.s, fits.nu[:, None], p, fits.log_f, fits.q[:, None])
         # a failed fit leaves the batch at the end of this iteration
-        mu, sigma, ok = _m_step(columns, w, state["sigma"], upper)
-        chol, log_det, s = _distances(columns, mu, sigma)
-        bracketed = np.ones_like(ok)
+        mu, sigma, ok = _m_step(fits.columns, w, fits.sigma, upper)
+        chol, log_det, s = _distances(fits.columns, mu, sigma)
+        nu, bracketed = fits.nu, np.ones_like(ok)
         if estimate_nu:
             tol = math.sqrt(_NU_XTOL) if iteration % 3 == 0 else math.inf  # the root from x' only
-            nu, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - q, p), *NU_BRACKET, nu, tol)
+            nu, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - fits.q, p), *NU_BRACKET,
+                                            fits.nu, tol)
             # a score whose weights overflowed has no root: that fit fails
             ok &= np.isfinite(nu)
-            nu = np.where(ok, nu, state["nu"])
-        objective, log_f = _objective(s, log_det, nu, q, p)
+            nu = np.where(ok, nu, fits.nu)
+        objective, log_f = _objective(s, log_det, nu, fits.q, p)
         ok &= np.all(np.isfinite(chol), axis=(1, 2))
         # a variance below SPD_FLOOR times its column's squared MAD has collapsed
-        collapsed = np.any(np.diagonal(sigma, axis1=1, axis2=2) < state["floor"], axis=1)
+        collapsed = np.any(np.diagonal(sigma, axis1=1, axis2=2) < fits.floor, axis=1)
         ok &= ~collapsed
-        vec = _pack(mu, sigma, nu, upper, estimate_nu)
-        moved = vec - state["vec"]
+        previous = _pack(fits.mu, fits.sigma, fits.nu, upper, estimate_nu)
+        moved = _pack(mu, sigma, nu, upper, estimate_nu) - previous
         change = np.sqrt(np.add.reduce(moved * moved, axis=1))  # np.linalg.norm's arithmetic
 
         converged = change < shared.epsilon
@@ -690,9 +710,9 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
                 "scatter collapsed", "weighted update produced non-finite parameters",
                 "the objective is not finite"], "").tolist()
         nu_values, clamped = nu.tolist(), (~bracketed).tolist()
-        fits = zip(state["index"].tolist(), failure, stop.tolist(),
-                   converged.tolist(), change.tolist(), objective.tolist())
-        for row, (i, reason, stopped, done, step, value) in enumerate(fits):
+        results = zip(fits.index.tolist(), failure, stop.tolist(),
+                      converged.tolist(), change.tolist(), objective.tolist())
+        for row, (i, reason, stopped, done, step, value) in enumerate(results):
             if reason:
                 outcomes[i] = DegenerateData(reason)
                 continue
@@ -711,21 +731,17 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
                     nu_clamped=clamped[row],
                     change_norm=step,
                 )
+        fits = fits._replace(mu=mu, sigma=sigma, nu=nu, s=s, log_f=log_f, objective=objective,
+                             moved=moved)
         # every third iteration starts a SQUAREM cycle at the point it leaves
         if iteration % 3 == 1:
-            root = np.sqrt(np.diagonal(state["sigma"], axis1=1, axis2=2))
-            scale = _pack(root, root[:, :, None] * root[:, None, :], np.ones(root.shape[0]),
-                          upper, estimate_nu)
-            state.update(anchor=state["vec"], r=moved, scale=scale)
-        state.update(mu=mu, sigma=sigma, nu=nu, s=s, log_f=log_f, vec=vec, moved=moved,
-                     objective=objective)
+            fits = fits._replace(anchor=previous, r=moved)
         if stop.all():
             break
         if stop.any():
-            keep = ~stop
-            state = {key: value[keep] for key, value in state.items()}
+            fits = fits.take(~stop)
         if iteration % 3 == 2:
-            _squarem_step(state, upper, estimate_nu)
+            fits = _squarem_step(fits, upper, estimate_nu)
     return per_dataset()
 
 

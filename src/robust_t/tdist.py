@@ -7,7 +7,7 @@ f^(1 - q)) and _nu_slope (d (f^(1 - q) T) / d nu over f^(1 - q)), which
 takes the terms it shares with T from _nu_terms instead of computing them.
 
 All density work happens in log space. The weight f(x)^(1-q) is always
-computed as exp((1 - q) * log_pdf(x)), because (nu + s) raised to the
+computed as exp((1 - q) * log f(x)), because (nu + s) raised to the
 composite exponents involved here overflows or underflows quickly at the
 large Mahalanobis distances that the robustness analysis is about.
 """
@@ -26,11 +26,7 @@ from .special import digamma, gamma_gaps
 __all__ = [
     "MvtParams",
     "as_data_matrix",
-    "log_pdf",
-    "log_pdf_from_dist",
     "log_pdf_rows",
-    "lq_transform",
-    "lq_from_log",
     "sample",
     "cond_expect_u",
     "cond_expect_log_u",
@@ -104,62 +100,26 @@ def _log_density(log1p_ratio, nu, p: int, log_det_sigma, log_gamma_gap):
             - 0.5 * (nu + p) * log1p_ratio)
 
 
-def log_pdf_from_dist(s, nu, p: int, log_det_sigma):
-    """Log density at squared Mahalanobis distance s.
+def _log_pdf(s, nu, p: int, log_det_sigma):
+    """Log density at squared Mahalanobis distance s, for nu > 0 (not checked).
 
     nu and log_det_sigma broadcast against s, so one call evaluates many
     parameter sets, or many candidate nu values, at once.
     """
-    nu = np.asarray(nu, dtype=float)
-    if not (nu > 0.0).all():
-        raise DomainError("degrees of freedom must be positive")
-    return _log_pdf(s, nu, p, log_det_sigma)
-
-
-def _log_pdf(s, nu, p: int, log_det_sigma):
-    """log_pdf_from_dist without its check, for a float array nu > 0."""
     return _log_density(np.log1p(s / nu), nu, p, log_det_sigma, gamma_gaps(0.5 * nu, p)[0])
 
 
 def log_pdf_rows(rows, params: MvtParams) -> np.ndarray:
     """Log density of each row under the t distribution."""
     s = mahalanobis_sq_from_chol(rows, params.mu, params.chol_lower)
-    return log_pdf_from_dist(s, params.nu, params.dim, params.log_det_sigma)
-
-
-def log_pdf(x, params: MvtParams) -> float:
-    """Log density of a single observation."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(log_pdf_rows(x[None, :], params)[0])
-
-
-def lq_transform(u, q: float):
-    """The q-deformed logarithm: log(u) at q = 1, else (u^(1-q) - 1)/(1 - q).
-
-    Accepts scalars or arrays. u must be nonnegative; u = 0 with q = 1
-    yields -inf.
-    """
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
-        raise DomainError("lq_transform requires nonnegative u")
-    with np.errstate(divide="ignore"):
-        out = lq_from_log(np.log(arr), float(q))
-    return float(out) if np.isscalar(u) else out
-
-
-def lq_from_log(log_u, q):
-    """lq_transform evaluated from log(u), avoiding the intermediate power.
-
-    q may be an array broadcasting against log_u, one q per row of a batch.
-    """
-    q = np.asarray(q, dtype=float)
-    if not (q > 0.0).all():
-        raise DomainError("q must be positive")
-    return _lq(np.asarray(log_u, dtype=float), q)
+    return _log_pdf(s, params.nu, params.dim, params.log_det_sigma)
 
 
 def _lq(log_u, q):
-    """lq_from_log without its checks, for float arrays log_u and q > 0."""
+    """The q-deformed logarithm from log(u): log(u) at q = 1, else (u^(1-q) - 1)/(1 - q).
+
+    For float arrays log_u and q > 0; q broadcasts against log_u, one q per row of a batch.
+    """
     plain = q == 1.0
     if plain.all():
         return log_u
@@ -172,7 +132,8 @@ def sample(params: MvtParams, n: int, rng: np.random.Generator) -> np.ndarray:
 
     Each row is mu + L z / sqrt(u / nu) with z standard normal and u
     chi-squared(nu), the latter generated as 2 * Gamma(nu / 2). A given
-    generator state yields an identical dataset.
+    generator state yields an identical dataset. A draw that is not finite,
+    as where a tiny nu lets u underflow to 0, raises DomainError.
     """
     n = int(n)
     if n < 1:
@@ -181,7 +142,11 @@ def sample(params: MvtParams, n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, p))
     u = 2.0 * rng.standard_gamma(0.5 * params.nu, size=n)
     scale = np.sqrt(u / params.nu)
-    return params.mu + (z @ params.chol_lower.T) / scale[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rows = params.mu + (z @ params.chol_lower.T) / scale[:, None]
+    if not np.isfinite(rows).all():
+        raise DomainError(f"a draw at nu = {params.nu:g} is not finite")
+    return rows
 
 
 def _check_s_nu(s, nu):

@@ -125,6 +125,23 @@ def test_sample_with_a_negative_seed_is_an_error(capsys, tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_sample_whose_draws_are_not_finite_is_an_error(capsys, tmp_path):
+    code, out, err = run(capsys, "sample", "--n", "3", "--mu", "0", "--sigma", "1",
+                         "--nu", "1e-300", "--output", str(tmp_path / "out.csv"))
+    assert code == 1 and out == ""
+    assert_one_line_error(err)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_of_rows_whose_sums_overflow_is_an_error(capsys, tmp_path):
+    code, out, err = fit_csv(capsys, tmp_path, "1e308,-1e308\n-1e308,1e308\n1e308,1e308\n")
+    assert code == 1 and out == ""
+    assert_one_line_error(err)
+    assert "overflow" in err
+
+
 class TestReadMatrixCsv:
     def test_header_row_and_blank_lines_skipped(self, capsys, tmp_path, data_csv):
         lines = data_csv.read_text().splitlines()

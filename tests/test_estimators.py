@@ -8,7 +8,7 @@ from scipy import special
 from scipy.optimize import brentq
 
 import robust_t as rt
-from robust_t import estimators
+from robust_t import estimators, tdist
 from robust_t.errors import DegenerateData, DomainError
 from robust_t.estimators import (
     EStepQuantities,
@@ -23,7 +23,7 @@ from robust_t.estimators import (
 )
 from robust_t.linalg import mahalanobis_sq_from_chol
 from robust_t.special import digamma
-from robust_t.tdist import MvtParams, log_pdf_from_dist, log_pdf_rows, sample
+from robust_t.tdist import MvtParams, log_pdf_rows, sample
 
 def case_i_params():
     return MvtParams(np.array([2.0, 1.0]), np.eye(2), 3.0)
@@ -143,6 +143,15 @@ class TestInitParams:
         with pytest.raises(DegenerateData):
             init_params(np.tile([1.0, 2.0], (6, 1)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [
+        [[1e308, 1.0], [1e308, 2.0], [1.0, 3.0]],  # a column sum overflows
+        [[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]],  # the squares overflow
+    ], ids=["mean", "covariance"])
+    def test_sums_that_overflow_are_degenerate(self, rows):
+        with pytest.raises(DegenerateData, match="overflow"):
+            init_params(np.array(rows))
+
     def test_large_clean_sample_near_truth(self):
         rows = clean_data(20000, seed=3)
         start = init_params(rows)
@@ -233,7 +242,7 @@ class TestMlqWeights:
 
     def weights(self, q, s=S, nu=3.0, p=2):
         s = np.asarray(s, dtype=float)[None]
-        log_f = log_pdf_from_dist(s, nu, p, 0.0)
+        log_f = tdist._log_pdf(s, nu, p, 0.0)
         return estimators._step_weights(s, nu, p, log_f, np.array([[q]]))[0]
 
     def test_q_one_reduces_to_ml_weight(self):
@@ -241,7 +250,7 @@ class TestMlqWeights:
 
     def test_q_one_fit_keeps_the_em_weight_beside_a_weighted_one(self):
         s = np.vstack([self.S, self.S])
-        log_f = log_pdf_from_dist(s, 3.0, 2, 0.0)
+        log_f = tdist._log_pdf(s, 3.0, 2, 0.0)
         w = estimators._step_weights(s, 3.0, 2, log_f, np.array([[1.0], [0.85]]))
         assert np.array_equal(w[0], 5.0 / (3.0 + self.S))
         assert not np.array_equal(w[1], w[0])
@@ -488,7 +497,7 @@ class TestFit:
         rows = clean_data(100, seed=16)
         result = fit(rows, FitConfig(method="mlq", q=0.9))
         logf = log_pdf_rows(rows, result.params)
-        expected = float(np.sum(rt.lq_from_log(logf, 0.9)))
+        expected = float(np.sum(tdist._lq(logf, np.asarray(0.9))))
         assert result.objective == pytest.approx(expected, rel=1e-12)
 
 
@@ -503,20 +512,23 @@ class TestSquaremStep:
         rows = clean_data(40, seed=5)
         upper = np.triu_indices(2)
         x2 = init_params(rows)
-        state = {"columns": rows.T[None], "q": np.array([0.9]), "mu": x2.mu[None],
-                 "sigma": x2.sigma[None], "nu": np.array([x2.nu]),
-                 "s": np.zeros((1, 40)), "log_f": np.zeros((1, 40)),
-                 "objective": np.array([at_x2])}
-        state["vec"] = estimators._pack(state["mu"], state["sigma"], state["nu"], upper, True)
+        mu, sigma, nu = x2.mu[None], x2.sigma[None], np.array([x2.nu])
+        vec = estimators._pack(mu, sigma, nu, upper, True)
         # r = x1 - x0 and x2 - x1 = 0.8 r: alpha = -5, so x' = x0 + 5 r = x2 + 3.2 r
-        r = np.full_like(state["vec"], 1e-3)
-        state.update(anchor=state["vec"] - 1.8 * r, r=r, moved=0.8 * r, scale=np.ones_like(r))
+        r = np.full_like(vec, 1e-3)
+        fits = estimators._Fits(
+            index=np.array([0]), columns=rows.T[None], q=np.array([0.9]), floor=np.zeros((1, 2)),
+            mu=mu, sigma=sigma, nu=nu, s=np.zeros((1, 40)), log_f=np.zeros((1, 40)),
+            objective=np.array([at_x2]), moved=0.8 * r, anchor=vec - 1.8 * r, r=r)
+        before = [value.copy() for value in fits]
         monkeypatch.setattr(estimators, "_objective",
                             lambda s, log_det, nu, q, p: (np.full(nu.shape, at_point), 0.0 * s))
-        estimators._squarem_step(state, upper, True)
+        point = estimators._squarem_step(fits, upper, True)
         moved = 3.2e-3 if taken else 0.0
-        assert np.allclose(state["vec"], state["anchor"] + 1.8 * r + moved, rtol=0.0, atol=1e-12)
-        assert np.allclose(state["mu"][0], x2.mu + moved, rtol=0.0, atol=1e-12)
+        assert np.allclose(estimators._pack(point.mu, point.sigma, point.nu, upper, True),
+                           fits.anchor + 1.8 * r + moved, rtol=0.0, atol=1e-12)
+        assert np.allclose(point.mu[0], x2.mu + moved, rtol=0.0, atol=1e-12)
+        assert all(np.array_equal(value, copy) for value, copy in zip(fits, before, strict=True))
 
 
 class TestAlgorithmicInvariants:

@@ -44,6 +44,22 @@ def test_compare_counts_each_kind_of_difference():
 
 
 
+def test_compare_counts_fits_whose_objective_or_trace_differ():
+    def traced(objective=-1.0, norm=1e-7):
+        trace = np.array([[0.5, -2.0], [norm, objective]])
+        return {**finished("ml", 3.0, iterations=2), "objective": objective, "trace": trace}
+
+    parent = [traced(), traced(), traced(), traced(), failed("ml")]
+    change = [traced(),                                   # bitwise the same
+              traced(norm=np.nextafter(1e-7, 1.0)),       # a change norm moved by one ulp
+              {**traced(), "objective": -1.0 + 2 ** -52},  # the reported objective moved
+              {**traced(), "trace": traced()["trace"][:1]},  # one record fewer
+              traced()]                                   # finished on one side only
+    summary = parity.compare(parent, change)
+    assert summary["trace_mismatches"] == 3
+    assert summary["bitwise_equal_by_method"] == {"ml": 4}
+
+
 def test_iterations_and_unconverged_fits_by_method_and_side():
     parent = [finished("ml", 3.0, iterations=10), finished("mlq", 4.0, iterations=12),
               finished("mlq", 5.0, iterations=15, converged=False), failed("mlq")]

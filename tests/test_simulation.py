@@ -211,6 +211,22 @@ class TestRunSimulation:
         assert report.ml.n_failed == spec.n_replications
         assert all(s.n_failed == spec.n_replications and s.n_used == 0 for s in report.q_sweep)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_replicate_whose_sums_overflow_is_recorded_as_failed(self, monkeypatch):
+        spec = small_spec(n_outliers=0, n_replications=3)
+        expected = rt.run_simulation(spec).records
+        original = simulation.generate_replicate
+
+        def replicate(spec, index):
+            rows = original(spec, index)
+            return 1e307 * rows / np.max(np.abs(rows)) if index == 1 else rows
+
+        monkeypatch.setattr(simulation, "generate_replicate", replicate)
+        records = rt.run_simulation(spec).records
+        assert [r.failed for r in records if r.replicate == 1] == [True] * (1 + len(Q_GRID))
+        assert [r for r in records if r.replicate != 1] == [
+            r for r in expected if r.replicate != 1]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_grouping_does_not_change_records(self, monkeypatch, jobs):
         spec = small_spec(n_replications=5)
@@ -650,6 +666,19 @@ class TestFitBatch:
                     assert got.iterations == want.iterations
         assert all(isinstance(o, DegenerateData) for o in batched[2])
         assert not any(isinstance(o, DegenerateData) for k in (0, 1, 3, 4) for o in batched[k])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_dataset_whose_sums_overflow_fails_alone(self):
+        spec = small_spec()
+        data = replicate_data(spec, 0)
+        rng = np.random.default_rng(1)
+        huge = np.where(rng.random(data.shape) < 0.5, -1e308, 1e308) * rng.uniform(0.5, 1.0,
+                                                                                 data.shape)
+        configs = batch_configs()
+        clean, overflowing = estimators._fit_batch([data, huge], configs)
+        assert all(type(o) is DegenerateData and "overflow" in str(o) for o in overflowing)
+        assert all(same_fit(got, want) for got, want in zip(clean, fit_many(data, configs),
+                                                            strict=True))
 
     def test_only_degenerate_datasets(self):
         identical = np.tile([1.0, 2.0], (20, 1))

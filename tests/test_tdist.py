@@ -9,15 +9,13 @@ from robust_t.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from robust_t.special import digamma, log_gamma
 from robust_t.tdist import (
     MvtParams,
+    _lq,
     _nu_slope,
     _nu_terms,
     as_data_matrix,
     cond_expect_log_u,
     cond_expect_u,
-    log_pdf,
     log_pdf_rows,
-    lq_from_log,
-    lq_transform,
     sample,
     score_curve,
 )
@@ -73,7 +71,8 @@ class TestParams:
 class TestLogPdf:
     def test_standard_cauchy_at_zero(self):
         params = MvtParams(np.zeros(1), np.eye(1), 1.0)
-        assert log_pdf(np.zeros(1), params) == pytest.approx(-math.log(math.pi), rel=1e-14)
+        got = log_pdf_rows(np.zeros(1)[None], params)[0]
+        assert got == pytest.approx(-math.log(math.pi), rel=1e-14)
 
     def test_value_at_center(self):
         params = MvtParams(np.array([1.0, 2.0]), np.diag([2.0, 3.0]), 4.0)
@@ -81,22 +80,23 @@ class TestLogPdf:
             log_gamma(3.0) - log_gamma(2.0) - math.log(math.pi * 4.0)
             - 0.5 * math.log(6.0)
         )
-        assert log_pdf(params.mu, params) == pytest.approx(expected, rel=1e-14)
+        assert log_pdf_rows(params.mu[None], params)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_normal_limit(self):
         params = MvtParams(np.zeros(2), np.eye(2), 1e6)
-        got = log_pdf(np.array([1.0, 1.0]), params)
+        got = log_pdf_rows(np.array([1.0, 1.0])[None], params)[0]
         assert got == pytest.approx(-math.log(2.0 * math.pi) - 1.0, abs=1e-4)
 
     def test_monotone_in_distance(self):
-        values = [log_pdf(np.array([x, 0.0]), STANDARD_2D) for x in np.linspace(0, 10, 30)]
+        values = [log_pdf_rows(np.array([x, 0.0])[None], STANDARD_2D)[0]
+                  for x in np.linspace(0, 10, 30)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("nu", [1.0, 3.0, 10.0])
     def test_univariate_normalization(self, nu):
         params = MvtParams(np.zeros(1), np.eye(1), nu)
         total, err = integrate.quad(
-            lambda x: math.exp(log_pdf(np.array([x]), params)), -np.inf, np.inf,
+            lambda x: math.exp(log_pdf_rows(np.array([x])[None], params)[0]), -np.inf, np.inf,
             limit=200,
         )
         assert err < 1e-8
@@ -117,35 +117,33 @@ class TestLogPdf:
 class TestLqTransform:
     def test_unit_argument_is_zero(self):
         for q in (0.3, 0.85, 1.0, 1.7):
-            assert lq_transform(1.0, q) == 0.0
+            assert _lq(np.log(1.0), np.asarray(q)) == 0.0
 
     def test_direct_arithmetic(self):
         # (4^0.5 - 1) / 0.5
-        assert lq_transform(4.0, 0.5) == pytest.approx(2.0, rel=1e-14)
+        assert _lq(np.log(4.0), np.asarray(0.5)) == pytest.approx(2.0, rel=1e-14)
 
     def test_q_to_one_limit(self):
         # within 1e-12 of 1 too, q != 1 takes the deformed logarithm
         for q in (1.0 - 1e-10, 1.0 + 1e-10, 1.0 - 1e-13, 1.0 + 1e-13):
-            assert abs(lq_transform(3.0, q) - math.log(3.0)) < 1e-8
+            assert abs(_lq(np.log(3.0), np.asarray(q)) - math.log(3.0)) < 1e-8
 
     def test_uniform_convergence_near_one(self):
         for u in np.linspace(0.1, 10.0, 25):
-            err = abs(lq_transform(u, 1.0 - 1e-8) - math.log(u))
+            err = abs(_lq(np.log(u), np.asarray(1.0 - 1e-8)) - math.log(u))
             assert err < 1e-6
 
     def test_zero_argument(self):
-        assert lq_transform(0.0, 1.0) == -np.inf
-        assert lq_transform(0.0, 0.5) == pytest.approx(-2.0)
-        assert lq_transform(0.0, 1.5) == -np.inf
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(DomainError):
-            lq_transform(-0.5, 0.9)
+        with np.errstate(divide="ignore"):
+            log_zero = np.log(0.0)
+        assert _lq(log_zero, np.asarray(1.0)) == -np.inf
+        assert _lq(log_zero, np.asarray(0.5)) == pytest.approx(-2.0)
+        assert _lq(log_zero, np.asarray(1.5)) == -np.inf
 
     def test_log_space_variant_matches(self):
         log_u = np.array([-50.0, -1.0, 0.0, 2.5])
-        direct = lq_transform(np.exp(log_u), 0.85)
-        assert np.allclose(lq_from_log(log_u, 0.85), direct, rtol=1e-12)
+        direct = (np.exp(log_u) ** 0.15 - 1.0) / 0.15
+        assert np.allclose(_lq(log_u, np.asarray(0.85)), direct, rtol=1e-12)
 
 
 class TestSampler:
@@ -168,6 +166,12 @@ class TestSampler:
     def test_invalid_size(self):
         with pytest.raises(DomainError):
             sample(STANDARD_2D, 0, np.random.default_rng(0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_draw_that_is_not_finite_is_an_error(self):
+        # u = 2 Gamma(nu / 2) underflows to 0 at a tiny nu, and the rows divide by sqrt(u / nu)
+        with pytest.raises(DomainError, match="not finite"):
+            sample(MvtParams(np.zeros(1), np.eye(1), 1e-300), 3, np.random.default_rng(0))
 
 
 class TestConditionalExpectations:
@@ -225,7 +229,7 @@ class TestMlScoreNu:
         h = 1e-5
 
         def lp(nu):
-            return log_pdf(x, MvtParams(np.zeros(2), np.eye(2), nu))
+            return log_pdf_rows(x[None], MvtParams(np.zeros(2), np.eye(2), nu))[0]
 
         fd = (lp(3.0 + h) - lp(3.0 - h)) / (2.0 * h)
         assert ml_score(4.0) == pytest.approx(fd, abs=1e-6)
@@ -264,7 +268,7 @@ class TestMlqScoreNu:
         x = np.array([1.5, -0.5])
         s = float(np.sum(x**2))
         q = 1.0 - 1e-9
-        weight = math.exp((1.0 - q) * log_pdf(x, STANDARD_2D))
+        weight = math.exp((1.0 - q) * log_pdf_rows(x[None], STANDARD_2D)[0])
         assert mlq_score(s, q) / weight == pytest.approx(ml_score(s), abs=1e-10)
 
     def test_bounded_and_vanishing(self):
@@ -308,7 +312,7 @@ class TestScoreCurve:
         h = 1e-5
 
         def tilted(nu):
-            return math.exp(0.15 * log_pdf(x, MvtParams(params.mu, params.sigma, nu)))
+            return math.exp(0.15 * log_pdf_rows(x[None], MvtParams(params.mu, params.sigma, nu))[0])
 
         fd = (tilted(3.0 + h) - tilted(3.0 - h)) / (2.0 * h) / 0.15
         assert mlq_score(4.0, 0.85, params) == pytest.approx(fd, rel=1e-8)

@@ -17,8 +17,10 @@ three sets:
 
 Per set it prints one JSON line: the fits; the failures on each side; the
 fits whose failure state, iteration count or (converged, nu_clamped)
-differ; the fits with bitwise-equal mu, sigma and nu, by method; the
-largest |d mu|, |d sigma| and |d nu| over the fits both sides finished;
+differ; the fits both sides finished whose objective or trace (each
+evaluation's change norm and objective) differ in any bit; the fits with
+bitwise-equal mu, sigma and nu, by method; the largest |d mu|, |d sigma|
+and |d nu| over the fits both sides finished;
 by method, on each side, the mean iterations and the count of unconverged
 fits over the fits that side finished; and, on each side, the nu-score
 evaluations of the set's fits, one per fit and candidate nu, the
@@ -200,7 +202,9 @@ def _record(method: str, outcome) -> dict:
     params = outcome.params
     return {"method": method, "failure": None, "iterations": outcome.iterations,
             "converged": outcome.converged, "nu_clamped": outcome.nu_clamped,
-            "mu": np.array(params.mu), "sigma": np.array(params.sigma), "nu": params.nu}
+            "mu": np.array(params.mu), "sigma": np.array(params.sigma), "nu": params.nu,
+            "objective": outcome.objective,
+            "trace": np.array([(r.change_norm, r.objective) for r in outcome.trace])}
 
 
 def _report(report) -> dict:
@@ -214,6 +218,12 @@ def _largest_gap(a, b) -> float:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     gap = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
     return float(np.max(np.where(np.isnan(gap), np.inf, gap)))
+
+
+def _same_trace(a: dict, b: dict) -> bool:
+    """Whether two finished fits' objectives and traces are bitwise equal; absent ones are."""
+    return (a.get("objective") == b.get("objective")
+            and np.array_equal(a.get("trace", ()), b.get("trace", ())))
 
 
 def compare_simulations(parent: list[dict], change: list[dict]) -> dict:
@@ -266,6 +276,7 @@ def compare(parent: list[dict], change: list[dict]) -> dict:
         "iteration_mismatches": sum(a["iterations"] != b["iterations"] for a, b in both),
         "flag_mismatches": sum((a["converged"], a["nu_clamped"])
                                != (b["converged"], b["nu_clamped"]) for a, b in both),
+        "trace_mismatches": sum(not _same_trace(a, b) for a, b in both),
         "fits_by_method": {m: sum(a["method"] == m for a, _ in both) for m in sorted(bitwise)},
         "bitwise_equal_by_method": dict(sorted(bitwise.items())),
         "max_abs_d_mu": largest("mu"),
