@@ -644,7 +644,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     live, starts, columns, spreads = [], [], [], []
     for slot, rows in enumerate(matrices):
         first = np.argsort(rows[:, 0])  # the lexicographic order where column 0 has no tie
-        lead = rows[first, 0]
+        lead = rows[first, 0]  # compared, not subtracted: a difference may overflow
         rows = rows[first if (lead[1:] != lead[:-1]).all() else np.lexsort(rows.T[::-1])]
         try:
             starts.append(_checked_start(rows))
