@@ -106,6 +106,7 @@ from .linalg import (
 )
 from .tdist import (
     MvtParams,
+    _cond_expect_u,
     _log_pdf,
     _lq,
     _nu_slope,
@@ -251,7 +252,7 @@ def _repair_scatter(sigma: np.ndarray) -> np.ndarray:
     spd_repair does. A scatter needing no shift comes back unchanged.
     """
     diag = np.diagonal(sigma, axis1=1, axis2=2)
-    scale = np.where(np.all(diag > 0.0, axis=1, keepdims=True), diag, 1.0)
+    scale = np.where(np.logical_and.reduce(diag > 0.0, axis=1, keepdims=True), diag, 1.0)
     root = np.sqrt(scale)
     shift = spd_shift_many(sigma / (root[:, :, None] * root[:, None, :]), SPD_FLOOR)
     if not shift.any():
@@ -262,7 +263,8 @@ def _repair_scatter(sigma: np.ndarray) -> np.ndarray:
 
 def _cross(a, b) -> np.ndarray:
     """a @ b.T per (B, p, n) stack member: a gemm, or at p = 1 a numpy sum (a dot is split)."""
-    return np.matmul(a, b.transpose(0, 2, 1)) if a.shape[1] > 1 else np.sum(a * b, 2)[:, :, None]
+    return (np.matmul(a, b.transpose(0, 2, 1)) if a.shape[1] > 1
+            else np.add.reduce(a * b, 2)[:, :, None])
 
 
 def init_params(data) -> MvtParams:
@@ -277,7 +279,7 @@ def init_params(data) -> MvtParams:
         cov = _cross(centered.T[None], centered.T[None])[0] / (n - 1)
     if not np.isfinite(cov).all():  # as it is wherever a mean overflowed
         raise DegenerateData("the column means or covariances overflow")
-    if float(np.max(np.abs(cov))) == 0.0:
+    if (rows == rows[0]).all():  # their mean, hence their covariance, may round off 0
         raise DegenerateData("all observations are identical")
     return MvtParams(mu, _repair_scatter(cov[None])[0], 3.0)
 
@@ -300,12 +302,12 @@ def _m_step(columns, w, prev_sigma, upper):
     others keep prev_sigma.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        sum_w = np.sum(w, axis=1)[:, None]
+        sum_w = np.add.reduce(w, axis=1)[:, None]
         # a numpy sum: as a product it is a gemv over n, which OpenBLAS splits across threads
-        mu = np.sum(w[:, None, :] * columns, axis=2) / sum_w
+        mu = np.add.reduce(w[:, None, :] * columns, axis=2) / sum_w
         d = columns - mu[:, :, None]
         tri = _cross(w[:, None, :] * d, d)[:, upper[0], upper[1]] / sum_w
-    ok = np.all(np.isfinite(mu), axis=1) & np.all(np.isfinite(tri), axis=1)
+    ok = np.logical_and.reduce(np.isfinite(np.concatenate((mu, tri), axis=1)), axis=1)
     sigma = _where(ok, _from_upper(tri, upper, prev_sigma.shape[1]), prev_sigma)
     return mu, _repair_scatter(sigma), ok
 
@@ -352,7 +354,7 @@ def _bracketed_root(g, lo: float, hi: float, start: np.ndarray, newton_tol: floa
     gives a NaN root. Every equation's iterates depend on its own values only.
     Returns (roots, bracketed), both of shape (B,).
     """
-    x = np.clip(start, lo, hi)
+    x = np.minimum(np.maximum(start, lo), hi)
     value, slope = g(x[:, None])
     fx, dfx = value[:, 0], slope[:, 0]
     ends = np.array([lo, hi])
@@ -430,11 +432,12 @@ def _observed_nu_score(s, one_minus_q, p: int):
                                       s_minus_p=s_minus_p[rows, None, :])
         slope = _nu_slope(dist, v[:, -1:], t[:, -1:], [term[:, -1:] for term in shared], tilt)
         if plain:  # f^0 is 1, but NaN where log f overflowed: there, and only there, T is -inf
-            total = np.sum(t, axis=2)
-            sums = np.where(total == -np.inf, np.nan, total), np.sum(slope, axis=2)
+            total = np.add.reduce(t, axis=2)
+            total = np.where(total == -np.inf, np.nan, total)
         else:  # the products are written over t and the slope, which are not read again
             slope *= weight[:, -1:]
-            sums = np.sum(np.multiply(t, weight, out=t), axis=2), np.sum(slope, axis=2)
+            total = np.add.reduce(np.multiply(t, weight, out=t), axis=2)
+        sums = total, np.add.reduce(slope, axis=2)
         if isinstance(rows, slice):
             return sums
         values, slopes = np.full(nu.shape, np.nan), np.full((nu.shape[0], 1), np.nan)
@@ -463,10 +466,10 @@ def _step_weights(s, nu, p: int, log_f, q):
     factor at most 1 and free of the data's units. Where q = 1 the factor is
     exactly 1, and it is not computed when every fit has q = 1.
     """
-    w = cond_expect_u(s, nu, p)
+    w = _cond_expect_u(s, nu, p)
     if (q == 1.0).all():
         return w
-    return w * np.exp((1.0 - q) * (log_f - np.max(log_f, axis=1, keepdims=True)))
+    return w * np.exp((1.0 - q) * (log_f - np.maximum.reduce(log_f, axis=1, keepdims=True)))
 
 
 def m_step_mlq(data, prev: MvtParams, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -546,7 +549,7 @@ def _objective(s, log_det, nu, q, p: int):
     """The fits' objectives, sums of lq of the densities at s, and the log densities."""
     log_f = _log_pdf(s, nu[:, None], p, log_det[:, None])
     with np.errstate(over="ignore"):  # _fit_batch fails a fit stopping at an inf lq
-        return np.sum(_lq(log_f, q[:, None]), axis=1), log_f
+        return np.add.reduce(_lq(log_f, q[:, None]), axis=1), log_f
 
 
 class _Fits(NamedTuple):
@@ -589,7 +592,7 @@ def _squarem_step(fits: _Fits, upper, with_nu: bool) -> _Fits:
         norms = [np.sqrt(np.add.reduce(x * x, axis=1)) for x in (fits.r / scale, v / scale)]
         alpha = np.minimum(-np.divide(*norms), -1.0)[:, None]
         vec = fits.anchor - 2.0 * alpha * fits.r + alpha * alpha * v
-    safe = np.all(np.isfinite(vec), axis=1)
+    safe = np.logical_and.reduce(np.isfinite(vec), axis=1)
     nu = fits.nu
     if with_nu:
         nu = vec[:, -1]
@@ -599,7 +602,7 @@ def _squarem_step(fits: _Fits, upper, with_nu: bool) -> _Fits:
     sigma = _where(safe, _from_upper(vec[:, p:p + upper[0].shape[0]], upper, p), fits.sigma)
     chol, log_det, s = _distances(fits.columns, mu, sigma)
     objective, log_f = _objective(s, log_det, nu, fits.q, p)
-    safe &= np.all(np.isfinite(chol), axis=(1, 2)) & np.isfinite(objective)
+    safe &= np.logical_and.reduce(np.isfinite(chol), axis=(1, 2)) & np.isfinite(objective)
     safe &= objective >= fits.objective
     point = fits._replace(mu=mu, sigma=sigma, nu=nu, s=s, log_f=log_f, objective=objective)
     return _Fits(*(old if new is old else _where(safe, new, old) for new, old in zip(point, fits)))
@@ -627,7 +630,8 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
 
     The datasets must have the same shape, and the configs may differ only
     in method and q. Returns one outcome list per dataset, each what
-    fit_many returns for that dataset alone. A dataset that cannot be
+    fit_many returns for that dataset alone. A dataset with an entry that
+    is not finite (DomainError, which fit_many raises), that cannot be
     initialized, or whose centered rows have rank below the dimension,
     gives that error for each of its configs and leaves the others alone.
     Every fit carries its own copy of its dataset's sorted columns. The
@@ -636,19 +640,20 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     configs = list(configs)
     shared = _shared_config(configs)
     count = len(configs)
-    matrices = [as_data_matrix(data) for data in datasets]
+    matrices = [np.asarray(data, dtype=float) for data in datasets]
     if len({rows.shape for rows in matrices}) > 1:
         raise DimensionMismatch("datasets fitted together must have the same shape")
     # one entry per fit, dataset by dataset; a fit's index is its place here
     outcomes: list[Optional[FitOutcome]] = []
     live, starts, columns, spreads = [], [], [], []
     for slot, rows in enumerate(matrices):
-        first = np.argsort(rows[:, 0])  # the lexicographic order where column 0 has no tie
-        lead = rows[first, 0]  # compared, not subtracted: a difference may overflow
-        rows = rows[first if (lead[1:] != lead[:-1]).all() else np.lexsort(rows.T[::-1])]
-        try:
+        try:  # a shape as_data_matrix rejects raises; entries that are not finite fail here
+            rows = as_data_matrix(rows)
+            first = np.argsort(rows[:, 0])  # the lexicographic order where column 0 has no tie
+            lead = rows[first, 0]  # compared, not subtracted: a difference may overflow
+            rows = rows[first if (lead[1:] != lead[:-1]).all() else np.lexsort(rows.T[::-1])]
             starts.append(_checked_start(rows))
-        except DegenerateData as exc:
+        except (DegenerateData, DomainError) as exc:
             outcomes.extend([exc] * count)
             continue
         outcomes.extend([None] * count)
@@ -694,9 +699,9 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
             ok &= np.isfinite(nu)
             nu = np.where(ok, nu, fits.nu)
         objective, log_f = _objective(s, log_det, nu, fits.q, p)
-        ok &= np.all(np.isfinite(chol), axis=(1, 2))
+        ok &= np.logical_and.reduce(np.isfinite(chol), axis=(1, 2))
         # a variance below SPD_FLOOR times its column's squared MAD has collapsed
-        collapsed = np.any(np.diagonal(sigma, axis1=1, axis2=2) < fits.floor, axis=1)
+        collapsed = np.logical_or.reduce(np.diagonal(sigma, axis1=1, axis2=2) < fits.floor, axis=1)
         ok &= ~collapsed
         previous = _pack(fits.mu, fits.sigma, fits.nu, upper, estimate_nu)
         moved = _pack(mu, sigma, nu, upper, estimate_nu) - previous
@@ -720,7 +725,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
             if stopped:
                 config = configs[i % count]
                 outcomes[i] = FitResult(
-                    params=MvtParams(mu[row], sigma[row], nu_values[row]),
+                    params=MvtParams._from_checked(mu[row], sigma[row], nu_values[row], chol[row]),
                     iterations=iteration,
                     converged=done,
                     trace=tuple(traces[i]),
@@ -758,6 +763,8 @@ def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:
     batch of several datasets (simulation.run_simulation).
     """
     (outcomes,) = _fit_batch([data], configs)
+    if isinstance(outcomes[0], DomainError):
+        raise outcomes[0]
     return outcomes
 
 

@@ -74,7 +74,7 @@ def cholesky_many(stack: np.ndarray) -> np.ndarray:
 
 def log_det_from_chol(chol):
     """log determinant 2 * sum(log diag(L)) from lower factors, one per stack member."""
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return 2.0 * np.add.reduce(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
 def mahalanobis_sq_from_chol(rows, mu, chol: np.ndarray) -> np.ndarray:
@@ -104,7 +104,7 @@ def mahalanobis_sq_many(columns, mu, chol) -> np.ndarray:
         if j > 1:  # coordinates 0 and 1 stay elementwise, which is faster for p <= 3
             acc = acc - (chol[:, j, None, :j] @ z[:, :j])[:, 0]
         z[:, j] = acc / chol[:, j, j, None]
-    return np.sum(z * z, axis=1)
+    return np.add.reduce(z * z, axis=1)
 
 
 def _lambda_min_2x2(m: np.ndarray):

@@ -191,7 +191,7 @@ def distance_metrics(estimate: MvtParams, truth: MvtParams) -> DistanceMetrics:
 
 def _fit_record(index: int, method: str, q: Optional[float], outcome,
                 spec: SimulationSpec, upper: tuple[np.ndarray, np.ndarray]) -> ReplicateRecord:
-    if isinstance(outcome, DegenerateData):
+    if isinstance(outcome, (DegenerateData, DomainError)):
         nan_mu = (math.nan,) * spec.true_params.dim
         nan_sig = (math.nan,) * len(upper[0])
         return ReplicateRecord(index, method, q, True, False, 0, nan_mu,

@@ -65,13 +65,21 @@ class MvtParams:
         nu = float(self.nu)
         if not (math.isfinite(nu) and nu > 0.0):
             raise DomainError(f"degrees of freedom must be positive, got {nu}")
-        chol = cholesky_lower(sigma)
+        self._set(mu, sigma, nu, cholesky_lower(sigma))
+
+    def _set(self, mu, sigma, nu: float, chol):
         for arr in (mu, sigma, chol):
             arr.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "chol_lower", chol)
+        for name, value in zip(("mu", "sigma", "nu", "chol_lower"), (mu, sigma, nu, chol)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_checked(cls, mu, sigma, nu: float, chol) -> MvtParams:
+        """Params of a finite mu, an exactly symmetric sigma with lower Cholesky factor
+        chol and a float nu > 0, with no copy, check or factorization."""
+        params = object.__new__(cls)
+        params._set(mu, sigma, nu, chol)
+        return params
 
     @property
     def dim(self) -> int:
@@ -158,13 +166,17 @@ def _check_s_nu(s, nu):
     return arr
 
 
+def _cond_expect_u(s, nu, p: int):
+    """cond_expect_u of a float array s >= 0 and nu > 0 (not checked)."""
+    return (nu + p) / (nu + s)
+
+
 def cond_expect_u(s, nu, p: int):
     """E(U | x): the multiplicative downweight (nu + p) / (nu + s).
 
     nu may be an array broadcasting against s, as in a batch of fits.
     """
-    arr = _check_s_nu(s, nu)
-    out = (nu + p) / (nu + arr)
+    out = _cond_expect_u(_check_s_nu(s, nu), nu, p)
     return float(out) if np.isscalar(s) else out
 
 

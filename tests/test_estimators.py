@@ -143,6 +143,15 @@ class TestInitParams:
         with pytest.raises(DegenerateData):
             init_params(np.tile([1.0, 2.0], (6, 1)))
 
+    def test_identical_rows_whose_mean_rounds_are_degenerate(self):
+        # their column means round off the value, so their covariance is not 0
+        rows = np.tile(np.random.default_rng(1).standard_normal(2), (63, 1))
+        assert not np.array_equal(np.sum(rows, axis=0) / 63, rows[0])
+        with pytest.raises(DegenerateData, match="^all observations are identical$"):
+            init_params(rows)
+        for outcome in rt.fit_many(rows, [FitConfig(), FitConfig(method="mlq", q=0.9)]):
+            assert str(outcome) == "all observations are identical"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows", [
         [[1e308, 1.0], [1e308, 2.0], [1.0, 3.0]],  # a column sum overflows

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import digamma, polygamma
 from scipy.stats import multivariate_t
@@ -412,11 +414,27 @@ class TestFitMany:
             assert same_fit(ml, mlq) and ml.objective == mlq.objective
             assert (ml.method, ml.q, mlq.method, mlq.q) == ("ml", None, "mlq", 1.0)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 10])
+    def test_each_results_params_are_those_its_constructor_makes(self, p):
+        # the results reuse the engine's checked arrays and Cholesky factors
+        rng = np.random.default_rng(30 + p)
+        data = rng.standard_t(3.0, size=(150, p))
+        data[:3] += 80.0
+        for result in fit_many(data, batch_configs()):
+            params = result.params
+            rebuilt = rt.MvtParams(params.mu, params.sigma, params.nu)
+            for name in ("mu", "sigma", "chol_lower"):
+                got, want = getattr(params, name), getattr(rebuilt, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            assert type(params.nu) is float and params.nu == rebuilt.nu
+            assert params.sigma.tobytes() == params.sigma.T.tobytes(order="C")
+
     def test_a_failing_fit_leaves_the_others_alone(self, monkeypatch):
         data = replicate_data(small_spec(), 0)
         configs = batch_configs()
         expected = fit_many(data, configs)
-        original = estimators.cond_expect_u
+        original = estimators._cond_expect_u
 
         def zero_weights_of_row(row):
             # every fit is still in the batch at the first M-step, in config order
@@ -432,14 +450,14 @@ class TestFitMany:
             return wrapped
 
         row = [config.q for config in configs].index(0.85)
-        monkeypatch.setattr(estimators, "cond_expect_u", zero_weights_of_row(row))
+        monkeypatch.setattr(estimators, "_cond_expect_u", zero_weights_of_row(row))
         got = fit_many(data, configs)
         for config, want, outcome in zip(configs, expected, got):
             if config.q == 0.85:
                 assert isinstance(outcome, DegenerateData)
             else:
                 assert same_fit(outcome, want)
-        monkeypatch.setattr(estimators, "cond_expect_u", zero_weights_of_row(0))
+        monkeypatch.setattr(estimators, "_cond_expect_u", zero_weights_of_row(0))
         with pytest.raises(DegenerateData):
             fit(data, configs[row])
 
@@ -646,6 +664,26 @@ class TestFitMany:
                 assert min(abs(result.params.nu - nu) for nu in roots) < 10 * config.epsilon
 
 
+HOSTILE = ("nan", "inf", "near_max", "identical", "collinear")
+
+
+def hostile_dataset(kind, shape, rng):
+    """Rows of shape (n, 2) that no fit can start from, of one HOSTILE kind."""
+    rows = rng.standard_normal(shape)
+    cell = rng.integers(shape[0]), rng.integers(shape[1])
+    if kind == "nan":
+        rows[cell] = np.nan
+    elif kind == "inf":
+        rows[cell] = rng.choice([-np.inf, np.inf])
+    elif kind == "near_max":  # the column sums overflow
+        rows = np.where(rows < 0.0, -1e308, 1e308) * rng.uniform(0.5, 1.0, shape)
+    elif kind == "identical":
+        rows[:] = rows[0]
+    else:  # the rows lie on a line
+        rows[:, 1] = 2.0 * rows[:, 0] - 1.0
+    return rows
+
+
 class TestFitBatch:
     def test_each_dataset_equals_its_own_fit_many(self):
         spec = small_spec(n_replications=4)
@@ -692,6 +730,40 @@ class TestFitBatch:
         data = replicate_data(spec, 0)
         with pytest.raises(DimensionMismatch):
             estimators._fit_batch([data, data[:-1]], batch_configs())
+
+    # every warning is an error, bar the deprecation one that hypothesis's failure report raises
+    @pytest.mark.filterwarnings("error", "ignore::DeprecationWarning")
+    @given(st.integers(1, 3), st.sampled_from(HOSTILE), st.integers(0, 3), st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_a_hostile_dataset_fails_alone(self, clean_count, kind, place, seed):
+        clean = [replicate_data(small_spec(), k) for k in range(clean_count)]
+        hostile = hostile_dataset(kind, clean[0].shape, np.random.default_rng(seed))
+        place = min(place, clean_count)
+        configs = batch_configs()
+        batched = estimators._fit_batch(clean[:place] + [hostile] + clean[place:], configs)
+        failed = batched.pop(place)
+        if kind in ("nan", "inf"):
+            with pytest.raises(DomainError, match="^data entries must be finite$"):
+                fit_many(hostile, configs)
+            assert all(type(o) is DomainError and str(o) == "data entries must be finite"
+                       for o in failed)
+        else:
+            alone = fit_many(hostile, configs)
+            assert all(type(o) is DegenerateData and str(o) == str(want)
+                       for o, want in zip(failed, alone, strict=True))
+        for data, outcomes in zip(clean, batched, strict=True):
+            assert all(same_fit(got, want) for got, want in zip(outcomes, fit_many(data, configs),
+                                                                strict=True))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_one_dataset_whose_entries_are_not_finite_is_an_error(self, entry):
+        data = replicate_data(small_spec(), 0).copy()
+        data[5, 1] = entry
+        with pytest.raises(DomainError, match="^data entries must be finite$"):
+            fit_many(data, batch_configs())
+        with pytest.raises(DomainError, match="^data entries must be finite$"):
+            fit(data, FitConfig())
+
 
 
 def log_equations(targets):
