@@ -81,6 +81,10 @@ shape and memory layout, in each reduction OpenBLAS does not split across
 threads (see linalg). It splits the location sums (a gemv over n) and a
 p = 1 scatter (a dot), so those stay numpy sums. So a fit is bitwise the
 same whatever the batch holds, the rows' order or the BLAS thread count.
+Each iteration calls the ufunc reductions (np.add.reduce and the like)
+directly; np.sum, np.all and np.max call the same ones after a dispatch
+that costs about as much at a batch's sizes. Nor does it check again what
+it made: its weights and its results' MvtParams take its values as they are.
 
 e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq run the
 engine's phases for one fit, from the previous iterate and its e_step, and
@@ -263,8 +267,7 @@ def _repair_scatter(sigma: np.ndarray) -> np.ndarray:
 
 def _cross(a, b) -> np.ndarray:
     """a @ b.T per (B, p, n) stack member: a gemm, or at p = 1 a numpy sum (a dot is split)."""
-    return (np.matmul(a, b.transpose(0, 2, 1)) if a.shape[1] > 1
-            else np.add.reduce(a * b, 2)[:, :, None])
+    return a @ b.transpose(0, 2, 1) if a.shape[1] > 1 else np.add.reduce(a * b, 2)[:, :, None]
 
 
 def init_params(data) -> MvtParams:
@@ -629,11 +632,10 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     """Run every config on every dataset, all fits in lockstep.
 
     The datasets must have the same shape, and the configs may differ only
-    in method and q. Returns one outcome list per dataset, each what
-    fit_many returns for that dataset alone. A dataset with an entry that
-    is not finite (DomainError, which fit_many raises), that cannot be
-    initialized, or whose centered rows have rank below the dimension,
-    gives that error for each of its configs and leaves the others alone.
+    in method and q. Returns one outcome list per dataset: what fit_many
+    returns for it alone, or the DomainError it raises. A dataset with an
+    entry that is not finite, that cannot be initialized, or whose centered
+    rows have rank below p fails alone, with that error for each config.
     Every fit carries its own copy of its dataset's sorted columns. The
     running fits are one _Fits record, which each phase replaces.
     """

@@ -75,8 +75,7 @@ class MvtParams:
 
     @classmethod
     def _from_checked(cls, mu, sigma, nu: float, chol) -> MvtParams:
-        """Params of a finite mu, an exactly symmetric sigma with lower Cholesky factor
-        chol and a float nu > 0, with no copy, check or factorization."""
+        """Params of a finite mu, an exactly symmetric sigma, its lower factor chol and nu > 0."""
         params = object.__new__(cls)
         params._set(mu, sigma, nu, chol)
         return params
