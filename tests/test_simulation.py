@@ -668,7 +668,7 @@ HOSTILE = ("nan", "inf", "near_max", "identical", "collinear")
 
 
 def hostile_dataset(kind, shape, rng):
-    """Rows of shape (n, 2) that no fit can start from, of one HOSTILE kind."""
+    """Rows of shape (n, p >= 2) that no fit can start from, of one HOSTILE kind."""
     rows = rng.standard_normal(shape)
     cell = rng.integers(shape[0]), rng.integers(shape[1])
     if kind == "nan":
@@ -763,7 +763,6 @@ class TestFitBatch:
             fit_many(data, batch_configs())
         with pytest.raises(DomainError, match="^data entries must be finite$"):
             fit(data, FitConfig())
-
 
 
 def log_equations(targets):
