@@ -12,27 +12,8 @@ from .errors import (
     DomainError,
     NotPositiveDefinite,
 )
-from .estimators import (
-    METHOD_ML,
-    METHOD_MLQ,
-    EStepQuantities,
-    FitConfig,
-    FitResult,
-    NuSolveResult,
-    e_step,
-    fit,
-    fit_many,
-    init_params,
-    m_step_ml,
-    m_step_mlq,
-    solve_nu_ml,
-    solve_nu_mlq,
-)
-from .linalg import (
-    cholesky_lower,
-    spd_repair,
-    symmetrize,
-)
+from .estimators import METHOD_ML, METHOD_MLQ, FitConfig, FitResult, fit, fit_many, init_params
+from .linalg import cholesky_lower, symmetrize
 from .simulation import (
     MethodSummary,
     ReplicateRecord,
@@ -44,16 +25,7 @@ from .simulation import (
     preset_case,
     run_simulation,
 )
-from .special import digamma, log_gamma
-from .tdist import (
-    MvtParams,
-    as_data_matrix,
-    cond_expect_log_u,
-    cond_expect_u,
-    log_pdf_rows,
-    sample,
-    score_curve,
-)
+from .tdist import MvtParams, as_data_matrix, cond_expect_u, log_pdf_rows, sample, score_curve
 
 __all__ = [
     "DegenerateData",
@@ -62,20 +34,12 @@ __all__ = [
     "NotPositiveDefinite",
     "METHOD_ML",
     "METHOD_MLQ",
-    "EStepQuantities",
     "FitConfig",
     "FitResult",
-    "NuSolveResult",
-    "e_step",
     "fit",
     "fit_many",
     "init_params",
-    "m_step_ml",
-    "m_step_mlq",
-    "solve_nu_ml",
-    "solve_nu_mlq",
     "cholesky_lower",
-    "spd_repair",
     "symmetrize",
     "MethodSummary",
     "ReplicateRecord",
@@ -86,11 +50,8 @@ __all__ = [
     "generate_replicate",
     "preset_case",
     "run_simulation",
-    "digamma",
-    "log_gamma",
     "MvtParams",
     "as_data_matrix",
-    "cond_expect_log_u",
     "cond_expect_u",
     "log_pdf_rows",
     "sample",

@@ -86,10 +86,16 @@ directly; np.sum, np.all and np.max call the same ones after a dispatch
 that costs about as much at a batch's sizes. Nor does it check again what
 it made: its weights and its results' MvtParams take its values as they are.
 
+The set-up centers each dataset's sorted rows once, for init_params's means
+and covariance, judges their rank on its correlation matrix, and repairs and
+factors that start once for all the dataset's fits.
+
 e_step, m_step_ml, m_step_mlq, solve_nu_ml and solve_nu_mlq run the
 engine's phases for one fit, from the previous iterate and its e_step, and
 raise DegenerateData where the engine would fail the fit. solve_nu_* take
 T at the previous iterate's location and scatter and solve to the root.
+Nothing in the package calls or exports them: they remain only as
+perfbench's hook surface, until perfbench hooks the engine's own phases.
 """
 
 from __future__ import annotations
@@ -128,15 +134,8 @@ __all__ = [
     "SPD_FLOOR",
     "FitConfig",
     "FitResult",
-    "EStepQuantities",
     "IterationRecord",
-    "NuSolveResult",
     "init_params",
-    "e_step",
-    "m_step_ml",
-    "solve_nu_ml",
-    "m_step_mlq",
-    "solve_nu_mlq",
     "fit",
     "fit_many",
 ]
@@ -270,10 +269,9 @@ def _cross(a, b) -> np.ndarray:
     return a @ b.transpose(0, 2, 1) if a.shape[1] > 1 else np.add.reduce(a * b, 2)[:, :, None]
 
 
-def init_params(data) -> MvtParams:
-    """Starting point: column means, repaired sample covariance, nu = 3."""
-    rows = as_data_matrix(data)
-    n, _ = rows.shape
+def _moments(rows):
+    """Column means and sample covariance of finite (n, p) rows, which are centered once."""
+    n = rows.shape[0]
     if n < 2:
         raise DegenerateData("initialization needs at least two observations")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -284,6 +282,12 @@ def init_params(data) -> MvtParams:
         raise DegenerateData("the column means or covariances overflow")
     if (rows == rows[0]).all():  # their mean, hence their covariance, may round off 0
         raise DegenerateData("all observations are identical")
+    return mu, cov
+
+
+def init_params(data) -> MvtParams:
+    """Starting point: column means, repaired sample covariance, nu = 3."""
+    mu, cov = _moments(as_data_matrix(data))
     return MvtParams(mu, _repair_scatter(cov[None])[0], 3.0)
 
 
@@ -614,20 +618,6 @@ def _squarem_step(fits: _Fits, upper, with_nu: bool) -> _Fits:
 FitOutcome = Union[FitResult, DegenerateData]
 
 
-def _checked_start(rows) -> MvtParams:
-    """init_params of the rows, after checking that they span all p dimensions."""
-    start = init_params(rows)
-    p = rows.shape[1]
-    # rank of the centered rows, judged on the p x p Gram matrix of their
-    # unit-length columns so that the units of the columns do not matter
-    centered = rows - start.mu
-    scale = np.sqrt(np.sum(centered * centered, axis=0))
-    unit = centered / np.where(scale > 0.0, scale, 1.0)
-    if np.linalg.matrix_rank(unit.T @ unit, hermitian=True) < p:
-        raise DegenerateData(f"the observations span fewer than {p} dimensions")
-    return start
-
-
 def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[FitOutcome]]:
     """Run every config on every dataset, all fits in lockstep.
 
@@ -647,19 +637,26 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         raise DimensionMismatch("datasets fitted together must have the same shape")
     # one entry per fit, dataset by dataset; a fit's index is its place here
     outcomes: list[Optional[FitOutcome]] = []
-    live, starts, columns, spreads = [], [], [], []
+    live, means, covariances, columns, spreads = [], [], [], [], []
     for slot, rows in enumerate(matrices):
         try:  # a shape as_data_matrix rejects raises; entries that are not finite fail here
             rows = as_data_matrix(rows)
             first = np.argsort(rows[:, 0])  # the lexicographic order where column 0 has no tie
             lead = rows[first, 0]  # compared, not subtracted: a difference may overflow
             rows = rows[first if (lead[1:] != lead[:-1]).all() else np.lexsort(rows.T[::-1])]
-            starts.append(_checked_start(rows))
+            mu, cov = _moments(rows)
+            # rank on the correlation matrix, the unit columns' Gram matrix: free of units
+            root = np.sqrt(np.diagonal(cov))
+            root = np.where(root > 0.0, root, 1.0)
+            if np.linalg.matrix_rank(cov / root / root[:, None], hermitian=True) < len(mu):
+                raise DegenerateData(f"the observations span fewer than {len(mu)} dimensions")
         except (DegenerateData, DomainError) as exc:
             outcomes.extend([exc] * count)
             continue
         outcomes.extend([None] * count)
         live.append(slot)
+        means.append(mu)
+        covariances.append(cov)
         columns.append(rows.T)
         spreads.append(np.median(np.abs(rows - np.median(rows, axis=0)), axis=0) ** 2)
 
@@ -675,9 +672,10 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     def per_fit(values):
         return np.repeat(np.array(values), count, axis=0)
 
-    columns = per_fit(columns)
-    mu, sigma = per_fit([start.mu for start in starts]), per_fit([start.sigma for start in starts])
-    _, log_det, s = _distances(columns, mu, sigma)
+    # each dataset's start is repaired and measured once, then repeated to its configs
+    mu, sigma = np.array(means), _repair_scatter(np.array(covariances))
+    _, log_det, s = _distances(np.array(columns), mu, sigma)
+    columns, mu, sigma, log_det, s = (per_fit(x) for x in (columns, mu, sigma, log_det, s))
     q = np.tile([c.q for c in configs], len(live))
     nu = np.full(mu.shape[0], 3.0 if estimate_nu else shared.fixed_nu)
     objective, log_f = _objective(s, log_det, nu, q, p)

@@ -28,7 +28,6 @@ __all__ = [
     "log_det_from_chol",
     "mahalanobis_sq_from_chol",
     "mahalanobis_sq_many",
-    "spd_repair",
     "spd_shift_many",
 ]
 

@@ -89,6 +89,10 @@ class SimulationSpec:
             raise DomainError("q grid must be strictly ascending")
         if not -math.inf < self.outlier_low <= self.outlier_high < math.inf:
             raise DomainError("outlier range must be finite with low <= high")
+        with np.errstate(over="ignore", invalid="ignore"):
+            low, high = _outlier_box(self)
+            if not np.isfinite(high - low).all():  # a box uniform draws cannot span
+                raise DomainError("outlier range overflows at the scale of the truth")
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
         object.__setattr__(self, "q_grid", grid)
@@ -161,6 +165,12 @@ def generate_replicate(spec: SimulationSpec, replicate_index: int) -> np.ndarray
     return sample(spec.true_params, spec.n, rng)
 
 
+def _outlier_box(spec: SimulationSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The corners mu + low * sd and mu + high * sd of the outliers' box."""
+    sd = np.sqrt(np.diag(spec.true_params.sigma))
+    return spec.true_params.mu + spec.outlier_low * sd, spec.true_params.mu + spec.outlier_high * sd
+
+
 def contaminate(data, spec: SimulationSpec, replicate_index: int) -> np.ndarray:
     """Append the replicate's uniform outliers to the data.
 
@@ -173,10 +183,7 @@ def contaminate(data, spec: SimulationSpec, replicate_index: int) -> np.ndarray:
     if spec.n_outliers == 0:
         return rows
     rng = _stream(spec.seed, replicate_index, _CONTAMINATION_STREAM)
-    sd = np.sqrt(np.diag(spec.true_params.sigma))
-    low = spec.true_params.mu + spec.outlier_low * sd
-    high = spec.true_params.mu + spec.outlier_high * sd
-    extra = rng.uniform(low, high, size=(spec.n_outliers, rows.shape[1]))
+    extra = rng.uniform(*_outlier_box(spec), size=(spec.n_outliers, rows.shape[1]))
     return np.vstack([rows, extra])
 
 

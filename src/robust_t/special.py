@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["log_gamma", "digamma", "gamma_gaps"]
+__all__ = ["gamma_gaps"]
 
 # the series are taken at x + _SHIFT, where seven terms reach float precision
 _SHIFT = 10

@@ -29,7 +29,6 @@ __all__ = [
     "log_pdf_rows",
     "sample",
     "cond_expect_u",
-    "cond_expect_log_u",
     "score_curve",
 ]
 

@@ -32,3 +32,35 @@ def test_importing_the_package_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+PUBLIC_NAMES = [
+    "DegenerateData", "DimensionMismatch", "DomainError", "NotPositiveDefinite",
+    "METHOD_ML", "METHOD_MLQ", "FitConfig", "FitResult", "fit", "fit_many", "init_params",
+    "cholesky_lower", "symmetrize",
+    "MethodSummary", "ReplicateRecord", "SimulationReport", "SimulationSpec", "contaminate",
+    "distance_metrics", "generate_replicate", "preset_case", "run_simulation",
+    "MvtParams", "as_data_matrix", "cond_expect_u", "log_pdf_rows", "sample", "score_curve",
+]
+# the one-fit phases and the helpers only they use: defined, not exported
+UNEXPORTED = {
+    "estimators": ["e_step", "m_step_ml", "m_step_mlq", "solve_nu_ml", "solve_nu_mlq",
+                   "EStepQuantities", "NuSolveResult"],
+    "linalg": ["spd_repair"],
+    "special": ["digamma", "log_gamma"],
+    "tdist": ["cond_expect_log_u"],
+}
+
+
+def test_the_package_exports_one_fitting_api():
+    assert robust_t.__all__ == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 28
+
+
+@pytest.mark.parametrize("module", sorted(UNEXPORTED))
+def test_the_one_fit_layer_stays_in_its_module_unexported(module):
+    mod = importlib.import_module(f"robust_t.{module}")
+    for name in UNEXPORTED[module]:
+        assert callable(getattr(mod, name))
+        assert name not in mod.__all__
+        assert not hasattr(robust_t, name)

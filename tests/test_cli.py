@@ -374,13 +374,17 @@ class TestSimulate:
         assert "jobs" in err.lower()
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_infinite_outlier_range_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_simulation", no_simulation)
-        code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30",
-                           "--outlier-range", "0:inf", "--output", str(tmp_path / "report"))
-        assert code == 1
-        assert_one_line_error(err)
-        assert not (tmp_path / "report.csv").exists()
+        # the second range is finite, but case II's sd of sqrt(2) takes its top past the floats
+        for case, outlier_range in (("1", "0:inf"), ("2", "1e308:1.3e308")):
+            code, _, err = run(capsys, "simulate", "--case", case, "--n", "30",
+                               "--outlier-range", outlier_range,
+                               "--output", str(tmp_path / "report"))
+            assert code == 1
+            assert_one_line_error(err)
+            assert not (tmp_path / "report.csv").exists()
 
     def test_writes_report(self, capsys, tmp_path):
         target = tmp_path / "report.csv"

@@ -161,6 +161,32 @@ class TestInitParams:
         with pytest.raises(DegenerateData, match="overflow"):
             init_params(np.array(rows))
 
+    @pytest.mark.parametrize("p, ties", [(1, False), (2, False), (3, False), (10, False),
+                                         (2, True)], ids=["p1", "p2", "p3", "p10", "ties"])
+    def test_the_engine_starts_each_dataset_once_from_init_params(self, monkeypatch, p, ties):
+        rng = np.random.default_rng(p)
+        datasets = [rng.standard_t(4.0, size=(60, p)) for _ in range(2)]
+        if ties:  # column 0 has ties, so the rows are put in order by a lexsort
+            datasets[1][:, 0] = np.round(datasets[1][:, 0])
+        calls = []
+
+        def recorded(columns, mu, sigma):
+            calls.append((columns, mu, sigma))
+            return distances(columns, mu, sigma)
+
+        distances = estimators._distances
+        monkeypatch.setattr(estimators, "_distances", recorded)
+        configs = [FitConfig(), FitConfig(method="mlq", q=0.9), FitConfig(method="mlq", q=0.7)]
+        estimators._fit_batch(datasets, configs)
+        columns, mu, sigma = calls[0]
+        assert mu.shape == (2, p)  # one start per dataset, not per config
+        for k, rows in enumerate(datasets):
+            ordered = rows[np.lexsort(rows.T[::-1])]
+            start = init_params(ordered)
+            assert columns[k].tobytes() == ordered.T.tobytes()
+            assert mu[k].tobytes() == start.mu.tobytes()
+            assert sigma[k].tobytes() == start.sigma.tobytes()
+
     def test_large_clean_sample_near_truth(self):
         rows = clean_data(20000, seed=3)
         start = init_params(rows)
@@ -186,7 +212,7 @@ class TestEStep:
         est = e_step(rows, params)
         s = mahalanobis_sq_from_chol(rows, params.mu, params.chol_lower)
         assert np.array_equal(est.u1, rt.cond_expect_u(s, 4.0, 2))
-        assert np.array_equal(est.u2, rt.cond_expect_log_u(s, 4.0, 2))
+        assert np.array_equal(est.u2, tdist.cond_expect_log_u(s, 4.0, 2))
 
     def test_jensen_invariant(self):
         params = case_i_params()

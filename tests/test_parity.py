@@ -207,6 +207,11 @@ def test_set_line_reports_each_sides_solves_and_end_reads():
     line = parity.set_line("large", parent, change)
     assert line["nu_solves"] == {"parent": 4, "change": 4}
     assert line["nu_end_reads"] == {"parent": 1, "change": 0}
+    assert "src_lines" not in line and "public_names" not in line
+    parent.update(src_lines=2225, public_names=39)
+    line = parity.set_line("large", parent, dict(change, src_lines=2189, public_names=28))
+    assert line["src_lines"] == {"parent": 2225, "change": 2189}
+    assert line["public_names"] == {"parent": 39, "change": 28}
 
 
 def test_counting_squarem_solves_counts_the_solves_with_a_finite_tolerance():

@@ -28,7 +28,9 @@ evaluator calls that made them, the nu solves (estimators._bracketed_root
 calls) and the solves that read a bracket end, that is, held a candidate
 at an end of the bracket after their first call; and, apart from the
 one-step solves, the solves from SQUAREM points (those given a finite
-Newton tolerance) and the evaluator calls they made.
+Newton tolerance) and the evaluator calls they made. Every line also holds
+each side's src_lines, the line count of src/robust_t/*.py, and
+public_names, the length of robust_t.__all__.
 
 For case_i and case_ii the line also holds, under "simulation", the parity
 of run_simulation on the same specs (one report per seed): for each
@@ -57,6 +59,8 @@ SIMULATED = ("case_i", "case_ii")
 # the per-set counts of record_outcomes, each reported per side
 COUNTS = ("nu_score_evaluations", "nu_score_calls", "nu_solves", "nu_end_reads",
           "squarem_nu_solves", "squarem_nu_score_calls")
+# the sizes of each tree's package, reported on every set's line
+SIZES = ("src_lines", "public_names")
 
 
 def _grid(low: float, count: int) -> tuple[float, ...]:
@@ -190,6 +194,9 @@ def record_outcomes() -> dict:
                                        squarem["solves"], squarem["calls"]), strict=True):
             counts[key][name] = value
     outcomes.update(counts)
+    sources = Path(rt.__file__).parent.glob("*.py")
+    outcomes["src_lines"] = sum(len(path.read_text().splitlines()) for path in sources)
+    outcomes["public_names"] = len(rt.__all__)
     outcomes["simulations"] = {name: [_report(rt.run_simulation(spec)) for spec in simulated[name]]
                                for name in SIMULATED}
     return outcomes
@@ -296,6 +303,9 @@ def set_line(name: str, parent: dict, change: dict) -> dict:
     for key in COUNTS:
         if key in parent:  # each count the records hold
             line[key] = {side: outcomes[key][name] for side, outcomes in sides.items()}
+    for key in SIZES:
+        if key in parent:
+            line[key] = {side: outcomes[key] for side, outcomes in sides.items()}
     if name in SIMULATED:
         line["simulation"] = compare_simulations(parent["simulations"][name],
                                                  change["simulations"][name])
