@@ -91,7 +91,7 @@ class SimulationSpec:
             raise DomainError("outlier range must be finite with low <= high")
         with np.errstate(over="ignore", invalid="ignore"):
             low, high = _outlier_box(self)
-            if not np.isfinite(high - low).all():  # a box uniform draws cannot span
+            if not np.isfinite(high - low).all():  # numpy's uniform raises on such a width
                 raise DomainError("outlier range overflows at the scale of the truth")
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
