@@ -308,7 +308,7 @@ def _m_step(columns, w, prev_sigma, upper):
     locations, the repaired scatters and which updates are finite; the
     others keep prev_sigma.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sum_w = np.add.reduce(w, axis=1)[:, None]
         # a numpy sum: as a product it is a gemv over n, which OpenBLAS splits across threads
         mu = np.add.reduce(w[:, None, :] * columns, axis=2) / sum_w
@@ -705,7 +705,8 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
         ok &= ~collapsed
         previous = _pack(fits.mu, fits.sigma, fits.nu, upper, estimate_nu)
         moved = _pack(mu, sigma, nu, upper, estimate_nu) - previous
-        change = np.sqrt(np.add.reduce(moved * moved, axis=1))  # np.linalg.norm's arithmetic
+        with np.errstate(over="ignore"):  # an infinite norm is never below epsilon
+            change = np.sqrt(np.add.reduce(moved * moved, axis=1))  # np.linalg.norm's arithmetic
 
         converged = change < shared.epsilon
         stop = converged | ~ok | (iteration == shared.max_iter)

@@ -125,6 +125,33 @@ def test_sample_with_a_negative_seed_is_an_error(capsys, tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    (["sample", "--mu", "1,x", "--sigma", "1,0;0,1"], "cannot parse vector '1,x'"),
+    (["sample", "--mu", "0,0", "--sigma", "1,x;0,1"], "cannot parse matrix"),
+    (["sample", "--mu", "0,0", "--sigma", "1,0;0"], "have unequal lengths"),
+    (["simulate", "--case", "1", "--outlier-range", "5"], "range must be lo:hi"),
+    (["showcase", "--mu", "0,0"], "showcase needs --case or all of --mu/--sigma/--nu"),
+], ids=["vector", "matrix", "ragged-matrix", "range", "showcase-truth"])
+def test_a_flag_value_that_does_not_parse_is_an_error(capsys, tmp_path, monkeypatch, command,
+                                                       message):
+    monkeypatch.setattr(cli, "run_simulation", no_simulation)
+    monkeypatch.setattr(cli, "fit_many", no_fit)
+    # every command is given what each of them needs, so that only the bad value stands out
+    rest = {"sample": ["--n", "5", "--nu", "3", "--output"], "simulate": ["--n", "20", "--output"],
+            "showcase": ["--out"]}[command[0]]
+    code, out, err = run(capsys, *command, *rest, str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert_one_line_error(err)
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: robust-t")
+
+
 @pytest.mark.filterwarnings("error")
 def test_sample_whose_draws_are_not_finite_is_an_error(capsys, tmp_path):
     code, out, err = run(capsys, "sample", "--n", "3", "--mu", "0", "--sigma", "1",
@@ -285,7 +312,8 @@ class TestParseQGrid:
 
     @pytest.mark.parametrize("text", ["0.9:0.8:0.1", "0.8:0.9:0", "a:b", "nan:1:0.1",
                                       "0.8:inf:0.1", "0.8:0.98:1e-13", "-5:5:1e-12",
-                                      "1e-12:1:1e-12", "-1e300:1e300:1e-12"])
+                                      "1e-12:1:1e-12", "-1e300:1e300:1e-12", "0.9:1.1:0.1",
+                                      "1.2"])
     def test_invalid_grid_exits_1(self, capsys, tmp_path, monkeypatch, text):
         monkeypatch.setattr(cli, "run_simulation", no_simulation)
         began = time.perf_counter()
@@ -295,6 +323,10 @@ class TestParseQGrid:
         assert time.perf_counter() - began < 1.0
         assert code == 1
         assert_one_line_error(err)
+
+    def test_a_last_value_past_hi_is_dropped(self):
+        # (0.96 - 0.8) / 0.1 rounds to 2 steps, and 0.8 + 2 * 0.1 lies past 0.96
+        assert cli.parse_q_grid("0.8:0.96:0.1") == (0.8, 0.9)
 
     def test_the_longest_grid_is_accepted(self):
         grid = cli.parse_q_grid("0.0001:1:0.0001")
@@ -386,6 +418,36 @@ class TestSimulate:
             assert_one_line_error(err)
             assert not (tmp_path / "report.csv").exists()
 
+    def test_a_negative_low_end_takes_the_equals_form(self, capsys, tmp_path, monkeypatch):
+        specs = []
+
+        def recorded(spec, jobs=1, run_simulation=cli.run_simulation):
+            specs.append(spec)
+            return run_simulation(spec, jobs)
+
+        monkeypatch.setattr(cli, "run_simulation", recorded)
+        argv = ["simulate", "--case", "1", "--n", "20", "--replications", "1", "--q-grid", "0.9"]
+        code, _, err = run(capsys, *argv, "--outlier-range=-5:5",
+                           "--output", str(tmp_path / "report"))
+        assert code == 0 and err == ""
+        (spec,) = specs
+        assert strict_json(tmp_path / "report.json")["outlier_range"] == [-5.0, 5.0]
+        truth = preset_case(1)
+        sd = np.sqrt(np.diag(truth.sigma))
+        offsets = (contaminate(generate_replicate(spec, 0), spec, 0)[-spec.n_outliers:]
+                   - truth.mu) / sd
+        assert ((-5.0 <= offsets) & (offsets <= 5.0)).all() and (offsets < 0.0).any()
+        # as two tokens, argparse takes -5:5 for a flag
+        code, out, err = run(capsys, *argv, "--outlier-range", "-5:5",
+                             "--output", str(tmp_path / "bare"))
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert "expected one argument" in err
+        assert len(specs) == 1
+        monkeypatch.setenv("COLUMNS", "200")  # argparse would break the example at a hyphen
+        code, out, _ = run(capsys, "simulate", "--help")
+        assert code == 0 and "--outlier-range=-5:5" in out
+
     def test_writes_report(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, _, err = run(capsys, "simulate", "--case", "1", "--n", "30", "--replications", "2",
@@ -435,6 +497,20 @@ class TestDensityGrid:
         assert_one_line_error(err)
         assert f"2 to {cli._MAX_GRID_POINTS} points" in err
         assert list(tmp_path.iterdir()) == [data_csv]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,3\n4,5,6\n7,8,10\n", "density grids require bivariate data"),
+        ("1,2\n2,4\n3,6\n", "the observations span fewer than 2 dimensions"),
+    ], ids=["three-columns", "collinear"])
+    def test_data_it_cannot_grid_is_an_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "density-grid", str(path), "--grid-points", "3",
+                             "--out", str(tmp_path / "grid"))
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert message in err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_two_grid_points_accepted(self, capsys, tmp_path, data_csv):
         code, _, err = run(capsys, "density-grid", str(data_csv), "--grid-points", "2",
@@ -501,6 +577,14 @@ class TestShowcase:
         assert set(fits) == {"ml", "mlq", "truth"}
         assert fits["mlq"]["q"] == DEFAULT_Q
         assert fits["truth"] == {"mu": [2.0, 1.0], "sigma": [[1.0, 0.0], [0.0, 1.0]], "nu": 3.0}
+
+    def test_a_truth_given_by_flags_is_written_with_the_fits(self, capsys, tmp_path):
+        code, _, err = run(capsys, "showcase", "--mu", "0,0", "--sigma", "1,0;0,1", "--nu", "3",
+                           "--n", "60", "--grid-points", "3", "--out", str(tmp_path / "show"))
+        assert code == 0 and err == ""
+        fits = strict_json(tmp_path / "show_fits.json")
+        assert fits["truth"] == {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]], "nu": 3.0}
+        assert fits["ml"]["converged"] and fits["mlq"]["converged"]
 
     def test_more_grid_points_than_the_cap_rejected_before_a_fit(self, capsys, tmp_path,
                                                                monkeypatch):

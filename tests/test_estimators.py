@@ -514,6 +514,20 @@ class TestFit:
             assert result.converged
             assert np.all(np.diag(result.params.sigma) > 0.1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_steps_whose_squares_overflow_give_no_warning(self):
+        # the change norm of the early steps overflows to inf, which is not below epsilon
+        result = fit(np.array([[-9e153], [9e153], [1e153]]), FitConfig())
+        assert (result.iterations, result.converged, result.nu_clamped) == (11, True, True)
+        assert result.params.sigma[0, 0] == 5.40866168406331e+307
+        assert (result.params.nu, result.change_norm) == (200.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_scatter_sum_that_overflows_fails_the_fit_without_a_warning(self):
+        with pytest.raises(DegenerateData) as failure:
+            fit(np.array([[-9e153], [9e153]]), FitConfig())
+        assert str(failure.value) == "weighted update produced non-finite parameters"
+
     def test_trace_structure(self):
         rows = clean_data(150, seed=14)
         result = fit(rows, FitConfig(method="ml"))

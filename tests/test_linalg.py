@@ -241,3 +241,9 @@ class TestProperties:
         lhs = log_det(a @ m @ a.T)
         rhs = log_det(m) + 2.0 * math.log(abs(np.linalg.det(a)))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-9)
+
+
+def test_symmetrize_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(DimensionMismatch) as failure:
+        symmetrize(np.ones((2, 3)))
+    assert str(failure.value) == "expected a square matrix, got shape (2, 3)"

@@ -1,11 +1,15 @@
-"""tools/parity.py's comparer on synthetic fit outcomes; no revision is exported."""
+"""tools/parity.py's comparer on synthetic fit outcomes and its nu-search counter; no
+revision is exported."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+ROOT = Path(__file__).resolve().parents[1]
+_PATH = ROOT / "tools" / "parity.py"
+sys.path.insert(0, str(_PATH.parent))  # for its sibling bench_pairs
 _SPEC = importlib.util.spec_from_file_location("parity", _PATH)
 parity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(parity)
@@ -128,26 +132,35 @@ def test_counting_nu_scores_counts_each_fit_at_each_candidate():
 
     rows = np.random.default_rng(0).standard_t(4.0, size=(60, 2))
     configs = [rt.FitConfig(max_iter=1), rt.FitConfig(method="mlq", q=0.9, max_iter=1)]
-    original = estimators._observed_nu_score
-    with parity.counting_nu_scores(estimators) as count:
+    original = estimators._bracketed_root
+    with parity.counting_nu_search(estimators) as count:
         one_step = rt.fit_many(rows, configs)
-    assert estimators._observed_nu_score is original
+    assert estimators._bracketed_root is original
     # a first iteration whose Newton steps stay on the bracket: one call, one candidate per fit
     assert not any(result.nu_clamped for result in one_step)
-    assert count == {"calls": 1, "evaluations": 2}
-    with parity.counting_nu_scores(estimators) as count:
+    assert count == {"nu_score_evaluations": 2, "nu_score_calls": 1, "nu_solves": 1,
+                     "nu_end_reads": 0, "squarem_nu_solves": 0, "squarem_nu_score_calls": 0}
+    with parity.counting_nu_search(estimators) as count:
         rt.fit_many(rows, [rt.FitConfig(max_iter=3)])
     # the third starts from a SQUAREM point and takes Newton steps to the root
-    assert count["calls"] >= 2 + 2 and count["evaluations"] == count["calls"]
+    calls = count["nu_score_calls"]
+    assert calls >= 2 + 2 and count["nu_score_evaluations"] == calls
 
 
 def test_counting_nu_scores_counts_no_nan_candidate():
     from robust_t import estimators
 
-    with parity.counting_nu_scores(estimators) as count:
-        g = estimators._observed_nu_score(np.ones((3, 4)), np.zeros(3), 2)
-        g(np.array([[np.nan, 200.0], [0.1, 200.0], [np.nan, np.nan]]))
-    assert count == {"calls": 1, "evaluations": 3}
+    lo, hi = estimators.NU_BRACKET
+    rows = np.random.default_rng(0).standard_t(4.0, size=(60, 2))
+    g = estimators._observed_nu_score(np.tile(np.sum(rows ** 2, axis=1), (3, 1)), np.zeros(3), 2)
+    root = estimators._bracketed_root(g, lo, hi, np.full(3, 3.0))[0]
+    with parity.counting_nu_search(estimators) as count:
+        # fit 0 starts at its root and settles in the first call; the other two take
+        # Newton steps to theirs, in calls that hold NaN for fit 0
+        again = estimators._bracketed_root(g, lo, hi, np.array([root[0], 3.0, 3.0]))[0]
+    assert np.array_equal(again[1:], root[1:])
+    calls = count["nu_score_calls"]
+    assert calls > 2 and count["nu_score_evaluations"] == 3 + 2 * (calls - 1)
 
 
 def test_set_line_reports_each_sides_nu_score_evaluations():
@@ -180,22 +193,22 @@ def test_counting_end_reads_counts_the_solves_that_read_an_end():
     def log_equation(root):
         return lambda nu: (np.log(root) - np.log(nu), -1.0 / nu[:, -1:])
 
-    with parity.counting_end_reads(estimators) as count:
+    with parity.counting_nu_search(estimators) as count:
         # a start at an end is the first call's, not a read of the end
         assert estimators._bracketed_root(log_equation(150.0), lo, hi, np.array([hi]),
                                           math.inf)[1].all()
-        assert count == {"solves": 1, "end_reads": 0}
+        assert (count["nu_solves"], count["nu_end_reads"]) == (1, 0)
         # a step off the bracket reads the ends, and no sign change clamps to hi
         assert not estimators._bracketed_root(log_equation(300.0), lo, hi,
                                               np.array([3.0]))[1].any()
-        assert count == {"solves": 2, "end_reads": 1}
+        assert (count["nu_solves"], count["nu_end_reads"]) == (2, 1)
     assert estimators._bracketed_root is original
     # near-normal rows run nu to 200, where the Newton step leaves the bracket
     rows = np.random.default_rng(5).normal(size=(205, 2))
-    with parity.counting_end_reads(estimators) as count:
+    with parity.counting_nu_search(estimators) as count:
         result = rt.fit(rows, rt.FitConfig())
-    assert result.nu_clamped and count["solves"] == result.iterations
-    assert 0 < count["end_reads"] < count["solves"]
+    assert result.nu_clamped and count["nu_solves"] == result.iterations
+    assert 0 < count["nu_end_reads"] < count["nu_solves"]
 
 
 def test_set_line_reports_each_sides_solves_and_end_reads():
@@ -226,20 +239,20 @@ def test_counting_squarem_solves_counts_the_solves_with_a_finite_tolerance():
     def log_equation(root):
         return lambda nu: (np.log(root) - np.log(nu), -1.0 / nu[:, -1:])
 
-    with parity.counting_squarem_solves(estimators) as count:
+    with parity.counting_nu_search(estimators) as count:
         # a one-step solve is not counted; a solve to the root counts each call of g
         estimators._bracketed_root(log_equation(30.0), lo, hi, np.array([3.0]), math.inf)
-        assert count == {"solves": 0, "calls": 0}
+        assert (count["squarem_nu_solves"], count["squarem_nu_score_calls"]) == (0, 0)
         estimators._bracketed_root(log_equation(30.0), lo, hi, np.array([3.0]))
-        assert count["solves"] == 1 and count["calls"] > 2
+        assert count["squarem_nu_solves"] == 1 and count["squarem_nu_score_calls"] > 2
     assert estimators._bracketed_root is original
     rows = np.random.default_rng(0).standard_t(4.0, size=(60, 2))
-    with (parity.counting_squarem_solves(estimators) as count,
-          parity.counting_nu_scores(estimators) as scores):
+    with parity.counting_nu_search(estimators) as count:
         result = rt.fit(rows, rt.FitConfig(max_iter=5))
     # iteration 3 starts from a SQUAREM point; 1, 2, 4 and 5 take one step, one call each
-    assert result.iterations == 5 and count["solves"] == 1
-    assert count["calls"] >= 2 and scores["calls"] == count["calls"] + 4
+    squarem_calls = count["squarem_nu_score_calls"]
+    assert result.iterations == 5 and count["squarem_nu_solves"] == 1
+    assert squarem_calls >= 2 and count["nu_score_calls"] == squarem_calls + 4
 
 
 def test_set_line_reports_each_sides_squarem_solves_and_calls():
@@ -250,3 +263,30 @@ def test_set_line_reports_each_sides_squarem_solves_and_calls():
     line = parity.set_line("large", parent, change)
     assert line["squarem_nu_solves"] == {"parent": 3, "change": 3}
     assert line["squarem_nu_score_calls"] == {"parent": 12, "change": 9}
+
+
+def test_a_second_import_of_the_package_fits_alike_and_is_counted_alone():
+    import bench_pairs
+    import robust_t as rt
+
+    rows = np.random.default_rng(0).standard_t(4.0, size=(60, 2))
+    name = "robust_t_copy"
+    try:
+        copy = bench_pairs.import_as(name, ROOT / "src" / "robust_t")
+        assert copy.estimators is not rt.estimators
+        with parity.counting_nu_search(copy.estimators) as count:
+            result = copy.fit(rows, copy.FitConfig(method="mlq", q=0.9))
+            solves = count["nu_solves"]
+            installed = rt.fit(rows, rt.FitConfig(method="mlq", q=0.9))
+    finally:
+        for module in [key for key in sys.modules if key.partition(".")[0] == name]:
+            del sys.modules[module]
+    # one solve per iteration of the copy's fit, and none of the installed package's
+    assert solves == result.iterations == count["nu_solves"]
+    assert result.iterations == installed.iterations
+    for a, b in ((result.params.mu, installed.params.mu),
+                 (result.params.sigma, installed.params.sigma),
+                 (result.params.nu, installed.params.nu),
+                 ([(r.change_norm, r.objective) for r in result.trace],
+                  [(r.change_norm, r.objective) for r in installed.trace])):
+        assert np.array_equal(a, b)

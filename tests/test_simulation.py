@@ -1107,3 +1107,21 @@ class TestBracketedRoot:
             _, slope = score(np.full((3, 1), nu))
             value, _ = score(np.tile([nu - h, nu + h], (3, 1)))
             assert np.allclose(slope[:, 0], (value[:, 1] - value[:, 0]) / (2 * h), rtol=1e-5)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: rt.preset_case(3), "case must be 1 or 2, got 3"),
+    (lambda: small_spec(n=1), "sample size must be at least 2"),
+    (lambda: small_spec(n_outliers=-1), "outlier count must be nonnegative"),
+    (lambda: small_spec(n_replications=0), "need at least one replication"),
+    (lambda: small_spec(q_grid=()), "q grid must be non-empty"),
+    (lambda: small_spec(q_grid=(1.2,)), "q grid values must lie in (0, 1]"),
+    (lambda: small_spec(q_grid=(0.9, 0.8)), "q grid must be strictly ascending"),
+    (lambda: small_spec(seed=-1), "seed must be nonnegative"),
+    (lambda: rt.generate_replicate(small_spec(), -1), "replicate index must be nonnegative"),
+], ids=["case", "n", "outliers", "replications", "empty-grid", "q-past-1", "descending-grid",
+        "seed", "replicate"])
+def test_what_the_simulation_rejects(make, message):
+    with pytest.raises(DomainError) as failure:
+        make()
+    assert str(failure.value) == message

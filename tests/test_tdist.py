@@ -327,3 +327,21 @@ class TestScoreCurve:
         for grid in ([3.0, 1.0], [-1.0, 2.0], [1.0, math.nan], [1.0, math.inf]):
             with pytest.raises(DomainError):
                 score_curve(STANDARD_2D, grid)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: MvtParams(np.array([]), np.eye(0), 3.0), DimensionMismatch,
+     "location must be a non-empty vector"),
+    (lambda: MvtParams(np.array([np.nan, 0.0]), np.eye(2), 3.0), DomainError,
+     "location entries must be finite"),
+    (lambda: MvtParams(np.zeros(2), np.array([[np.inf, 0.0], [0.0, 1.0]]), 3.0), DomainError,
+     "scatter entries must be finite"),
+    (lambda: as_data_matrix(np.empty((0, 2))), DimensionMismatch,
+     "data matrix must be non-empty, got shape (0, 2)"),
+    (lambda: score_curve(STANDARD_2D, np.ones((2, 2))), DimensionMismatch,
+     "s grid must be one-dimensional"),
+], ids=["empty-mu", "nan-mu", "inf-sigma", "no-rows", "2-d-grid"])
+def test_what_the_t_distribution_rejects(make, error, message):
+    with pytest.raises(error) as failure:
+        make()
+    assert str(failure.value) == message

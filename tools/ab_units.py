@@ -19,8 +19,6 @@ and the share of units in which the change was faster.
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
 import json
 import statistics
 import sys
@@ -28,20 +26,9 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from bench_pairs import export  # a sibling of this script
+from bench_pairs import export, import_as  # a sibling of this script
 
 SIDES = ("parent", "change")
-
-
-def import_as(name: str, package: Path):
-    """The package in directory package, imported as name, with its CLI module."""
-    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
-                                                  submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    importlib.import_module(f"{name}.cli")  # the package does not import its CLI
-    return module
 
 
 def quartiles(values: list[float]) -> dict:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -56,6 +58,17 @@ def export(rev: str, workdir: Path) -> tuple[str, Path]:
         tar.extractall(tree, filter="data")
     archive.unlink()
     return sha, tree
+
+
+def import_as(name: str, package: Path):
+    """The package in directory package, imported as name, with its CLI module."""
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")  # the package does not import its CLI
+    return module
 
 
 def cpu_model(cpuinfo: Path) -> str | None:

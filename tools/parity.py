@@ -4,16 +4,17 @@
     python3 tools/parity.py --parent HEAD~1 --change HEAD
 
 Run from the root of a git checkout. Each revision is exported with
-bench_pairs.export, and a fresh interpreter imports that tree's src/ and
-perfbench/ and records the estimators._fit_batch outcome of every fit of
-three sets:
+bench_pairs.export, and bench_pairs.import_as imports its src/robust_t into
+this one process as robust_t_parent and robust_t_change. Each side records
+the estimators._fit_batch outcome of every fit of three sets:
 
 * case_i: case I, n = 200 plus 5 outliers, 2 replicates, ML plus q
   0.80:0.98:0.02, SimulationSpec seeds 100-159 (1,320 fits);
 * case_ii: case II, 30 replicates, seed 7, ML plus q 0.70:0.98:0.02
   (480 fits);
-* large: perfbench's large_dataset(0, 0, 2000, 10) by ML and by MLq at
-  q = 0.9 and 0.7 (3 fits).
+* large: large_dataset(0, 0, 2000, 10) by ML and by MLq at q = 0.9 and
+  0.7 (3 fits), from the change tree's perfbench/workloads.py, so both
+  sides fit the same arrays.
 
 Per set it prints one JSON line: the fits; the failures on each side; the
 fits whose failure state, iteration count or (converged, nu_clamped)
@@ -22,13 +23,8 @@ evaluation's change norm and objective) differ in any bit; the fits with
 bitwise-equal mu, sigma and nu, by method; the largest |d mu|, |d sigma|
 and |d nu| over the fits both sides finished;
 by method, on each side, the mean iterations and the count of unconverged
-fits over the fits that side finished; and, on each side, the nu-score
-evaluations of the set's fits, one per fit and candidate nu, the
-evaluator calls that made them, the nu solves (estimators._bracketed_root
-calls) and the solves that read a bracket end, that is, held a candidate
-at an end of the bracket after their first call; and, apart from the
-one-step solves, the solves from SQUAREM points (those given a finite
-Newton tolerance) and the evaluator calls they made. Every line also holds
+fits over the fits that side finished; and, on each side, the counts of
+the set's nu search that counting_nu_search takes. Every line also holds
 each side's src_lines, the line count of src/robust_t/*.py, and
 public_names, the length of robust_t.__all__.
 
@@ -44,15 +40,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import pickle
-import subprocess
 import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+from bench_pairs import export, import_as  # a sibling of this script
 
 SETS = ("case_i", "case_ii", "large")
 SIMULATED = ("case_i", "case_ii")
@@ -68,56 +63,38 @@ def _grid(low: float, count: int) -> tuple[float, ...]:
 
 
 @contextmanager
-def counting_nu_scores(estimators):
-    """Count the engine's nu-score evaluator calls and evaluations while open.
+def counting_nu_search(estimators):
+    """Count the engine's nu search, one count per key of COUNTS, while open.
 
-    Wraps estimators._observed_nu_score, whose evaluators take one row of
-    candidates per fit, NaN where a fit or candidate is not evaluated.
-    Yields a dict whose "calls" counts the evaluator calls and whose
-    "evaluations" counts the (fit, candidate nu) pairs they evaluate.
+    Wraps estimators._bracketed_root and the evaluator g it is given, whose
+    calls take one row of candidates per fit, NaN where a fit or candidate
+    is not evaluated. Yields a dict that counts the calls of g
+    ("nu_score_calls") and the candidates that are not NaN among them
+    ("nu_score_evaluations"); the solves ("nu_solves") and those that read
+    a bracket end ("nu_end_reads"), that is, hold a candidate at lo or hi in
+    a call after their first (the first holds each fit's start, which may be
+    an end); and the solves from SQUAREM points, those given a finite Newton
+    tolerance ("squarem_nu_solves"), with their calls of g
+    ("squarem_nu_score_calls").
     """
-    count = {"calls": 0, "evaluations": 0}
-    original = estimators._observed_nu_score
-
-    def counted_score(*args):
-        g = original(*args)
-
-        def counted(nu):
-            count["calls"] += 1
-            count["evaluations"] += int(np.count_nonzero(~np.isnan(nu)))
-            return g(nu)
-
-        return counted
-
-    estimators._observed_nu_score = counted_score
-    try:
-        yield count
-    finally:
-        estimators._observed_nu_score = original
-
-
-@contextmanager
-def counting_end_reads(estimators):
-    """Count the engine's nu solves, and those that read a bracket end, while open.
-
-    Wraps estimators._bracketed_root. A solve reads an end when a call after
-    its first holds a candidate at lo or hi; the first call holds each fit's
-    start, which may be an end. Yields a dict whose "solves" counts the
-    solves and whose "end_reads" counts those that read an end.
-    """
-    count = {"solves": 0, "end_reads": 0}
+    count = dict.fromkeys(COUNTS, 0)
     original = estimators._bracketed_root
 
-    def counted_root(g, lo, hi, *args):
-        reads = []
+    def counted_root(g, lo, hi, start, newton_tol=estimators._NU_XTOL):
+        end_reads = []
 
-        def watched(nu):
-            reads.append(bool(((nu == lo) | (nu == hi)).any()))
+        def counted(nu):
+            end_reads.append(bool(((nu == lo) | (nu == hi)).any()))
+            count["nu_score_evaluations"] += int(np.count_nonzero(~np.isnan(nu)))
             return g(nu)
 
-        result = original(watched, lo, hi, *args)
-        count["solves"] += 1
-        count["end_reads"] += any(reads[1:])
+        result = original(counted, lo, hi, start, newton_tol)
+        squarem = newton_tol != math.inf
+        count["nu_score_calls"] += len(end_reads)
+        count["nu_solves"] += 1
+        count["nu_end_reads"] += any(end_reads[1:])
+        count["squarem_nu_solves"] += squarem
+        count["squarem_nu_score_calls"] += squarem * len(end_reads)
         return result
 
     estimators._bracketed_root = counted_root
@@ -127,40 +104,9 @@ def counting_end_reads(estimators):
         estimators._bracketed_root = original
 
 
-@contextmanager
-def counting_squarem_solves(estimators):
-    """Count the engine's nu solves from SQUAREM points, and their evaluator calls, while open.
-
-    Wraps estimators._bracketed_root. A solve is from a SQUAREM point when its Newton
-    tolerance is finite (the default is); the one-step solves get an infinite one. Yields
-    a dict whose "solves" counts those solves and whose "calls" counts their calls of g.
-    """
-    count = {"solves": 0, "calls": 0}
-    original = estimators._bracketed_root
-
-    def counted_root(g, lo, hi, start, newton_tol=estimators._NU_XTOL):
-        if newton_tol == math.inf:
-            return original(g, lo, hi, start, newton_tol)
-
-        def counted(nu):
-            count["calls"] += 1
-            return g(nu)
-
-        count["solves"] += 1
-        return original(counted, lo, hi, start, newton_tol)
-
-    estimators._bracketed_root = counted_root
-    try:
-        yield count
-    finally:
-        estimators._bracketed_root = original
-
-
-def record_outcomes() -> dict:
-    """Every fit of SETS under the robust_t and perfbench found on sys.path."""
-    import robust_t as rt
-    from robust_t import estimators
-    from workloads import large_dataset
+def record_outcomes(rt, large_dataset) -> dict:
+    """Every fit of SETS by the package rt, the large set made by large_dataset."""
+    estimators = rt.estimators
 
     def run(datasets, labels):
         configs = [rt.FitConfig(method=method, q=q) for method, q in labels]
@@ -180,20 +126,15 @@ def record_outcomes() -> dict:
 
     simulated = {"case_i": specs(1, range(100, 160), 2, _grid(0.8, 10)),
                  "case_ii": specs(2, [7], 30, _grid(0.7, 15))}
-    outcomes = {}
-    counts = {key: {} for key in COUNTS}
+    outcomes = {key: {} for key in COUNTS}
     for name in SETS:
-        with (counting_nu_scores(estimators) as count, counting_end_reads(estimators) as solves,
-              counting_squarem_solves(estimators) as squarem):
+        with counting_nu_search(estimators) as count:
             outcomes[name] = ([fit for spec in simulated[name] for fit in paper(spec)]
                               if name in SIMULATED else
                               run([large_dataset(0, 0, 2000, 10)],
                                   [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)]))
-        for key, value in zip(COUNTS, (count["evaluations"], count["calls"],
-                                       solves["solves"], solves["end_reads"],
-                                       squarem["solves"], squarem["calls"]), strict=True):
-            counts[key][name] = value
-    outcomes.update(counts)
+        for key in COUNTS:
+            outcomes[key][name] = count[key]
     sources = Path(rt.__file__).parent.glob("*.py")
     outcomes["src_lines"] = sum(len(path.read_text().splitlines()) for path in sources)
     outcomes["public_names"] = len(rt.__all__)
@@ -312,39 +253,25 @@ def set_line(name: str, parent: dict, change: dict) -> dict:
     return line
 
 
-def outcomes_of(tree: Path) -> dict[str, list[dict]]:
-    """record_outcomes run by a fresh interpreter on tree's committed files."""
-    target = tree / "parity.pickle"
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "perfbench")]))
-    subprocess.run([sys.executable, __file__, "--record", str(target)], cwd=tree, env=env,
-                   check=True)
-    with open(target, "rb") as handle:
-        return pickle.load(handle)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", help="git revision of the baseline")
-    parser.add_argument("--change", help="git revision of the change")
+    parser.add_argument("--parent", required=True, help="git revision of the baseline")
+    parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--workdir", default=None, help="where the exports go (a temp dir)")
-    parser.add_argument("--record", metavar="PATH", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.record:
-        with open(args.record, "wb") as handle:
-            pickle.dump(record_outcomes(), handle)
-        return 0
-    if not (args.parent and args.change):
-        parser.error("--parent and --change are required")
-    from bench_pairs import export  # a sibling of this script
 
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="parity-"))
     workdir.mkdir(parents=True, exist_ok=True)
+    trees = {side: export(rev, workdir) for side, rev in (("parent", args.parent),
+                                                            ("change", args.change))}
+    sys.path.insert(0, str(trees["change"][1] / "perfbench"))
+    from workloads import large_dataset
+
     sides = {}
-    for side, rev in (("parent", args.parent), ("change", args.change)):
-        sha, tree = export(rev, workdir)
+    for side, (sha, tree) in trees.items():
         print(f"{side}: {sha}", file=sys.stderr, flush=True)
-        sides[side] = outcomes_of(tree)
+        rt = import_as(f"robust_t_{side}", tree / "src" / "robust_t")
+        sides[side] = record_outcomes(rt, large_dataset)
     for name in SETS:
         print(json.dumps(set_line(name, sides["parent"], sides["change"])))
     return 0
