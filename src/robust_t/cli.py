@@ -453,7 +453,7 @@ def _add_contamination_flags(sub):
     sub.add_argument("--outlier-range", type=parse_range,
                      default=(SimulationSpec.outlier_low, SimulationSpec.outlier_high),
                      help="lo:hi offsets in marginal standard deviations; a negative lo "
-                          "takes the = form, e.g. --outlier-range=-5:5")
+                          "takes the = form: --outlier-range=-5:5")
 
 
 def build_parser() -> argparse.ArgumentParser:

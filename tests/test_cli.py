@@ -136,7 +136,7 @@ def test_a_flag_value_that_does_not_parse_is_an_error(capsys, tmp_path, monkeypa
                                                        message):
     monkeypatch.setattr(cli, "run_simulation", no_simulation)
     monkeypatch.setattr(cli, "fit_many", no_fit)
-    # every command is given what each of them needs, so that only the bad value stands out
+    # the command's other required flags, then its output
     rest = {"sample": ["--n", "5", "--nu", "3", "--output"], "simulate": ["--n", "20", "--output"],
             "showcase": ["--out"]}[command[0]]
     code, out, err = run(capsys, *command, *rest, str(tmp_path / "out"))
@@ -419,9 +419,9 @@ class TestSimulate:
             assert not (tmp_path / "report.csv").exists()
 
     def test_a_negative_low_end_takes_the_equals_form(self, capsys, tmp_path, monkeypatch):
-        specs = []
+        specs, run_simulation = [], cli.run_simulation
 
-        def recorded(spec, jobs=1, run_simulation=cli.run_simulation):
+        def recorded(spec, jobs):
             specs.append(spec)
             return run_simulation(spec, jobs)
 

@@ -1,5 +1,4 @@
-"""tools/parity.py's comparer on synthetic fit outcomes and its nu-search counter; no
-revision is exported."""
+"""tools/parity.py's comparer on synthetic fit outcomes and its nu-search counter."""
 
 import importlib.util
 import sys

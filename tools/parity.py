@@ -81,20 +81,20 @@ def counting_nu_search(estimators):
     original = estimators._bracketed_root
 
     def counted_root(g, lo, hi, start, newton_tol=estimators._NU_XTOL):
-        end_reads = []
+        at_end = []
 
         def counted(nu):
-            end_reads.append(bool(((nu == lo) | (nu == hi)).any()))
+            at_end.append(bool(((nu == lo) | (nu == hi)).any()))
             count["nu_score_evaluations"] += int(np.count_nonzero(~np.isnan(nu)))
             return g(nu)
 
         result = original(counted, lo, hi, start, newton_tol)
         squarem = newton_tol != math.inf
-        count["nu_score_calls"] += len(end_reads)
+        count["nu_score_calls"] += len(at_end)
         count["nu_solves"] += 1
-        count["nu_end_reads"] += any(end_reads[1:])
+        count["nu_end_reads"] += any(at_end[1:])
         count["squarem_nu_solves"] += squarem
-        count["squarem_nu_score_calls"] += squarem * len(end_reads)
+        count["squarem_nu_score_calls"] += squarem * len(at_end)
         return result
 
     estimators._bracketed_root = counted_root
