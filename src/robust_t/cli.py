@@ -41,15 +41,6 @@ from .simulation import (
 )
 from .tdist import MvtParams, log_pdf_rows, sample, score_curve
 
-_INPUT_ERRORS = (
-    DegenerateData,
-    DimensionMismatch,
-    DomainError,
-    NotPositiveDefinite,
-    OSError,
-    MemoryError,
-)
-
 # numpy's CSV dialect: '"' quotes a cell, and '#' is a cell like any other
 _CSV = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
 # a line of only whitespace, commas and quotes, matched from the \n before it
@@ -145,7 +136,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
     the first bad row or cell by its row number in the file.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is not a cell
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
@@ -472,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = subs.add_parser("sample", help="draw observations to a CSV")
     p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--mu", required=True, help="comma-separated location, e.g. 2,1")
+    p_sample.add_argument("--mu", required=True, help="comma-separated location, e.g. 2,1; "
+                          "a negative first entry takes the = form: --mu=-1,0")
     p_sample.add_argument("--sigma", required=True,
                           help="scatter rows separated by ';', e.g. 1,0;0,1")
     p_sample.add_argument("--nu", type=float, required=True)
@@ -516,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_show = subs.add_parser("showcase", help="one contaminated replicate, both fits")
     p_show.add_argument("--case", type=int, choices=[1, 2], default=None,
                         help="preset truth, instead of --mu, --sigma and --nu")
-    p_show.add_argument("--mu", default=None)
+    p_show.add_argument("--mu", default=None, help="true location, comma-separated; "
+                        "a negative first entry takes the = form: --mu=-1,0")
     p_show.add_argument("--sigma", default=None)
     p_show.add_argument("--nu", type=float, default=None, help="true degrees of freedom")
     p_show.add_argument("--n", type=int, default=100)
@@ -540,7 +533,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, *_INPUT_ERRORS) as exc:
+    except (_UsageError, DegenerateData, DimensionMismatch, DomainError, NotPositiveDefinite,
+            OSError, MemoryError) as exc:  # an input error, not a fault: one line
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,9 +62,9 @@ paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
 Conventions pinned here and recorded in FitResult so runs are reproducible:
 
 * the stopping norm is the unweighted Euclidean norm over the concatenation
-  of mu, the upper triangle of sigma, and nu (nu omitted when held fixed),
-  taken over one evaluation of F, so a fit stops when F moves it by less
-  than epsilon;
+  of mu, the upper triangle of sigma, and nu (nu omitted when held fixed:
+  its step is 0), taken over one evaluation of F, so a fit stops when F
+  moves it by less than epsilon;
 * a nu search reads NU_BRACKET's ends only after a Newton step fails its
   guard; where it finds no sign change there, it clamps to lo if the score
   is negative and to hi if positive (near-normal data), and the result is
@@ -300,13 +300,13 @@ def e_step(data, params: MvtParams) -> EStepQuantities:
     return EStepQuantities(u1, u2, s)
 
 
-def _m_step(columns, w, prev_sigma, upper):
+def _m_step(columns, w, prev_tri, upper):
     """The location and scatter step of B fits, from their weights w (B, n).
 
     columns holds each fit's rows as (p, n). Each scatter is centered on the
     updated location, and both sums are divided by the sum of w. Returns the
     locations, the repaired scatters and which updates are finite; the
-    others keep prev_sigma.
+    others take their scatter from prev_tri, the previous upper triangles.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sum_w = np.add.reduce(w, axis=1)[:, None]
@@ -315,14 +315,15 @@ def _m_step(columns, w, prev_sigma, upper):
         d = columns - mu[:, :, None]
         tri = _cross(w[:, None, :] * d, d)[:, upper[0], upper[1]] / sum_w
     ok = np.logical_and.reduce(np.isfinite(np.concatenate((mu, tri), axis=1)), axis=1)
-    sigma = _where(ok, _from_upper(tri, upper, prev_sigma.shape[1]), prev_sigma)
+    sigma = _from_upper(_where(ok, tri, prev_tri), upper, mu.shape[1])
     return mu, _repair_scatter(sigma), ok
 
 
 def _one_m_step(rows, w):
     """_m_step for one fit."""
     p = rows.shape[1]
-    mu, sigma, ok = _m_step(rows.T[None], w[None], np.eye(p)[None], np.triu_indices(p))
+    upper = np.triu_indices(p)
+    mu, sigma, ok = _m_step(rows.T[None], w[None], np.eye(p)[upper][None], upper)
     if not ok[0]:
         raise DegenerateData("weighted update produced non-finite parameters")
     return mu[0], sigma[0]
@@ -526,11 +527,15 @@ def _shared_config(configs: list[FitConfig]) -> FitConfig:
     return first
 
 
-def _pack(mu, sigma, nu, upper, with_nu: bool) -> np.ndarray:
-    parts = [mu, sigma[:, upper[0], upper[1]]]
-    if with_nu:
-        parts.append(nu[:, None])
-    return np.concatenate(parts, axis=1)
+def _pack(mu, sigma, nu, upper) -> np.ndarray:
+    """B fits' (mu, upper triangle of sigma, nu), one row each: the engine's iterate x."""
+    return np.concatenate((mu, sigma[:, upper[0], upper[1]], nu[:, None]), axis=1)
+
+
+def _norm(rows, with_nu: bool):
+    """np.linalg.norm of packed rows, less a held nu's 0: one more entry can regroup numpy's sum."""
+    rows = rows if with_nu else rows[:, :-1]
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
 def _from_upper(tri, upper, p: int) -> np.ndarray:
@@ -563,17 +568,16 @@ class _Fits(NamedTuple):
     """_fit_batch's running fits, one row each, replaced and never edited.
 
     index places a fit among the outcomes, and floor is SPD_FLOOR times its columns' squared
-    MADs; moved is the last step in _pack's layout, and anchor and r are x0 and x1 - x0 of
-    the SQUAREM cycle. Before the first evaluation those three have no columns.
+    MADs. x is the iterate in _pack's layout, a held nu included, at which s, log_f and
+    objective are taken; moved is the last step (0 in a held nu), and anchor and r are x0 and
+    x1 - x0 of the SQUAREM cycle. Before the first evaluation those three have no columns.
     """
 
     index: np.ndarray
     columns: np.ndarray
     q: np.ndarray
     floor: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-    nu: np.ndarray
+    x: np.ndarray
     s: np.ndarray
     log_f: np.ndarray
     objective: np.ndarray
@@ -590,28 +594,26 @@ def _squarem_step(fits: _Fits, upper, with_nu: bool) -> _Fits:
 
     The norms of r and v are taken on the anchor's unit-free scale, from its
     diagonal. A fit whose x' fails a check of the module docstring stays at x2.
+    with_nu is False where nu is held: x' keeps it, and it may lie off NU_BRACKET.
     """
-    p = fits.mu.shape[1]
+    p = fits.columns.shape[1]
     root = np.sqrt(fits.anchor[:, p + np.flatnonzero(upper[0] == upper[1])])
-    scale = _pack(root, root[:, :, None] * root[:, None, :], np.ones(len(root)), upper, with_nu)
+    scale = _pack(root, root[:, :, None] * root[:, None, :], np.ones(len(root)), upper)
     v = fits.moved - fits.r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        norms = [np.sqrt(np.add.reduce(x * x, axis=1)) for x in (fits.r / scale, v / scale)]
+        norms = [_norm(d / scale, with_nu) for d in (fits.r, v)]
         alpha = np.minimum(-np.divide(*norms), -1.0)[:, None]
         vec = fits.anchor - 2.0 * alpha * fits.r + alpha * alpha * v
     safe = np.logical_and.reduce(np.isfinite(vec), axis=1)
-    nu = fits.nu
     if with_nu:
-        nu = vec[:, -1]
-        safe &= (NU_BRACKET[0] <= nu) & (nu <= NU_BRACKET[1])
+        safe &= (NU_BRACKET[0] <= vec[:, -1]) & (vec[:, -1] <= NU_BRACKET[1])
     # an unsafe point is not measured: its fit is measured at x2, where it stays
-    mu, nu = _where(safe, vec[:, :p], fits.mu), np.where(safe, nu, fits.nu)
-    sigma = _where(safe, _from_upper(vec[:, p:p + upper[0].shape[0]], upper, p), fits.sigma)
-    chol, log_det, s = _distances(fits.columns, mu, sigma)
-    objective, log_f = _objective(s, log_det, nu, fits.q, p)
+    x = _where(safe, vec, fits.x)
+    chol, log_det, s = _distances(fits.columns, x[:, :p], _from_upper(x[:, p:-1], upper, p))
+    objective, log_f = _objective(s, log_det, x[:, -1], fits.q, p)
     safe &= np.logical_and.reduce(np.isfinite(chol), axis=(1, 2)) & np.isfinite(objective)
     safe &= objective >= fits.objective
-    point = fits._replace(mu=mu, sigma=sigma, nu=nu, s=s, log_f=log_f, objective=objective)
+    point = fits._replace(x=x, s=s, log_f=log_f, objective=objective)
     return _Fits(*(old if new is old else _where(safe, new, old) for new, old in zip(point, fits)))
 
 
@@ -675,38 +677,39 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     # each dataset's start is repaired and measured once, then repeated to its configs
     mu, sigma = np.array(means), _repair_scatter(np.array(covariances))
     _, log_det, s = _distances(np.array(columns), mu, sigma)
-    columns, mu, sigma, log_det, s = (per_fit(x) for x in (columns, mu, sigma, log_det, s))
+    nu = np.full(len(live), 3.0 if estimate_nu else shared.fixed_nu)
+    x = _pack(mu, sigma, nu, upper)
+    x, columns, log_det, s = (per_fit(v) for v in (x, columns, log_det, s))
     q = np.tile([c.q for c in configs], len(live))
-    nu = np.full(mu.shape[0], 3.0 if estimate_nu else shared.fixed_nu)
-    objective, log_f = _objective(s, log_det, nu, q, p)
-    blank = np.empty((mu.shape[0], 0))
+    objective, log_f = _objective(s, log_det, x[:, -1], q, p)
+    blank = np.empty((len(x), 0))
     fits = _Fits((np.array(live)[:, None] * count + np.arange(count)).ravel(), columns, q,
-                 SPD_FLOOR * per_fit(spreads), mu, sigma, nu, s, log_f, objective,
-                 blank, blank, blank)
+                 SPD_FLOOR * per_fit(spreads), x, s, log_f, objective, blank, blank, blank)
     traces: list[list[IterationRecord]] = [[] for _ in outcomes]
 
     for iteration in range(1, shared.max_iter + 1):
-        w = _step_weights(fits.s, fits.nu[:, None], p, fits.log_f, fits.q[:, None])
+        previous = fits.x
+        w = _step_weights(fits.s, previous[:, -1:], p, fits.log_f, fits.q[:, None])
         # a failed fit leaves the batch at the end of this iteration
-        mu, sigma, ok = _m_step(fits.columns, w, fits.sigma, upper)
+        mu, sigma, ok = _m_step(fits.columns, w, previous[:, p:-1], upper)
         chol, log_det, s = _distances(fits.columns, mu, sigma)
-        nu, bracketed = fits.nu, np.ones_like(ok)
+        nu, bracketed = previous[:, -1], np.ones_like(ok)
         if estimate_nu:
             tol = math.sqrt(_NU_XTOL) if iteration % 3 == 0 else math.inf  # the root from x' only
-            nu, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - fits.q, p), *NU_BRACKET,
-                                            fits.nu, tol)
+            root, bracketed = _bracketed_root(_observed_nu_score(s, 1.0 - fits.q, p),
+                                              *NU_BRACKET, nu, tol)
             # a score whose weights overflowed has no root: that fit fails
-            ok &= np.isfinite(nu)
-            nu = np.where(ok, nu, fits.nu)
+            ok &= np.isfinite(root)
+            nu = np.where(ok, root, nu)
         objective, log_f = _objective(s, log_det, nu, fits.q, p)
         ok &= np.logical_and.reduce(np.isfinite(chol), axis=(1, 2))
         # a variance below SPD_FLOOR times its column's squared MAD has collapsed
         collapsed = np.logical_or.reduce(np.diagonal(sigma, axis1=1, axis2=2) < fits.floor, axis=1)
         ok &= ~collapsed
-        previous = _pack(fits.mu, fits.sigma, fits.nu, upper, estimate_nu)
-        moved = _pack(mu, sigma, nu, upper, estimate_nu) - previous
+        x = _pack(mu, sigma, nu, upper)
+        moved = x - previous
         with np.errstate(over="ignore"):  # an infinite norm is never below epsilon
-            change = np.sqrt(np.add.reduce(moved * moved, axis=1))  # np.linalg.norm's arithmetic
+            change = _norm(moved, estimate_nu)
 
         converged = change < shared.epsilon
         stop = converged | ~ok | (iteration == shared.max_iter)
@@ -737,8 +740,7 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
                     nu_clamped=clamped[row],
                     change_norm=step,
                 )
-        fits = fits._replace(mu=mu, sigma=sigma, nu=nu, s=s, log_f=log_f, objective=objective,
-                             moved=moved)
+        fits = fits._replace(x=x, s=s, log_f=log_f, objective=objective, moved=moved)
         # every third iteration starts a SQUAREM cycle at the point it leaves
         if iteration % 3 == 1:
             fits = fits._replace(anchor=previous, r=moved)

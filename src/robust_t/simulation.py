@@ -95,6 +95,8 @@ class SimulationSpec:
                 raise DomainError("outlier range overflows at the scale of the truth")
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
+        if (self.fit_config.method, self.fit_config.q) != (METHOD_ML, 1.0):
+            raise DomainError("fit_config must leave method and q unset: the q grid sets them")
         object.__setattr__(self, "q_grid", grid)
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,11 @@ def test_fewer_than_two_units_is_a_usage_error(capsys):
                        "--units", "1"])
     assert exit_info.value.code == 2
     assert "--units" in capsys.readouterr().err
+
+
+def test_a_run_whose_export_fails_leaves_no_temp_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(subprocess.CalledProcessError):
+        ab_units.main(["--parent", "no-such-revision", "--change", "HEAD",
+                       "--workload", "paper_sim", "--units", "2"])
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,8 @@
 """tools/bench_pairs.py on synthetic pairs; no benchmark is run."""
 
 import importlib.util
+import subprocess
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -83,3 +85,35 @@ class TestEnvironment:
         want = {key: blas.get(key) for key in bench_pairs.BLAS_KEYS}
         assert bench_pairs.environment()["blas"] == want
         assert isinstance(want["name"], str)
+
+
+class TestExportDir:
+    def test_a_temp_dir_is_removed_when_the_block_ends(self):
+        with bench_pairs.export_dir(None, "export-dir-test-") as workdir:
+            (workdir / "tree").mkdir()
+            (workdir / "tree" / "file").write_text("x")
+            assert workdir.name.startswith("export-dir-test-")
+        assert not workdir.exists()
+
+    def test_a_temp_dir_is_removed_when_the_block_raises(self):
+        with pytest.raises(RuntimeError, match="^stop$"):
+            with bench_pairs.export_dir(None, "export-dir-test-") as workdir:
+                (workdir / "file").write_text("x")
+                raise RuntimeError("stop")
+        assert not workdir.exists()
+
+    def test_a_given_workdir_is_made_and_kept(self, tmp_path):
+        target = tmp_path / "a" / "b"
+        with pytest.raises(RuntimeError):
+            with bench_pairs.export_dir(str(target), "unused-") as workdir:
+                (workdir / "file").write_text("x")
+                raise RuntimeError
+        assert workdir == target and (target / "file").read_text() == "x"
+
+    def test_a_run_whose_export_fails_leaves_no_temp_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(subprocess.CalledProcessError):
+            bench_pairs.main(["--parent", "no-such-revision", "--change", "HEAD",
+                              "--workload", "paper_sim", "--seeds", "1",
+                              "--output", str(tmp_path / "unused.json")])
+        assert list(tmp_path.iterdir()) == []

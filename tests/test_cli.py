@@ -146,6 +146,29 @@ def test_a_flag_value_that_does_not_parse_is_an_error(capsys, tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_negative_first_location_entry_takes_the_equals_form(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    truth = ["--sigma", "1,0;0,1", "--nu", "3"]
+    code, out, err = run(capsys, "sample", "--n", "5", "--mu=-1,0", *truth, "--seed", "2",
+                         "--output", str(path))
+    assert code == 0 and out == "" and err == ""
+    drawn = sample(MvtParams(np.array([-1.0, 0.0]), np.eye(2), 3.0), 5, np.random.default_rng(2))
+    assert np.array_equal(np.loadtxt(path, delimiter=","), drawn)
+    # as two tokens, argparse takes -1,0 for a flag
+    for command, rest in (("sample", ["--n", "5", "--output"]), ("showcase", ["--out"])):
+        code, out, err = run(capsys, command, "--mu", "-1,0", *truth, *rest,
+                             str(tmp_path / "bare"))
+        assert code == 1 and out == ""
+        assert_one_line_error(err)
+        assert "expected one argument" in err
+    assert list(tmp_path.iterdir()) == [path]
+    for columns in ("80", "200"):  # argparse may break the example at a hyphen
+        monkeypatch.setenv("COLUMNS", columns)
+        for command in ("sample", "showcase"):
+            code, out, _ = run(capsys, command, "--help")
+            assert code == 0 and "--mu=-1,0" in out
+
+
 def test_help_exits_0(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0 and err == ""
@@ -221,6 +244,17 @@ class TestReadMatrixCsv:
         path = tmp_path / "input.csv"
         path.write_text("1\n2\n3\n")
         assert np.array_equal(cli.read_matrix_csv(str(path)), [[1.0], [2.0], [3.0]])
+
+    @pytest.mark.parametrize("text, rows", [
+        ("1.5\n2.5\n3.5\n", [[1.5], [2.5], [3.5]]),  # the first row was taken for a header
+        ("1.5,2\n2.5,3\n", [[1.5, 2.0], [2.5, 3.0]]),  # '\ufeff1.5' was a non-numeric cell
+        ("x,y\n1.5,2\n2.5,3\n", [[1.5, 2.0], [2.5, 3.0]]),
+    ], ids=["one-column", "two-columns", "header"])
+    def test_a_byte_order_mark_is_not_read_as_part_of_the_first_cell(self, tmp_path, text, rows):
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert np.array_equal(cli.read_matrix_csv(str(path)), rows)
 
     def test_undecodable_bytes_are_an_error_not_a_traceback(self, capsys, tmp_path):
         path = tmp_path / "input.csv"

@@ -561,23 +561,30 @@ class TestSquaremStep:
         rows = clean_data(40, seed=5)
         upper = np.triu_indices(2)
         x2 = init_params(rows)
-        mu, sigma, nu = x2.mu[None], x2.sigma[None], np.array([x2.nu])
-        vec = estimators._pack(mu, sigma, nu, upper, True)
+        vec = estimators._pack(x2.mu[None], x2.sigma[None], np.array([x2.nu]), upper)
         # r = x1 - x0 and x2 - x1 = 0.8 r: alpha = -5, so x' = x0 + 5 r = x2 + 3.2 r
         r = np.full_like(vec, 1e-3)
         fits = estimators._Fits(
             index=np.array([0]), columns=rows.T[None], q=np.array([0.9]), floor=np.zeros((1, 2)),
-            mu=mu, sigma=sigma, nu=nu, s=np.zeros((1, 40)), log_f=np.zeros((1, 40)),
+            x=vec, s=np.zeros((1, 40)), log_f=np.zeros((1, 40)),
             objective=np.array([at_x2]), moved=0.8 * r, anchor=vec - 1.8 * r, r=r)
         before = [value.copy() for value in fits]
         monkeypatch.setattr(estimators, "_objective",
                             lambda s, log_det, nu, q, p: (np.full(nu.shape, at_point), 0.0 * s))
         point = estimators._squarem_step(fits, upper, True)
         moved = 3.2e-3 if taken else 0.0
-        assert np.allclose(estimators._pack(point.mu, point.sigma, point.nu, upper, True),
-                           fits.anchor + 1.8 * r + moved, rtol=0.0, atol=1e-12)
-        assert np.allclose(point.mu[0], x2.mu + moved, rtol=0.0, atol=1e-12)
+        assert np.allclose(point.x, fits.anchor + 1.8 * r + moved, rtol=0.0, atol=1e-12)
+        assert np.allclose(point.x[0, :2], x2.mu + moved, rtol=0.0, atol=1e-12)
         assert all(np.array_equal(value, copy) for value, copy in zip(fits, before, strict=True))
+
+
+def test_a_held_nus_zero_step_is_left_out_of_the_norms():
+    # at p = 14 a packed row holds 14 + 105 entries, then nu; summing one more entry, even a
+    # 0, regroups numpy's pairwise sum and can move the norm by an ulp
+    rows = np.random.default_rng(0).standard_normal((50, 120))
+    rows[:, -1] = 0.0
+    assert np.array_equal(estimators._norm(rows, False), np.linalg.norm(rows[:, :-1], axis=1))
+    assert np.array_equal(estimators._norm(rows, True), np.linalg.norm(rows, axis=1))
 
 
 class TestAlgorithmicInvariants:

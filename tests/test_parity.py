@@ -1,10 +1,13 @@
 """tools/parity.py's comparer on synthetic fit outcomes and its nu-search counter."""
 
 import importlib.util
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _PATH = ROOT / "tools" / "parity.py"
@@ -289,3 +292,33 @@ def test_a_second_import_of_the_package_fits_alike_and_is_counted_alone():
                  ([(r.change_norm, r.objective) for r in result.trace],
                   [(r.change_norm, r.objective) for r in installed.trace])):
         assert np.array_equal(a, b)
+
+
+def test_the_sets_and_the_held_nu_set_which_holds_nu_on_and_off_the_bracket():
+    import robust_t as rt
+
+    assert parity.SETS == ("case_i", "case_ii", "large", "held_nu")
+    assert parity.SIMULATED == ("case_i", "case_ii", "held_nu")
+    specs = parity.simulated_specs(rt)
+    assert [len(specs[name]) for name in parity.SIMULATED] == [60, 1, 20]
+    assert all(spec.fit_config == rt.FitConfig() for name in ("case_i", "case_ii")
+               for spec in specs[name])
+    held = specs["held_nu"]
+    assert [spec.seed for spec in held] == list(range(100, 120))
+    assert all((spec.fit_config, spec.q_grid, spec.n_replications)
+               == (rt.FitConfig(fixed_nu=3.0), (0.8, 0.9), 2) for spec in held)
+
+    def design(spec):  # what draws the replicates
+        truth = spec.true_params
+        return (spec.seed, spec.n, spec.n_outliers, spec.n_replications, spec.outlier_low,
+                spec.outlier_high, truth.mu.tolist(), truth.sigma.tolist(), truth.nu)
+
+    assert [design(spec) for spec in held] == [design(spec) for spec in specs["case_i"][:20]]
+    assert parity.LARGE_HELD_NU > rt.estimators.NU_BRACKET[1]
+
+
+def test_a_run_whose_export_fails_leaves_no_temp_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(subprocess.CalledProcessError):
+        parity.main(["--parent", "no-such-revision", "--change", "HEAD"])
+    assert list(tmp_path.iterdir()) == []

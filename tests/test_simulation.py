@@ -1125,3 +1125,23 @@ def test_what_the_simulation_rejects(make, message):
     with pytest.raises(DomainError) as failure:
         make()
     assert str(failure.value) == message
+
+
+@pytest.mark.parametrize("config", [FitConfig(method="mlq", q=0.5), FitConfig(method="mlq")],
+                         ids=["mlq-and-q", "mlq-at-q-1"])
+def test_a_fit_config_that_sets_a_method_or_q_is_rejected(config):
+    # the q grid sets every fit's method and q, so these would be dropped without a word
+    with pytest.raises(DomainError) as failure:
+        small_spec(fit_config=config)
+    assert str(failure.value) == "fit_config must leave method and q unset: the q grid sets them"
+
+
+def test_a_fit_configs_other_settings_reach_every_fit():
+    config = FitConfig(fixed_nu=3.0, epsilon=1e-5, max_iter=40)
+    spec = small_spec(n_replications=2, fit_config=config)
+    for record in rt.run_simulation(spec).records:
+        single = fit(replicate_data(spec, record.replicate),
+                     replace(config, method=record.method, q=1.0 if record.q is None else record.q))
+        assert record.nu == single.params.nu == 3.0
+        assert record.iterations == single.iterations
+        assert record.mu == tuple(single.params.mu)

@@ -6,8 +6,9 @@
         --seconds 50 --output BENCH_name.json
 
 Run from the root of a git checkout. Each revision is exported with
-`git archive` into a fresh directory under --workdir, so the runs see only
-committed files. For every workload and seed the two trees run
+`git archive` into a fresh directory under --workdir (without it, under a
+temp directory removed when the run ends), so the runs see only committed
+files. For every workload and seed the two trees run
 `python3 perfbench/run.py --workload W --seed S --seconds T` back to back,
 the parent first on even pairs and the change first on odd ones, with
 bytecode caching off. The record holds every run's end-to-end metrics and
@@ -33,6 +34,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from importlib import metadata
 from pathlib import Path
 
@@ -45,6 +48,17 @@ READ_BLAS = ("import json, numpy; "
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+@contextmanager
+def export_dir(workdir: str | None, prefix: str) -> Iterator[Path]:
+    """workdir, made if missing; without one, a fresh temp dir removed however the block ends."""
+    if workdir is not None:
+        (path := Path(workdir)).mkdir(parents=True, exist_ok=True)
+        yield path
+        return
+    with tempfile.TemporaryDirectory(prefix=prefix) as temp:
+        yield Path(temp)
 
 
 def export(rev: str, workdir: Path) -> tuple[str, Path]:
@@ -175,14 +189,19 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 9301-9310")
     parser.add_argument("--seconds", type=float, default=50.0)
-    parser.add_argument("--workdir", default=None, help="where the exports go (a temp dir)")
+    parser.add_argument("--workdir", default=None,
+                        help="where the exports go (default: a temp dir, removed at the end)")
     parser.add_argument("--output", required=True)
     args = parser.parse_args(argv)
 
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    trees = {side: export(rev, workdir) for side, rev in (("parent", args.parent),
-                                                            ("change", args.change))}
+    with export_dir(args.workdir, "bench-pairs-") as workdir:
+        trees = {side: export(rev, workdir) for side, rev in (("parent", args.parent),
+                                                                ("change", args.change))}
+        return run_pairs(args, argv, trees)
+
+
+def run_pairs(args, argv, trees: dict[str, tuple[str, Path]]) -> int:
+    """main's run of every pair on the exported trees; writes the record to args.output."""
     spec = json.loads((trees["change"][1] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     record = {

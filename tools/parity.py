@@ -5,8 +5,10 @@
 
 Run from the root of a git checkout. Each revision is exported with
 bench_pairs.export, and bench_pairs.import_as imports its src/robust_t into
-this one process as robust_t_parent and robust_t_change. Each side records
-the estimators._fit_batch outcome of every fit of three sets:
+this one process as robust_t_parent and robust_t_change; without --workdir
+the exports go under a temp directory that is removed when the run ends.
+Each side records the estimators._fit_batch outcome of every fit of four
+sets:
 
 * case_i: case I, n = 200 plus 5 outliers, 2 replicates, ML plus q
   0.80:0.98:0.02, SimulationSpec seeds 100-159 (1,320 fits);
@@ -14,7 +16,10 @@ the estimators._fit_batch outcome of every fit of three sets:
   (480 fits);
 * large: large_dataset(0, 0, 2000, 10) by ML and by MLq at q = 0.9 and
   0.7 (3 fits), from the change tree's perfbench/workloads.py, so both
-  sides fit the same arrays.
+  sides fit the same arrays;
+* held_nu: nu held, so no nu search runs: case_i's replicates of seeds
+  100-119 by ML and q 0.8 and 0.9 at fixed_nu = 3 (120 fits), then the
+  large set's three fits at fixed_nu = 500, above NU_BRACKET (3 fits).
 
 Per set it prints one JSON line: the fits; the failures on each side; the
 fits whose failure state, iteration count or (converged, nu_clamped)
@@ -28,11 +33,11 @@ the set's nu search that counting_nu_search takes. Every line also holds
 each side's src_lines, the line count of src/robust_t/*.py, and
 public_names, the length of robust_t.__all__.
 
-For case_i and case_ii the line also holds, under "simulation", the parity
-of run_simulation on the same specs (one report per seed): for each
-MethodSummary field, the largest |d| between parent and change (0 where
-both are NaN, inf where one is), and whether every selected_q and every
-summary's (method, q) is equal.
+For case_i, case_ii and held_nu the line also holds, under "simulation",
+the parity of run_simulation on the same specs (one report per seed): for
+each MethodSummary field, the largest |d| between parent and change (0
+where both are NaN, inf where one is), and whether every selected_q and
+every summary's (method, q) is equal.
 """
 
 from __future__ import annotations
@@ -41,16 +46,18 @@ import argparse
 import json
 import math
 import sys
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from bench_pairs import export, import_as  # a sibling of this script
+from bench_pairs import export, export_dir, import_as  # a sibling of this script
 
-SETS = ("case_i", "case_ii", "large")
-SIMULATED = ("case_i", "case_ii")
+SETS = ("case_i", "case_ii", "large", "held_nu")
+SIMULATED = ("case_i", "case_ii", "held_nu")
+# the large set's (method, q), and the nu held_nu fits them at, above NU_BRACKET's 200
+LARGE_LABELS = (("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7))
+LARGE_HELD_NU = 500.0
 # the per-set counts of record_outcomes, each reported per side
 COUNTS = ("nu_score_evaluations", "nu_score_calls", "nu_solves", "nu_end_reads",
           "squarem_nu_solves", "squarem_nu_score_calls")
@@ -104,12 +111,26 @@ def counting_nu_search(estimators):
         estimators._bracketed_root = original
 
 
+def simulated_specs(rt) -> dict:
+    """The SimulationSpecs of each set of SIMULATED, by the package rt: one batch per spec."""
+
+    def specs(case, seeds, replicates, grid, **fit):
+        return [rt.SimulationSpec(true_params=rt.preset_case(case), n=200, n_outliers=5,
+                                  n_replications=replicates, q_grid=grid, seed=seed,
+                                  fit_config=rt.FitConfig(**fit))
+                for seed in seeds]
+
+    return {"case_i": specs(1, range(100, 160), 2, _grid(0.8, 10)),
+            "case_ii": specs(2, [7], 30, _grid(0.7, 15)),
+            "held_nu": specs(1, range(100, 120), 2, (0.8, 0.9), fixed_nu=3.0)}
+
+
 def record_outcomes(rt, large_dataset) -> dict:
-    """Every fit of SETS by the package rt, the large set made by large_dataset."""
+    """Every fit of SETS by the package rt, the large sets' data made by large_dataset."""
     estimators = rt.estimators
 
-    def run(datasets, labels):
-        configs = [rt.FitConfig(method=method, q=q) for method, q in labels]
+    def run(datasets, labels, fixed_nu=None):
+        configs = [rt.FitConfig(method=method, q=q, fixed_nu=fixed_nu) for method, q in labels]
         return [_record(method, outcome)
                 for outcomes in estimators._fit_batch(datasets, configs)
                 for (method, _), outcome in zip(labels, outcomes)]
@@ -117,22 +138,19 @@ def record_outcomes(rt, large_dataset) -> dict:
     def paper(spec):
         datasets = [rt.contaminate(rt.generate_replicate(spec, k), spec, k)
                     for k in range(spec.n_replications)]
-        return run(datasets, [("ml", 1.0)] + [("mlq", q) for q in spec.q_grid])
+        return run(datasets, [("ml", 1.0)] + [("mlq", q) for q in spec.q_grid],
+                   spec.fit_config.fixed_nu)
 
-    def specs(case, seeds, replicates, grid):
-        return [rt.SimulationSpec(true_params=rt.preset_case(case), n=200, n_outliers=5,
-                                  n_replications=replicates, q_grid=grid, seed=seed)
-                for seed in seeds]
-
-    simulated = {"case_i": specs(1, range(100, 160), 2, _grid(0.8, 10)),
-                 "case_ii": specs(2, [7], 30, _grid(0.7, 15))}
+    simulated = simulated_specs(rt)
+    # the sets that fit the large data, each with its fixed_nu
+    large = {"large": None, "held_nu": LARGE_HELD_NU}
     outcomes = {key: {} for key in COUNTS}
     for name in SETS:
         with counting_nu_search(estimators) as count:
-            outcomes[name] = ([fit for spec in simulated[name] for fit in paper(spec)]
-                              if name in SIMULATED else
-                              run([large_dataset(0, 0, 2000, 10)],
-                                  [("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7)]))
+            fits = [fit for spec in simulated.get(name, ()) for fit in paper(spec)]
+            if name in large:
+                fits += run([large_dataset(0, 0, 2000, 10)], LARGE_LABELS, large[name])
+            outcomes[name] = fits
         for key in COUNTS:
             outcomes[key][name] = count[key]
     sources = Path(rt.__file__).parent.glob("*.py")
@@ -257,21 +275,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the baseline")
     parser.add_argument("--change", required=True, help="git revision of the change")
-    parser.add_argument("--workdir", default=None, help="where the exports go (a temp dir)")
+    parser.add_argument("--workdir", default=None,
+                        help="where the exports go (default: a temp dir, removed at the end)")
     args = parser.parse_args(argv)
 
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="parity-"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    trees = {side: export(rev, workdir) for side, rev in (("parent", args.parent),
-                                                            ("change", args.change))}
-    sys.path.insert(0, str(trees["change"][1] / "perfbench"))
-    from workloads import large_dataset
+    with export_dir(args.workdir, "parity-") as workdir:
+        trees = {side: export(rev, workdir) for side, rev in (("parent", args.parent),
+                                                                ("change", args.change))}
+        sys.path.insert(0, str(trees["change"][1] / "perfbench"))
+        from workloads import large_dataset
 
-    sides = {}
-    for side, (sha, tree) in trees.items():
-        print(f"{side}: {sha}", file=sys.stderr, flush=True)
-        rt = import_as(f"robust_t_{side}", tree / "src" / "robust_t")
-        sides[side] = record_outcomes(rt, large_dataset)
+        sides = {}
+        for side, (sha, tree) in trees.items():
+            print(f"{side}: {sha}", file=sys.stderr, flush=True)
+            rt = import_as(f"robust_t_{side}", tree / "src" / "robust_t")
+            sides[side] = record_outcomes(rt, large_dataset)
     for name in SETS:
         print(json.dumps(set_line(name, sides["parent"], sides["change"])))
     return 0
