@@ -1,15 +1,16 @@
 """Fitting the multivariate t distribution by plain and q-weighted likelihood.
 
 Every fit runs through one engine, which advances a batch of fits in
-lockstep: the same configs on each of a stack of same-shape datasets.
-run_simulation hands it a group of replicates, each with the plain fit
-and the whole q grid; fit_many is its one-dataset case and fit() its
-one-fit case. An iteration is one evaluation of the map F: closed-form
-weighted sums update location and scatter, and the squared distances at
-the update give the degrees of freedom (when estimated), by a bracketed
-Newton search over the fits still solving, and the objective. A fit leaves
-the batch when it converges, fails or reaches max_iter; iterations,
-max_iter and the trace all count evaluations of F.
+lockstep (the same configs on each of a stack of same-shape datasets) and
+reports them in arrays. run_simulation hands it a group of replicates, each
+with the plain fit and the whole q grid, and reads its records from those
+arrays; fit_many, the one-dataset case, and fit(), the one-fit case, build
+each FitResult from them. An iteration is one evaluation of the map F:
+closed-form weighted sums update location and scatter, and the squared
+distances at the update give the degrees of freedom (when estimated), by a
+bracketed Newton search over the fits still solving, and the objective. A
+fit leaves the batch when it converges, fails or reaches max_iter;
+iterations, max_iter and the trace all count evaluations of F.
 
 The q-weighted step weights every observation by E(U | x) f^(1 - q), the
 EM weight times its density raised to (1 - q), so outlying points are
@@ -101,7 +102,8 @@ perfbench's hook surface, until perfbench hooks the engine's own phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -117,6 +119,7 @@ from .linalg import (
 from .tdist import (
     MvtParams,
     _cond_expect_u,
+    _integer,
     _log_pdf,
     _lq,
     _nu_slope,
@@ -187,10 +190,15 @@ class FitConfig:
             raise DomainError("q must be 1 for the plain method")
         if not 0.0 < self.epsilon < math.inf:
             raise DomainError("epsilon must be positive and finite")
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
         if self.fixed_nu is not None and not 0.0 < self.fixed_nu < math.inf:
             raise DomainError("fixed_nu must be positive and finite")
+
+
+# The settings every config of one batch shares.
+_shared_settings = attrgetter(*(f.name for f in fields(FitConfig) if f.name not in _PER_FIT_FIELDS))
 
 
 class EStepQuantities(NamedTuple):
@@ -513,20 +521,6 @@ def solve_nu_mlq(prev: MvtParams, est: EStepQuantities, q: float) -> NuSolveResu
     return NuSolveResult(float(nu), bool(bracketed))
 
 
-def _shared_config(configs: list[FitConfig]) -> FitConfig:
-    """The settings common to a batch; raises unless only per-fit fields differ."""
-    if not configs:
-        raise DomainError("fit_many needs at least one config")
-    first = configs[0]
-    same = {name: getattr(first, name) for name in _PER_FIT_FIELDS}
-    for config in configs:
-        if replace(config, **same) != first:
-            raise DomainError(
-                "configs fitted together may differ only in " + ", ".join(_PER_FIT_FIELDS)
-            )
-    return first
-
-
 def _pack(mu, sigma, nu, upper) -> np.ndarray:
     """B fits' (mu, upper triangle of sigma, nu), one row each: the engine's iterate x."""
     return np.concatenate((mu, sigma[:, upper[0], upper[1]], nu[:, None]), axis=1)
@@ -560,12 +554,12 @@ def _distances(columns, mu, sigma):
 def _objective(s, log_det, nu, q, p: int):
     """The fits' objectives, sums of lq of the densities at s, and the log densities."""
     log_f = _log_pdf(s, nu[:, None], p, log_det[:, None])
-    with np.errstate(over="ignore"):  # _fit_batch fails a fit stopping at an inf lq
+    with np.errstate(over="ignore"):  # _lockstep fails a fit stopping at an inf lq
         return np.add.reduce(_lq(log_f, q[:, None]), axis=1), log_f
 
 
 class _Fits(NamedTuple):
-    """_fit_batch's running fits, one row each, replaced and never edited.
+    """_lockstep's running fits, one row each, replaced and never edited.
 
     index places a fit among the outcomes, and floor is SPD_FLOOR times its columns' squared
     MADs. x is the iterate in _pack's layout, a held nu included, at which s, log_f and
@@ -620,25 +614,44 @@ def _squarem_step(fits: _Fits, upper, with_nu: bool) -> _Fits:
 FitOutcome = Union[FitResult, DegenerateData]
 
 
-def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[FitOutcome]]:
-    """Run every config on every dataset, all fits in lockstep.
+class _Report(NamedTuple):
+    """The engine's outcome of each fit, by fit index.
 
-    The datasets must have the same shape, and the configs may differ only
-    in method and q. Returns one outcome list per dataset: what fit_many
-    returns for it alone, or the DomainError it raises. A dataset with an
-    entry that is not finite, that cannot be initialized, or whose centered
-    rows have rank below p fails alone, with that error for each config.
-    Every fit carries its own copy of its dataset's sorted columns. The
-    running fits are one _Fits record, which each phase replaces.
+    failures holds the error that ended each fit, None where it finished. A finished fit's rows
+    hold its last iterate x in _pack's layout and what it stopped with; the others stay NaN, 0
+    or False. log holds one entry per iteration: the live fits' indices, change norms, objectives.
     """
-    configs = list(configs)
-    shared = _shared_config(configs)
-    count = len(configs)
+
+    failures: list[Optional[DomainError]]
+    x: np.ndarray
+    chol: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    nu_clamped: np.ndarray
+    objective: np.ndarray
+    change: np.ndarray
+    log: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _lockstep(datasets: Sequence, configs: list[FitConfig]) -> _Report:
+    """Run every config on every dataset, all fits in lockstep, and report them in arrays.
+
+    Fit k is config k % len(configs) on dataset k // len(configs); the datasets must have one
+    shape, and the configs may differ only in method and q. A dataset with an entry that is not
+    finite, that cannot be initialized, or whose centered rows have rank below p fails alone,
+    with that error for each config. Every fit carries its own copy of its dataset's sorted
+    columns. The running fits are one _Fits record, which each phase replaces.
+    """
+    if not configs:
+        raise DomainError("fit_many needs at least one config")
+    if len({_shared_settings(config) for config in configs}) > 1:
+        raise DomainError("configs fitted together may differ only in "
+                          + ", ".join(_PER_FIT_FIELDS))
+    shared, count = configs[0], len(configs)
     matrices = [np.asarray(data, dtype=float) for data in datasets]
     if len({rows.shape for rows in matrices}) > 1:
         raise DimensionMismatch("datasets fitted together must have the same shape")
-    # one entry per fit, dataset by dataset; a fit's index is its place here
-    outcomes: list[Optional[FitOutcome]] = []
+    failures: list[Optional[DomainError]] = []
     live, means, covariances, columns, spreads = [], [], [], [], []
     for slot, rows in enumerate(matrices):
         try:  # a shape as_data_matrix rejects raises; entries that are not finite fail here
@@ -653,22 +666,23 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
             if np.linalg.matrix_rank(cov / root / root[:, None], hermitian=True) < len(mu):
                 raise DegenerateData(f"the observations span fewer than {len(mu)} dimensions")
         except (DegenerateData, DomainError) as exc:
-            outcomes.extend([exc] * count)
+            failures.extend([exc] * count)
             continue
-        outcomes.extend([None] * count)
+        failures.extend([None] * count)
         live.append(slot)
         means.append(mu)
         covariances.append(cov)
         columns.append(rows.T)
         spreads.append(np.median(np.abs(rows - np.median(rows, axis=0)), axis=0) ** 2)
 
-    def per_dataset():
-        return [outcomes[k:k + count] for k in range(0, len(outcomes), count)]
-
-    if not live:
-        return per_dataset()
-    p = columns[0].shape[0]
+    # every dataset reaching here is a non-empty (n, p) matrix: as_data_matrix raises on others
+    total, p = len(failures), matrices[0].shape[1] if matrices else 0
     upper = np.triu_indices(p)
+    report = _Report(failures, np.full((total, p + len(upper[0]) + 1), np.nan),
+                     np.full((total, p, p), np.nan), np.zeros(total, dtype=int),
+                     *np.zeros((2, total), dtype=bool), *np.full((2, total), np.nan), [])
+    if not live:
+        return report
     estimate_nu = shared.fixed_nu is None
 
     def per_fit(values):
@@ -685,7 +699,6 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
     blank = np.empty((len(x), 0))
     fits = _Fits((np.array(live)[:, None] * count + np.arange(count)).ravel(), columns, q,
                  SPD_FLOOR * per_fit(spreads), x, s, log_f, objective, blank, blank, blank)
-    traces: list[list[IterationRecord]] = [[] for _ in outcomes]
 
     for iteration in range(1, shared.max_iter + 1):
         previous = fits.x
@@ -713,33 +726,18 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
 
         converged = change < shared.epsilon
         stop = converged | ~ok | (iteration == shared.max_iter)
-        failure = [""] * stop.shape[0]
+        report.log.append((fits.index, change, objective))
         if stop.any():  # no result carries an objective that overflowed
-            failure = np.select([collapsed, ~ok, stop & ~np.isfinite(objective)], [
-                "scatter collapsed", "weighted update produced non-finite parameters",
-                "the objective is not finite"], "").tolist()
-        nu_values, clamped = nu.tolist(), (~bracketed).tolist()
-        results = zip(fits.index.tolist(), failure, stop.tolist(),
-                      converged.tolist(), change.tolist(), objective.tolist())
-        for row, (i, reason, stopped, done, step, value) in enumerate(results):
-            if reason:
-                outcomes[i] = DegenerateData(reason)
-                continue
-            traces[i].append(IterationRecord(iteration, step, value))
-            if stopped:
-                config = configs[i % count]
-                outcomes[i] = FitResult(
-                    params=MvtParams._from_checked(mu[row], sigma[row], nu_values[row], chol[row]),
-                    iterations=iteration,
-                    converged=done,
-                    trace=tuple(traces[i]),
-                    objective=value,
-                    method=config.method,
-                    q=config.q if config.method == METHOD_MLQ else None,
-                    nu_estimated=estimate_nu,
-                    nu_clamped=clamped[row],
-                    change_norm=step,
-                )
+            failed = ~ok | (stop & ~np.isfinite(objective))
+            for row in np.flatnonzero(failed).tolist():  # rare: no reason is made for the rest
+                failures[fits.index[row]] = DegenerateData(
+                    "scatter collapsed" if collapsed[row] else "the objective is not finite"
+                    if ok[row] else "weighted update produced non-finite parameters")
+            done = stop & ~failed
+            at = fits.index[done]
+            report.x[at], report.chol[at], report.iterations[at] = x[done], chol[done], iteration
+            report.converged[at], report.nu_clamped[at] = converged[done], ~bracketed[done]
+            report.objective[at], report.change[at] = objective[done], change[done]
         fits = fits._replace(x=x, s=s, log_f=log_f, objective=objective, moved=moved)
         # every third iteration starts a SQUAREM cycle at the point it leaves
         if iteration % 3 == 1:
@@ -750,7 +748,46 @@ def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[Fi
             fits = fits.take(~stop)
         if iteration % 3 == 2:
             fits = _squarem_step(fits, upper, estimate_nu)
-    return per_dataset()
+    return report
+
+
+def _traces(log, indices: list[int]) -> list[tuple[IterationRecord, ...]]:
+    """The traces of the fits at indices, from the engine's log put in one stable argsort."""
+    if not indices:
+        return []
+    index, change, objective = (np.concatenate(column) for column in zip(*log))
+    iteration = np.repeat(np.arange(1, len(log) + 1), [len(entry[0]) for entry in log])
+    order = np.argsort(index, kind="stable")  # each fit's entries, iteration by iteration
+    columns = (v[order].tolist() for v in (iteration, change, objective))
+    records = list(map(IterationRecord, *columns))
+    starts, ends = np.searchsorted(index[order], [indices, np.add(indices, 1)]).tolist()
+    return [tuple(records[start:end]) for start, end in zip(starts, ends)]
+
+
+def _fit_batch(datasets: Sequence, configs: Sequence[FitConfig]) -> list[list[FitOutcome]]:
+    """Run every config on every dataset, all fits in lockstep, and build their results.
+
+    Returns one outcome list per dataset: what fit_many returns for it alone, or the
+    DomainError it raises. The engine (_lockstep) reports arrays; each finished fit's
+    FitResult is built from them here, and its trace from the engine's log.
+    """
+    configs = list(configs)
+    report = _lockstep(datasets, configs)
+    count, outcomes = len(configs), list(report.failures)
+    finished = [i for i, failure in enumerate(outcomes) if failure is None]
+    x, chol, p = report.x, report.chol, report.chol.shape[1]
+    sigma = _from_upper(x[:, p:-1], np.triu_indices(p), p)
+    nu, iterations, converged, clamped, objective, change = (column.tolist() for column in (
+        x[:, -1], report.iterations, report.converged, report.nu_clamped, report.objective,
+        report.change))
+    for i, trace in zip(finished, _traces(report.log, finished)):
+        config = configs[i % count]
+        outcomes[i] = FitResult(  # in FitResult's field order
+            MvtParams._from_checked(x[i, :p], sigma[i], nu[i], chol[i]), iterations[i],
+            converged[i], trace, objective[i], config.method,
+            config.q if config.method == METHOD_MLQ else None, config.fixed_nu is None,
+            clamped[i], change[i])
+    return [outcomes[k:k + count] for k in range(0, len(outcomes), count)]
 
 
 def fit_many(data, configs: Sequence[FitConfig]) -> list[FitOutcome]:

@@ -8,10 +8,11 @@ parameter distances and the squared-error of the degrees of freedom over
 replications. The q minimizing the combined mean distance is selected.
 
 Replicates are fitted in groups, each group one lockstep batch of the
-estimators' engine. Every replicate derives its own generator streams
-from (seed, index), and a fit's result does not depend on its batch, so
-reports are bitwise reproducible and independent of the grouping and of
-how many worker processes execute the groups.
+estimators' engine, whose arrays give the records directly, with no
+FitResult in between. Every replicate derives its own generator streams from
+(seed, index), and a fit's result does not depend on its batch, so reports
+are bitwise reproducible and independent of the grouping and of how many
+worker processes execute the groups.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateData, DimensionMismatch, DomainError
-from .estimators import DEFAULT_Q, METHOD_ML, METHOD_MLQ, FitConfig, _fit_batch
-from .tdist import MvtParams, as_data_matrix, sample
+from .errors import DimensionMismatch, DomainError
+from .estimators import DEFAULT_Q, METHOD_ML, METHOD_MLQ, FitConfig, _from_upper, _lockstep
+from .tdist import MvtParams, _integer, as_data_matrix, sample
 
 __all__ = [
     "SimulationSpec",
@@ -74,6 +76,8 @@ class SimulationSpec:
     fit_config: FitConfig = FitConfig()
 
     def __post_init__(self):
+        for name in ("n", "n_outliers", "n_replications"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 2:
             raise DomainError("sample size must be at least 2")
         if self.n_outliers < 0:
@@ -198,30 +202,6 @@ def distance_metrics(estimate: MvtParams, truth: MvtParams) -> DistanceMetrics:
     return DistanceMetrics(d_mu, d_sigma, (estimate.nu - truth.nu) ** 2)
 
 
-def _fit_record(index: int, method: str, q: Optional[float], outcome,
-                spec: SimulationSpec, upper: tuple[np.ndarray, np.ndarray]) -> ReplicateRecord:
-    if isinstance(outcome, (DegenerateData, DomainError)):
-        nan_mu = (math.nan,) * spec.true_params.dim
-        nan_sig = (math.nan,) * len(upper[0])
-        return ReplicateRecord(index, method, q, True, False, 0, nan_mu,
-                               nan_sig, math.nan, math.nan, math.nan, math.nan)
-    dist = distance_metrics(outcome.params, spec.true_params)
-    return ReplicateRecord(
-        replicate=index,
-        method=method,
-        q=q,
-        failed=False,
-        converged=outcome.converged,
-        iterations=outcome.iterations,
-        mu=tuple(outcome.params.mu.tolist()),
-        sigma=tuple(outcome.params.sigma[upper].tolist()),
-        nu=outcome.params.nu,
-        d_mu=dist.d_mu,
-        d_sigma=dist.d_sigma,
-        sq_err_nu=dist.sq_err_nu,
-    )
-
-
 def _replicate_groups(spec: SimulationSpec, jobs: int) -> list[range]:
     """Contiguous runs of replicate indices, each one lockstep batch.
 
@@ -238,42 +218,52 @@ def _replicate_groups(spec: SimulationSpec, jobs: int) -> list[range]:
 
 
 def _group_records(args) -> list[ReplicateRecord]:
-    """Fit a group of replicates by ML and across the q grid, all in one lockstep batch."""
+    """Fit a group of replicates by ML and across the q grid, all in one lockstep batch.
+
+    Records come from the engine's arrays: mu, sigma's upper triangle and nu are slices of the
+    packed iterate x, and each distance is distance_metrics' dot of a raveled difference.
+    """
     spec, indices, upper = args
     datasets = [contaminate(generate_replicate(spec, index), spec, index) for index in indices]
     labels = [(METHOD_ML, None)] + [(METHOD_MLQ, q) for q in spec.q_grid]
     configs = [replace(spec.fit_config, method=method, q=(1.0 if q is None else q))
                for method, q in labels]
-    return [_fit_record(index, method, q, outcome, spec, upper)
-            for index, outcomes in zip(indices, _fit_batch(datasets, configs))
-            for (method, q), outcome in zip(labels, outcomes)]
+    report = _lockstep(datasets, configs)
+    truth, x, p = spec.true_params, report.x, spec.true_params.dim
+    d_mu = x[:, :p] - truth.mu
+    d_sigma = (_from_upper(x[:, p:-1], upper, p) - truth.sigma).reshape(len(x), -1)
+    rows, iterations, converged = x.tolist(), report.iterations.tolist(), report.converged.tolist()
+    failed = (True, False, 0, (math.nan,) * p, (math.nan,) * len(upper[0])) + (math.nan,) * 4
+    records = []
+    for k, (index, (method, q)) in enumerate(product(indices, labels)):
+        row = rows[k]
+        outcome = failed if report.failures[k] is not None else (
+            False, converged[k], iterations[k], tuple(row[:p]), tuple(row[p:-1]), row[-1],
+            math.sqrt(d_mu[k] @ d_mu[k]), math.sqrt(d_sigma[k] @ d_sigma[k]),
+            (row[-1] - truth.nu) ** 2)
+        records.append(ReplicateRecord(index, method, q, *outcome))
+    return records
 
 
-def _summarize(records: list[ReplicateRecord], truth: MvtParams, upper) -> MethodSummary:
-    """One config's summary; its means are the column means of the converged rows."""
+def _summarize(records: list[ReplicateRecord], truth: MvtParams, upper,
+               slots: int) -> list[MethodSummary]:
+    """Each config's summary, from one table of the records; means are over converged rows."""
     table = np.array([(*r.mu, *r.sigma, r.nu, r.d_mu, r.d_sigma, r.sq_err_nu,
                        r.d_mu + r.d_sigma + abs(r.nu - truth.nu)) for r in records])
-    used = np.array([r.converged for r in records])
-    means = table[used].mean(axis=0) if used.any() else np.full(table.shape[1], math.nan)
+    converged = np.array([r.converged for r in records])
     p = truth.dim
-    mean_sigma = np.empty((p, p))
-    mean_sigma[upper] = mean_sigma[upper[::-1]] = means[p:-5]
-    mean_nu, mean_d_mu, mean_d_sigma, mse_nu, combined = means[-5:].tolist()
-    return MethodSummary(
-        method=records[0].method,
-        q=records[0].q,
-        n_replications=len(records),
-        n_failed=sum(r.failed for r in records),
-        n_nonconverged=sum(not (r.failed or r.converged) for r in records),
-        n_used=int(used.sum()),
-        mean_mu=means[:p],
-        mean_sigma=mean_sigma,
-        mean_nu=mean_nu,
-        mean_d_mu=mean_d_mu,
-        mean_d_sigma=mean_d_sigma,
-        mse_nu=mse_nu,
-        mean_combined=combined,
-    )
+    summaries = []
+    for k in range(slots):
+        group, rows, used = records[k::slots], table[k::slots], converged[k::slots]
+        means = rows[used].mean(axis=0) if used.any() else np.full(table.shape[1], math.nan)
+        mean_sigma = np.empty((p, p))
+        mean_sigma[upper] = mean_sigma[upper[::-1]] = means[p:-5]
+        n_failed, n_used = sum(r.failed for r in group), sum(r.converged for r in group)
+        # the table's columns in MethodSummary's order, after the counts
+        summaries.append(MethodSummary(
+            group[0].method, group[0].q, len(group), n_failed, len(group) - n_failed - n_used,
+            n_used, means[:p], mean_sigma, *means[-5:].tolist()))
+    return summaries
 
 
 def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
@@ -286,6 +276,9 @@ def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
     pool of at most one worker per usable CPU; the report does not depend on
     either (see the module docstring).
     """
+    jobs = _integer(jobs, "jobs")
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     upper = np.triu_indices(spec.true_params.dim)  # one for the records and summaries
     tasks = [(spec, group, upper) for group in _replicate_groups(spec, jobs)]
     if jobs > 1:
@@ -297,8 +290,7 @@ def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
         chunks = [_group_records(t) for t in tasks]
     records = [record for chunk in chunks for record in chunk]
 
-    slots = 1 + len(spec.q_grid)
-    ml, *sweep = (_summarize(records[k::slots], spec.true_params, upper) for k in range(slots))
+    ml, *sweep = _summarize(records, spec.true_params, upper, 1 + len(spec.q_grid))
     best = min(sweep, key=lambda s: (not math.isfinite(s.mean_combined), s.mean_combined))
     return SimulationReport(
         spec=spec,

@@ -15,6 +15,7 @@ large Mahalanobis distances that the robustness analysis is about.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,6 +101,14 @@ def as_data_matrix(data) -> np.ndarray:
     return rows
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, through operator.index so numpy integers pass; else DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _log_density(log1p_ratio, nu, p: int, log_det_sigma, log_gamma_gap):
     """The one expression for log f, from log1p(s / nu) and gamma_gaps's log Gamma gap."""
     return (log_gamma_gap - 0.5 * p * np.log(np.pi * nu) - 0.5 * log_det_sigma
@@ -141,7 +150,7 @@ def sample(params: MvtParams, n: int, rng: np.random.Generator) -> np.ndarray:
     generator state yields an identical dataset. A draw that is not finite,
     as where a tiny nu lets u underflow to 0, raises DomainError.
     """
-    n = int(n)
+    n = _integer(n, "sample size")
     if n < 1:
         raise DomainError("sample size must be at least 1")
     p = params.dim

@@ -1,7 +1,9 @@
 """tools/bench_pairs.py on synthetic pairs; no benchmark is run."""
 
 import importlib.util
+import signal
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -101,6 +103,40 @@ class TestExportDir:
                 (workdir / "file").write_text("x")
                 raise RuntimeError("stop")
         assert not workdir.exists()
+
+    def test_a_sigterm_inside_the_block_removes_the_temp_dir(self, tmp_path):
+        # a child process makes the temp dir under tmp_path and signals itself inside the block
+        script = (
+            "import os, signal, sys, tempfile, time\n"
+            f"sys.path.insert(0, {str(_PATH.parent)!r})\n"
+            "import bench_pairs\n"
+            f"tempfile.tempdir = {str(tmp_path)!r}\n"
+            "with bench_pairs.export_dir(None, 'export-dir-test-') as workdir:\n"
+            "    (workdir / 'file').write_text('x')\n"
+            "    print(workdir, flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    time.sleep(30)\n"
+            "print('not reached')\n"
+        )
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               timeout=60)
+        workdir = Path(child.stdout.splitlines()[0])
+        assert workdir.parent == tmp_path and workdir.name.startswith("export-dir-test-")
+        assert child.returncode == 128 + signal.SIGTERM
+        assert "not reached" not in child.stdout and child.stderr == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_previous_sigterm_handler_is_restored(self):
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            with bench_pairs.export_dir(None, "export-dir-test-"):
+                assert signal.getsignal(signal.SIGTERM) is bench_pairs._exit_on_sigterm
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_a_given_workdir_is_made_and_kept(self, tmp_path):
         target = tmp_path / "a" / "b"

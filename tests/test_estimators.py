@@ -124,6 +124,17 @@ class TestFitConfig:
         with pytest.raises(DomainError):
             FitConfig(**fields)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # 2.5 used to pass construction and fail in the engine with a TypeError
+        with pytest.raises(DomainError) as failure:
+            FitConfig(max_iter=max_iter)
+        assert str(failure.value) == f"max_iter must be an integer, got {max_iter!r}"
+
+    def test_a_numpy_integer_max_iter_is_a_count(self):
+        config = FitConfig(max_iter=np.int64(7))
+        assert config == FitConfig(max_iter=7) and type(config.max_iter) is int
+
 
 class TestInitParams:
     def test_two_point_dataset(self):

@@ -97,8 +97,17 @@ def summary(method, q, mean_nu, n_used=2, mean_mu=(2.0, 1.0)):
             "mean_d_sigma": 0.25, "mse_nu": 1.0, "mean_combined": 2.0}
 
 
-def report(selected_q, *summaries):
-    return {"selected_q": selected_q, "summaries": list(summaries)}
+def report(selected_q, *summaries, records=()):
+    return {"selected_q": selected_q, "summaries": list(summaries), "records": list(records)}
+
+
+def record(replicate, method, q, nu, failed=False, mu=(2.0, 1.0)):
+    nan = float("nan")
+    values = dict(mu=(nan, nan), sigma=(nan,) * 3, nu=nan, d_mu=nan, d_sigma=nan,
+                  sq_err_nu=nan) if failed else dict(mu=mu, sigma=(1.0, 0.0, 1.0), nu=nu,
+                                                     d_mu=0.5, d_sigma=0.25, sq_err_nu=1.0)
+    return {"replicate": replicate, "method": method, "q": q, "failed": failed,
+            "converged": not failed, "iterations": 0 if failed else 12, **values}
 
 
 def test_compare_simulations_takes_the_largest_gap_of_each_field():
@@ -116,6 +125,39 @@ def test_compare_simulations_takes_the_largest_gap_of_each_field():
     assert gaps["mean_nu"] == abs(3.0 + 2e-15 - 3.0)  # NaN on both sides counts as 0
     assert gaps["mean_mu"] == abs(1.0 + 1e-15 - 1.0)
     assert gaps["n_used"] == 0.0 and gaps["mean_sigma"] == 0.0
+
+
+def test_compare_simulations_takes_the_largest_gap_of_each_record_field():
+    sums = (summary("ml", None, 3.0), summary("mlq", 0.9, 4.0))
+    parent = [report(0.9, *sums, records=[record(0, "ml", None, 3.0),
+                                          record(0, "mlq", 0.9, 4.0),
+                                          record(1, "ml", None, 3.0, failed=True)])]
+    change = [report(0.9, *sums, records=[record(0, "ml", None, 3.0, mu=(2.0, 1.0 + 1e-15)),
+                                          record(0, "mlq", 0.9, 4.0 + 2e-15),
+                                          record(1, "ml", None, 3.0, failed=True)])]
+    result = parity.compare_simulations(parent, change)
+    assert result["summaries"] == 2 and result["records"] == 3 and result["labels_equal"]
+    gaps = result["max_abs_d"]
+    assert set(gaps) == ({key for key in sums[0] if key not in ("method", "q")}
+                         | {"record_" + key for key in record(0, "ml", None, 3.0)
+                            if key not in ("replicate", "method", "q")})
+    assert gaps["record_mu"] == abs(1.0 + 1e-15 - 1.0)
+    assert gaps["record_nu"] == abs(4.0 + 2e-15 - 4.0)
+    # the failed record's NaNs equal the other side's NaNs
+    assert all(gaps["record_" + key] == 0.0 for key in ("sigma", "d_mu", "sq_err_nu",
+                                                       "iterations", "failed", "converged"))
+
+
+def test_compare_simulations_flags_a_moved_record_a_relabelled_one_and_one_failing_alone():
+    sums = (summary("ml", None, 3.0),)
+    parent = [report(0.9, *sums, records=[record(0, "ml", None, 3.0), record(1, "ml", None, 3.0)])]
+    change = [report(0.9, *sums, records=[record(0, "ml", None, 3.0, failed=True),
+                                          record(2, "ml", None, 3.0)])]
+    result = parity.compare_simulations(parent, change)
+    assert not result["labels_equal"]
+    gaps = result["max_abs_d"]
+    assert gaps["record_nu"] == gaps["record_d_mu"] == float("inf")  # NaN on one side only
+    assert gaps["record_failed"] == 1.0 and gaps["record_iterations"] == 12.0
 
 
 def test_compare_simulations_flags_a_moved_q_and_a_one_sided_nan():

@@ -169,6 +169,25 @@ class TestRunSimulation:
             assert record.sigma == tuple(single.params.sigma[np.triu_indices(2)])
             assert record.nu == single.params.nu
 
+    @pytest.mark.parametrize("truth", [
+        rt.preset_case(1),
+        rt.preset_case(2),
+        rt.MvtParams(np.array([1.0, -2.0, 0.5]),
+                     np.array([[2.0, 0.3, -0.2], [0.3, 1.0, 0.1], [-0.2, 0.1, 0.5]]), 4.0),
+    ], ids=["case-i", "case-ii", "p3"])
+    def test_record_distances_are_bitwise_those_of_distance_metrics(self, truth):
+        spec = small_spec(true_params=truth, n_replications=2)
+        upper = np.triu_indices(truth.dim)
+        for record in rt.run_simulation(spec).records:
+            config = FitConfig(method=record.method, q=1.0 if record.q is None else record.q)
+            single = fit(replicate_data(spec, record.replicate), config)
+            assert not record.failed
+            assert record.mu == tuple(single.params.mu)
+            assert record.sigma == tuple(single.params.sigma[upper])
+            assert record.nu == single.params.nu
+            assert (record.d_mu, record.d_sigma, record.sq_err_nu) == rt.distance_metrics(
+                single.params, truth)
+
     def test_nonconverged_fits_are_counted_and_left_out_of_the_means(self):
         spec = small_spec(n_replications=4, fit_config=FitConfig(max_iter=12))
         report = rt.run_simulation(spec)
@@ -460,6 +479,40 @@ class TestFitMany:
         monkeypatch.setattr(estimators, "_cond_expect_u", zero_weights_of_row(0))
         with pytest.raises(DegenerateData):
             fit(data, configs[row])
+
+    def test_each_survivor_of_a_batch_with_a_failing_fit_keeps_its_own_trace(self, monkeypatch):
+        data = replicate_data(small_spec(), 0)
+        configs = batch_configs()
+        alone = [fit(data, config) for config in configs]
+        iterations = [result.iterations for result in alone]
+        # the fits stop at different iterations, all after the fourth
+        assert len(set(iterations)) > 1 and min(iterations) > 4
+        original = estimators._cond_expect_u
+        calls = []
+        row = [config.q for config in configs].index(0.9)
+
+        def zero_weights_at_the_fourth_iteration(s, nu, p):
+            # one call per iteration; every fit is still in the batch, in config order
+            u = original(s, nu, p)
+            calls.append(True)
+            if len(calls) == 4:
+                u[row] = 0.0
+            return u
+
+        monkeypatch.setattr(estimators, "_cond_expect_u", zero_weights_at_the_fourth_iteration)
+        outcomes = fit_many(data, configs)
+        assert len(calls) == max(iterations)
+        assert isinstance(outcomes[row], DegenerateData)
+        for k, (outcome, single) in enumerate(zip(outcomes, alone)):
+            if k != row:
+                assert same_fit(outcome, single)
+                assert outcome.iterations == single.iterations
+                # one record per evaluation of F, numbered from 1
+                numbers = [record.iteration for record in outcome.trace]
+                assert numbers == list(range(1, outcome.iterations + 1))
+                assert [tuple(r) for r in outcome.trace] == [tuple(r) for r in single.trace]
+                assert (outcome.objective, outcome.change_norm) == (
+                    single.objective, single.change_norm)
 
     def test_a_nu_solve_without_a_root_fails_only_its_fit(self, monkeypatch):
         # an overflowing q-weighted score can leave the root NaN; that fit
@@ -1124,6 +1177,35 @@ class TestBracketedRoot:
 def test_what_the_simulation_rejects(make, message):
     with pytest.raises(DomainError) as failure:
         make()
+    assert str(failure.value) == message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 30.5), ("n", "30"), ("n_replications", 2.0), ("n_outliers", 2.5)])
+def test_a_count_that_is_not_an_integer_is_rejected(field, value):
+    # these used to pass construction and fail inside the engine or the grouping
+    with pytest.raises(DomainError) as failure:
+        small_spec(**{field: value})
+    assert str(failure.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_numpy_integer_counts_are_counts():
+    spec = small_spec(n=np.int64(60), n_outliers=np.int32(3), n_replications=np.int64(2))
+    assert [type(count) for count in (spec.n, spec.n_outliers, spec.n_replications)] == [int] * 3
+    expected = rt.run_simulation(small_spec(n_replications=2)).records
+    assert rt.run_simulation(spec, jobs=np.int64(1)).records == expected
+
+
+@pytest.mark.parametrize("jobs, message", [
+    (0, "jobs must be at least 1, got 0"),
+    (-3, "jobs must be at least 1, got -3"),
+    (1.5, "jobs must be an integer, got 1.5"),
+    ("2", "jobs must be an integer, got '2'"),
+    (None, "jobs must be an integer, got None"),
+])
+def test_run_simulation_rejects_a_jobs_that_is_below_1_or_not_an_integer(jobs, message):
+    with pytest.raises(DomainError) as failure:
+        rt.run_simulation(small_spec(n_replications=1), jobs=jobs)
     assert str(failure.value) == message
 
 

@@ -167,6 +167,17 @@ class TestSampler:
         with pytest.raises(DomainError):
             sample(STANDARD_2D, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [2.7, "3", 3.0, None])
+    def test_a_size_that_is_not_an_integer_is_an_error(self, n):
+        # int() would have drawn 2 rows for 2.7 and 3 for "3"
+        with pytest.raises(DomainError) as failure:
+            sample(STANDARD_2D, n, np.random.default_rng(0))
+        assert str(failure.value) == f"sample size must be an integer, got {n!r}"
+
+    def test_a_numpy_integer_size_is_a_size(self):
+        rows = sample(STANDARD_2D, np.int64(3), np.random.default_rng(0))
+        assert np.array_equal(rows, sample(STANDARD_2D, 3, np.random.default_rng(0)))
+
     @pytest.mark.filterwarnings("error")
     def test_a_draw_that_is_not_finite_is_an_error(self):
         # u = 2 Gamma(nu / 2) underflows to 0 at a tiny nu, and the rows divide by sqrt(u / nu)

@@ -29,6 +29,7 @@ import importlib.util
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -50,15 +51,27 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 @contextmanager
 def export_dir(workdir: str | None, prefix: str) -> Iterator[Path]:
-    """workdir, made if missing; without one, a fresh temp dir removed however the block ends."""
+    """workdir, made if missing; without one, a fresh temp dir removed however the block ends.
+
+    While the block runs, SIGTERM raises SystemExit, so the block unwinds and a temp dir goes
+    even then; the previous handler is restored afterwards.
+    """
     if workdir is not None:
         (path := Path(workdir)).mkdir(parents=True, exist_ok=True)
         yield path
         return
-    with tempfile.TemporaryDirectory(prefix=prefix) as temp:
-        yield Path(temp)
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory(prefix=prefix) as temp:
+            yield Path(temp)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def export(rev: str, workdir: Path) -> tuple[str, Path]:

@@ -35,9 +35,10 @@ public_names, the length of robust_t.__all__.
 
 For case_i, case_ii and held_nu the line also holds, under "simulation",
 the parity of run_simulation on the same specs (one report per seed): for
-each MethodSummary field, the largest |d| between parent and change (0
-where both are NaN, inf where one is), and whether every selected_q and
-every summary's (method, q) is equal.
+each MethodSummary field and each ReplicateRecord field (as record_<name>),
+the largest |d| between parent and change (0 where both are NaN, inf where
+one is), and whether every selected_q, every summary's (method, q) and
+every record's (replicate, method, q) is equal.
 """
 
 from __future__ import annotations
@@ -174,9 +175,10 @@ def _record(method: str, outcome) -> dict:
 
 
 def _report(report) -> dict:
-    """A SimulationReport's selected q and summaries as plain values."""
+    """A SimulationReport's selected q, summaries and records as plain values."""
     return {"selected_q": report.selected_q,
-            "summaries": [dict(vars(summary)) for summary in (report.ml, *report.q_sweep)]}
+            "summaries": [dict(vars(summary)) for summary in (report.ml, *report.q_sweep)],
+            "records": [dict(vars(record)) for record in report.records]}
 
 
 def _largest_gap(a, b) -> float:
@@ -192,21 +194,35 @@ def _same_trace(a: dict, b: dict) -> bool:
             and np.array_equal(a.get("trace", ()), b.get("trace", ())))
 
 
+def _field_gaps(pairs: list, labels: tuple, prefix: str = "") -> tuple[bool, dict]:
+    """Whether every pair's labels are equal, and each other field's largest gap, prefixed."""
+    same = all([a[key] for key in labels] == [b[key] for key in labels] for a, b in pairs)
+    fields = [key for key in (pairs[0][0] if pairs else ()) if key not in labels]
+    return same, {prefix + key: max(_largest_gap(a[key], b[key]) for a, b in pairs)
+                  for key in fields}
+
+
 def compare_simulations(parent: list[dict], change: list[dict]) -> dict:
-    """The summary parity of one set, report k of parent against report k of change."""
+    """The summary and record parity of one set, report k of parent against report k of change.
+
+    max_abs_d holds each summary field's largest gap, then each record field's, as
+    record_<name>; a record's (replicate, method, q) counts as its label.
+    """
     if len(parent) != len(change):
         raise ValueError(f"{len(parent)} parent reports against {len(change)} change reports")
-    pairs = [pair for a, b in zip(parent, change)
-             for pair in zip(a["summaries"], b["summaries"], strict=True)]
-    fields = [key for key in parent[0]["summaries"][0] if key not in ("method", "q")]
+    summaries, records = ([pair for a, b in zip(parent, change)
+                           for pair in zip(a[kind], b[kind], strict=True)]
+                          for kind in ("summaries", "records"))
+    same_summaries, summary_gaps = _field_gaps(summaries, ("method", "q"))
+    same_records, record_gaps = _field_gaps(records, ("replicate", "method", "q"), "record_")
     return {
         "reports": len(parent),
-        "summaries": len(pairs),
-        "labels_equal": all((a["method"], a["q"]) == (b["method"], b["q"]) for a, b in pairs),
+        "summaries": len(summaries),
+        "records": len(records),
+        "labels_equal": same_summaries and same_records,
         "selected_q_equal": all(a["selected_q"] == b["selected_q"]
                                 for a, b in zip(parent, change)),
-        "max_abs_d": {key: max(_largest_gap(a[key], b[key]) for a, b in pairs)
-                      for key in fields},
+        "max_abs_d": {**summary_gaps, **record_gaps},
     }
 
 
