@@ -18,11 +18,17 @@ downweighted twice. f is taken from the log density the iteration already
 evaluated for its objective, relative to its largest value over the rows,
 so the weights do not depend on the data's units; the step divides by
 their sum, which cancels the constant. Every scatter is centered on the
-updated location. The step has no ascent guarantee, and convergence is
-judged on the parameter-change norm alone. As lq is log at q = 1, the plain
-method is the q = 1 case: a plain fit is bitwise the q-weighted fit at
-q = 1, and the method only labels the result. Three departures from the
-paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
+updated location. With a = 1 - q, lq(f) >= lq(f0) + f0^a (log f - log f0)
+as exp is convex, so from f0 the objective (the sum of lq) rises at least
+as much as sum v log f, v = f0^a being the factor above: the step is a
+minorize-maximize (MM) step (Hunter & Lange 2004). At a held nu its
+location and scatter step, a PX-EM step on sum v log f, does not lower that
+sum, so it does not lower the objective; the scatter floor, when it acts,
+and the nu step (below) are outside the argument. Convergence is judged on
+the parameter-change norm alone. As lq is log at q = 1, the plain method
+is the q = 1 case: a plain fit is bitwise the q-weighted fit at q = 1, and
+the method only labels the result. Three departures from the paper's EM
+step cut the evaluations a fit needs; each keeps its fixed point.
 
 * PX-EM denominator (Kent, Tyler & Vardi 1994). Every scatter update is
   divided by the sum of its numerator weights w instead of by the
@@ -43,11 +49,10 @@ paper's EM step cut the evaluations a fit needs; each keeps its fixed point.
   last step at most sqrt(_NU_XTOL), for an error near _NU_XTOL at a simple root.
   After a step fails that guard, a fit whose own step fails it reads the
   bracket's ends, to clamp or to go on in the sign-change interval, to the root
-  or (off SQUAREM points) to its first Newton step there. The plain method's
-  location and scatter step is EM's, which does not lower the log-likelihood,
-  and a root maximizes it over nu where the score changes sign once on
-  NU_BRACKET; one Newton step need not. So that its trace does not decrease
-  rests on the solve at each SQUAREM point and on measurement, not on a proof.
+  or (off SQUAREM points) to its first Newton step there. A root maximizes
+  the objective over nu where the score changes sign once on NU_BRACKET; one
+  Newton step need not. So that a trace does not decrease rests on the solve
+  at each SQUAREM point and on measurement, not on a proof.
 * SQUAREM (Varadhan & Roland 2008, scheme S3). Every three iterations
   form one cycle: from x0 the engine takes x1 = F(x0) and x2 = F(x1),
   then moves to x' = x0 - 2 alpha r + alpha^2 v, with r = x1 - x0 and

@@ -8,9 +8,10 @@ parameter distances and the squared-error of the degrees of freedom over
 replications. The q minimizing the combined mean distance is selected.
 
 Replicates are fitted in groups, each group one lockstep batch of the
-estimators' engine, whose arrays give the records directly, with no
-FitResult in between. Every replicate derives its own generator streams from
-(seed, index), and a fit's result does not depend on its batch, so reports
+estimators' engine, whose arrays give one table row per fit; the records
+and the summaries are both read from those rows, with no FitResult in
+between. Every replicate derives its own generator streams from (seed,
+index), and a fit's result does not depend on its batch, so reports
 are bitwise reproducible and independent of the grouping and of how many
 worker processes execute the groups.
 """
@@ -21,7 +22,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -76,7 +76,7 @@ class SimulationSpec:
     fit_config: FitConfig = FitConfig()
 
     def __post_init__(self):
-        for name in ("n", "n_outliers", "n_replications"):
+        for name in ("n", "n_outliers", "n_replications", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 2:
             raise DomainError("sample size must be at least 2")
@@ -159,16 +159,17 @@ class SimulationReport:
     records: tuple[ReplicateRecord, ...]
 
 
-def _stream(*key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+def _stream(seed: int, index, *tag: int) -> np.random.Generator:
+    """Replicate index's generator, or with a tag one of its other streams; index is checked."""
+    index = _integer(index, "replicate index")
+    if index < 0:
+        raise DomainError("replicate index must be nonnegative")
+    return np.random.default_rng(np.random.SeedSequence([seed, index, *tag]))
 
 
 def generate_replicate(spec: SimulationSpec, replicate_index: int) -> np.ndarray:
     """Draw the clean data of one replicate from its own generator stream."""
-    if replicate_index < 0:
-        raise DomainError("replicate index must be nonnegative")
-    rng = _stream(spec.seed, replicate_index)
-    return sample(spec.true_params, spec.n, rng)
+    return sample(spec.true_params, spec.n, _stream(spec.seed, replicate_index))
 
 
 def _outlier_box(spec: SimulationSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -186,8 +187,6 @@ def contaminate(data, spec: SimulationSpec, replicate_index: int) -> np.ndarray:
     bulk of the sample.
     """
     rows = as_data_matrix(data)
-    if spec.n_outliers == 0:
-        return rows
     rng = _stream(spec.seed, replicate_index, _CONTAMINATION_STREAM)
     extra = rng.uniform(*_outlier_box(spec), size=(spec.n_outliers, rows.shape[1]))
     return np.vstack([rows, extra])
@@ -197,9 +196,17 @@ def distance_metrics(estimate: MvtParams, truth: MvtParams) -> DistanceMetrics:
     """Euclidean location distance, Frobenius scatter distance, squared nu error."""
     if estimate.dim != truth.dim:
         raise DimensionMismatch("estimate and truth have different dimensions")
-    d_mu = float(np.linalg.norm(estimate.mu - truth.mu))
-    d_sigma = float(np.linalg.norm(estimate.sigma - truth.sigma, ord="fro"))
-    return DistanceMetrics(d_mu, d_sigma, (estimate.nu - truth.nu) ** 2)
+    return _errors(estimate.mu[None], estimate.sigma[None], [estimate.nu], truth)[0]
+
+
+def _errors(mu, sigma, nu: list[float], truth: MvtParams) -> list[DistanceMetrics]:
+    """The DistanceMetrics of B estimates, from their mu (B, p), sigma (B, p, p) and nu.
+
+    Each distance is math.sqrt of a raveled difference's dot, as np.linalg.norm takes it.
+    """
+    d_mu, d_sigma = mu - truth.mu, (sigma - truth.sigma).reshape(len(sigma), -1)
+    return [DistanceMetrics(math.sqrt(a @ a), math.sqrt(b @ b), (v - truth.nu) ** 2)
+            for a, b, v in zip(d_mu, d_sigma, nu)]
 
 
 def _replicate_groups(spec: SimulationSpec, jobs: int) -> list[range]:
@@ -217,53 +224,40 @@ def _replicate_groups(spec: SimulationSpec, jobs: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _group_records(args) -> list[ReplicateRecord]:
+def _group_rows(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fit a group of replicates by ML and across the q grid, all in one lockstep batch.
 
-    Records come from the engine's arrays: mu, sigma's upper triangle and nu are slices of the
-    packed iterate x, and each distance is distance_metrics' dot of a raveled difference.
+    Returns, in record order, each fit's failed and converged flags, iteration count and table
+    row: its packed iterate x (mu, sigma's upper triangle, nu), then its _errors. The engine
+    leaves a failed fit's x NaN, its iterations 0 and converged False.
     """
-    spec, indices, upper = args
+    spec, indices, labels, upper = args
     datasets = [contaminate(generate_replicate(spec, index), spec, index) for index in indices]
-    labels = [(METHOD_ML, None)] + [(METHOD_MLQ, q) for q in spec.q_grid]
     configs = [replace(spec.fit_config, method=method, q=(1.0 if q is None else q))
                for method, q in labels]
     report = _lockstep(datasets, configs)
-    truth, x, p = spec.true_params, report.x, spec.true_params.dim
-    d_mu = x[:, :p] - truth.mu
-    d_sigma = (_from_upper(x[:, p:-1], upper, p) - truth.sigma).reshape(len(x), -1)
-    rows, iterations, converged = x.tolist(), report.iterations.tolist(), report.converged.tolist()
-    failed = (True, False, 0, (math.nan,) * p, (math.nan,) * len(upper[0])) + (math.nan,) * 4
-    records = []
-    for k, (index, (method, q)) in enumerate(product(indices, labels)):
-        row = rows[k]
-        outcome = failed if report.failures[k] is not None else (
-            False, converged[k], iterations[k], tuple(row[:p]), tuple(row[p:-1]), row[-1],
-            math.sqrt(d_mu[k] @ d_mu[k]), math.sqrt(d_sigma[k] @ d_sigma[k]),
-            (row[-1] - truth.nu) ** 2)
-        records.append(ReplicateRecord(index, method, q, *outcome))
-    return records
+    x, p, truth = report.x, spec.true_params.dim, spec.true_params
+    errors = _errors(x[:, :p], _from_upper(x[:, p:-1], upper, p), x[:, -1].tolist(), truth)
+    failed = np.array([failure is not None for failure in report.failures])
+    return failed, report.converged, report.iterations, np.column_stack((x, errors))
 
 
-def _summarize(records: list[ReplicateRecord], truth: MvtParams, upper,
-               slots: int) -> list[MethodSummary]:
-    """Each config's summary, from one table of the records; means are over converged rows."""
-    table = np.array([(*r.mu, *r.sigma, r.nu, r.d_mu, r.d_sigma, r.sq_err_nu,
-                       r.d_mu + r.d_sigma + abs(r.nu - truth.nu)) for r in records])
-    converged = np.array([r.converged for r in records])
-    p = truth.dim
-    summaries = []
-    for k in range(slots):
-        group, rows, used = records[k::slots], table[k::slots], converged[k::slots]
-        means = rows[used].mean(axis=0) if used.any() else np.full(table.shape[1], math.nan)
-        mean_sigma = np.empty((p, p))
-        mean_sigma[upper] = mean_sigma[upper[::-1]] = means[p:-5]
-        n_failed, n_used = sum(r.failed for r in group), sum(r.converged for r in group)
-        # the table's columns in MethodSummary's order, after the counts
-        summaries.append(MethodSummary(
-            group[0].method, group[0].q, len(group), n_failed, len(group) - n_failed - n_used,
-            n_used, means[:p], mean_sigma, *means[-5:].tolist()))
-    return summaries
+def _summarize(labels, failed, converged, table, truth: MvtParams, upper) -> list[MethodSummary]:
+    """Each config's summary, over the columns of the fits' table: slot k is rows k::slots.
+
+    The combined distance d_mu + d_sigma + |nu - truth.nu| is one more column.
+    """
+    p, slots = truth.dim, len(labels)
+    table = np.column_stack((table, table[:, -3] + table[:, -2] + np.abs(table[:, -4] - truth.nu)))
+    n_failed, n_used = (np.count_nonzero(flags.reshape(-1, slots), axis=0).tolist()
+                        for flags in (failed, converged))
+    means = np.array([table[k::slots][converged[k::slots]].mean(axis=0) if n_used[k]
+                      else np.full(table.shape[1], math.nan) for k in range(slots)])
+    sigma, n = _from_upper(means[:, p:-5], upper, p), len(table) // slots
+    # the table's columns in MethodSummary's order, after the counts
+    return [MethodSummary(method, q, n, n_failed[k], n - n_failed[k] - n_used[k], n_used[k],
+                          means[k, :p], sigma[k], *scalars)
+            for k, ((method, q), scalars) in enumerate(zip(labels, means[:, -5:].tolist()))]
 
 
 def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
@@ -274,30 +268,30 @@ def run_simulation(spec: SimulationSpec, jobs: int = 1) -> SimulationReport:
     whole q grid, advances in one batch, so a group costs as many
     iterations as its slowest fit. jobs > 1 runs the groups on a process
     pool of at most one worker per usable CPU; the report does not depend on
-    either (see the module docstring).
+    either (see the module docstring). The groups' rows, in replicate order,
+    give the records and, slot by slot, the summaries (_summarize).
     """
     jobs = _integer(jobs, "jobs")
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
-    upper = np.triu_indices(spec.true_params.dim)  # one for the records and summaries
-    tasks = [(spec, group, upper) for group in _replicate_groups(spec, jobs)]
+    p = spec.true_params.dim
+    upper = np.triu_indices(p)  # one for the workers and the summaries
+    labels = [(METHOD_ML, None)] + [(METHOD_MLQ, q) for q in spec.q_grid]
+    tasks = [(spec, group, labels, upper) for group in _replicate_groups(spec, jobs)]
     if jobs > 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         # the pool starts all its workers at the first submit, so it gets no idle ones
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), cpus or 1)) as pool:
-            chunks = list(pool.map(_group_records, tasks))
+            chunks = list(pool.map(_group_rows, tasks))
     else:
-        chunks = [_group_records(t) for t in tasks]
-    records = [record for chunk in chunks for record in chunk]
-
-    ml, *sweep = _summarize(records, spec.true_params, upper, 1 + len(spec.q_grid))
+        chunks = [_group_rows(t) for t in tasks]
+    failed, converged, iterations, table = (np.concatenate(column) for column in zip(*chunks))
+    records = tuple(
+        ReplicateRecord(k // len(labels), *labels[k % len(labels)], *flags, tuple(row[:p]),
+                        tuple(row[p:-4]), *row[-4:])
+        for k, (*flags, row) in enumerate(zip(failed.tolist(), converged.tolist(),
+                                              iterations.tolist(), table.tolist())))
+    ml, *sweep = _summarize(labels, failed, converged, table, spec.true_params, upper)
     best = min(sweep, key=lambda s: (not math.isfinite(s.mean_combined), s.mean_combined))
-    return SimulationReport(
-        spec=spec,
-        ml=ml,
-        mlq=best,
-        selected_q=float(best.q),
-        q_sweep=tuple(sweep),
-        records=tuple(records),
-    )
+    return SimulationReport(spec, ml, best, float(best.q), tuple(sweep), records)
 

@@ -103,8 +103,8 @@ def as_data_matrix(data) -> np.ndarray:
 
 def _integer(value, what: str) -> int:
     """value as an int, through operator.index so numpy integers pass; else DomainError."""
-    try:
-        return operator.index(value)
+    try:  # operator.index would take a bool for 0 or 1
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 

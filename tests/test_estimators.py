@@ -617,6 +617,21 @@ class TestAlgorithmicInvariants:
             seq = [start] + objectives
             assert all(b >= a - 1e-8 for a, b in zip(seq, seq[1:]))
 
+    @pytest.mark.parametrize("q", [0.7, 0.9])
+    @pytest.mark.parametrize("estimate_nu", [True, False], ids=["nu", "held-nu"])
+    @pytest.mark.parametrize("datasets", sorted(ASCENT_DATASETS))
+    def test_mlq_mm_ascent(self, datasets, estimate_nu, q):
+        # the q-weighted step is an MM step for the sum of lq: at a held nu no step lowers it,
+        # and with nu estimated the solve at each SQUAREM point keeps the trace from falling
+        for rows in ASCENT_DATASETS[datasets]():
+            start = init_params(rows)
+            start = start if estimate_nu else MvtParams(start.mu, start.sigma, 3.0)
+            result = fit(rows, FitConfig(method="mlq", q=q, fixed_nu=None if estimate_nu else 3.0))
+            lq = np.expm1((1.0 - q) * log_pdf_rows(rows, start)) / (1.0 - q)
+            seq = [float(np.sum(lq))] + [rec.objective for rec in result.trace]
+            assert all(b >= a - 1e-8 for a, b in zip(seq, seq[1:]))
+            assert result.converged
+
     @pytest.mark.parametrize("k", range(len(VARIED_GRID)))
     def test_ml_ascent_on_varied_data(self, k):
         # away from SQUAREM points nu takes one Newton step, which need not

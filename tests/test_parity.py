@@ -339,10 +339,10 @@ def test_a_second_import_of_the_package_fits_alike_and_is_counted_alone():
 def test_the_sets_and_the_held_nu_set_which_holds_nu_on_and_off_the_bracket():
     import robust_t as rt
 
-    assert parity.SETS == ("case_i", "case_ii", "large", "held_nu")
-    assert parity.SIMULATED == ("case_i", "case_ii", "held_nu")
+    assert parity.SETS == ("case_i", "case_ii", "large", "held_nu", "failing")
+    assert parity.SIMULATED == ("case_i", "case_ii", "held_nu", "failing")
     specs = parity.simulated_specs(rt)
-    assert [len(specs[name]) for name in parity.SIMULATED] == [60, 1, 20]
+    assert [len(specs[name]) for name in parity.SIMULATED] == [60, 1, 20, 1]
     assert all(spec.fit_config == rt.FitConfig() for name in ("case_i", "case_ii")
                for spec in specs[name])
     held = specs["held_nu"]
@@ -357,6 +357,12 @@ def test_the_sets_and_the_held_nu_set_which_holds_nu_on_and_off_the_bracket():
 
     assert [design(spec) for spec in held] == [design(spec) for spec in specs["case_i"][:20]]
     assert parity.LARGE_HELD_NU > rt.estimators.NU_BRACKET[1]
+    # failing: a set whose fits fail in part, so that failed records are compared
+    (failing,) = specs["failing"]
+    expected = rt.SimulationSpec(rt.preset_case(1), 5, n_outliers=0, n_replications=30, seed=5)
+    assert (design(failing), failing.q_grid, failing.fit_config) == (
+        design(expected), (0.7, 0.9), rt.FitConfig())
+    assert 0 < sum(r.failed for r in rt.run_simulation(failing).records) < 90
 
 
 def test_a_run_whose_export_fails_leaves_no_temp_dir(tmp_path, monkeypatch):

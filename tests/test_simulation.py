@@ -131,6 +131,22 @@ def same_fit(a, b):
             and (a.converged, a.nu_clamped) == (b.converged, b.nu_clamped))
 
 
+def assert_failed_record(record):
+    """A failed p = 2 fit's record: not converged, no iterations, NaN estimate and distances."""
+    assert (record.failed, record.converged, record.iterations) == (True, False, 0)
+    assert (len(record.mu), len(record.sigma)) == (2, 3)
+    values = (*record.mu, *record.sigma, record.nu, record.d_mu, record.d_sigma, record.sq_err_nu)
+    assert all(math.isnan(value) for value in values)
+
+
+def same_records(a, b) -> bool:
+    """Whether two record sequences are equal field by field, a NaN equal to a NaN.
+
+    record == record is False whenever a field holds a NaN; a float's repr names it exactly.
+    """
+    return len(a) == len(b) and all(repr(x) == repr(y) for x, y in zip(a, b))
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The max_workers of each pool run_simulation opens; the pools run inline."""
@@ -228,9 +244,61 @@ class TestRunSimulation:
 
         monkeypatch.setattr(simulation, "generate_replicate", lambda spec, index: identical)
         report = rt.run_simulation(spec)
-        assert all(r.failed and not r.converged for r in report.records)
+        for record in report.records:
+            assert_failed_record(record)
         assert report.ml.n_failed == spec.n_replications
         assert all(s.n_failed == spec.n_replications and s.n_used == 0 for s in report.q_sweep)
+
+    @pytest.mark.parametrize("when", ["set-up", "mid-run"])
+    def test_a_failed_fits_record_is_nan_and_left_out_of_its_summary(self, monkeypatch, when):
+        spec = small_spec(n_outliers=0, n_replications=3)
+        expected = rt.run_simulation(spec).records
+        if when == "set-up":  # identical rows: replicate 1's fits fail before their first step
+            original = simulation.generate_replicate
+            monkeypatch.setattr(simulation, "generate_replicate", lambda spec, index: (
+                np.tile([1.0, 2.0], (spec.n, 1)) if index == 1 else original(spec, index)))
+            failed = [k for k, record in enumerate(expected) if record.replicate == 1]
+        else:  # the first nu solve finds no root for fit 2, replicate 0 at q = 0.85
+            original, calls = estimators._bracketed_root, []
+
+            def no_first_root_for_fit_2(g, lo, hi, start, *args):
+                roots, bracketed = original(g, lo, hi, start, *args)
+                if not calls:
+                    roots[2] = np.nan
+                calls.append(True)
+                return roots, bracketed
+
+            monkeypatch.setattr(estimators, "_bracketed_root", no_first_root_for_fit_2)
+            failed = [2]
+        report = rt.run_simulation(spec)
+        for k, (record, want) in enumerate(zip(report.records, expected, strict=True)):
+            if k in failed:
+                assert (record.replicate, record.method, record.q) == (
+                    want.replicate, want.method, want.q)
+                assert_failed_record(record)
+            else:
+                assert record == want
+        truth = spec.true_params
+        failed_labels = [(expected[k].method, expected[k].q) for k in failed]
+        for summary in (report.ml, *report.q_sweep):
+            label = (summary.method, summary.q)
+            used = [r for r in report.records if (r.method, r.q) == label and r.converged]
+            assert summary.n_failed == failed_labels.count(label)
+            assert summary.n_used == len(used) > 0
+            # a failed record in the means would make them NaN
+            assert summary.mean_nu == np.mean([r.nu for r in used])
+            assert summary.mean_combined == np.mean(
+                [r.d_mu + r.d_sigma + abs(r.nu - truth.nu) for r in used])
+
+    def test_jobs_do_not_change_records_with_failed_fits(self):
+        # case I at n = 5 with no outliers: 13 of its 90 fits fail, 2 at q = 0.7 and 11 at 0.9
+        spec = small_spec(n=5, n_outliers=0, n_replications=30, q_grid=(0.7, 0.9), seed=5)
+        report = rt.run_simulation(spec, jobs=1)
+        assert [s.n_failed for s in (report.ml, *report.q_sweep)] == [0, 2, 11]
+        for record in report.records:
+            if record.failed:
+                assert_failed_record(record)
+        assert same_records(rt.run_simulation(spec, jobs=2).records, report.records)
 
     @pytest.mark.filterwarnings("error")
     def test_a_replicate_whose_sums_overflow_is_recorded_as_failed(self, monkeypatch):
@@ -367,6 +435,21 @@ class TestDistanceMetrics:
         assert d == (5.0, math.sqrt(5.5), 4.0)
         assert (d.d_mu, d.d_sigma, d.sq_err_nu) == tuple(d)
         assert rt.distance_metrics(truth, truth) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_distances_are_bitwise_those_of_numpys_norms(self, p):
+        # the records' one error formula; a row-wise sum of squares moves some norms by an ulp
+        rng = np.random.default_rng(p)
+        a = rng.standard_normal((p, p))
+        truth = rt.MvtParams(rng.standard_normal(p), a @ a.T + np.eye(p), 3.0)
+        for _ in range(200):
+            a = rng.standard_normal((p, p)) * 10.0 ** rng.integers(-4, 5)
+            estimate = rt.MvtParams(rng.standard_normal(p) * 10.0 ** rng.integers(-4, 5),
+                                    a @ a.T + np.eye(p), rng.uniform(1.0, 50.0))
+            assert rt.distance_metrics(estimate, truth) == (
+                np.linalg.norm(estimate.mu - truth.mu),
+                np.linalg.norm(estimate.sigma - truth.sigma, ord="fro"),
+                (estimate.nu - truth.nu) ** 2)
 
     def test_rejects_a_truth_of_another_dimension(self):
         estimate = rt.MvtParams(np.zeros(3), np.eye(3), 3.0)
@@ -1181,7 +1264,8 @@ def test_what_the_simulation_rejects(make, message):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 30.5), ("n", "30"), ("n_replications", 2.0), ("n_outliers", 2.5)])
+    ("n", 30.5), ("n", "30"), ("n_replications", 2.0), ("n_replications", True),
+    ("n_outliers", 2.5), ("seed", 1.5), ("seed", True), ("seed", "3")])
 def test_a_count_that_is_not_an_integer_is_rejected(field, value):
     # these used to pass construction and fail inside the engine or the grouping
     with pytest.raises(DomainError) as failure:
@@ -1189,11 +1273,30 @@ def test_a_count_that_is_not_an_integer_is_rejected(field, value):
     assert str(failure.value) == f"{field} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("draw, message", [
+    (lambda spec: rt.generate_replicate(spec, 1.5), "replicate index must be an integer, got 1.5"),
+    (lambda spec: rt.generate_replicate(spec, True),
+     "replicate index must be an integer, got True"),
+    (lambda spec: rt.contaminate(np.ones((4, 2)), spec, 1.5),
+     "replicate index must be an integer, got 1.5"),
+    (lambda spec: rt.contaminate(np.ones((4, 2)), spec, -1), "replicate index must be nonnegative"),
+], ids=["replicate-float", "replicate-bool", "contaminate-float", "contaminate-negative"])
+def test_a_replicate_index_that_is_not_a_nonnegative_integer_is_rejected(draw, message):
+    # a float used to be truncated, and a negative index reached numpy's ValueError
+    with pytest.raises(DomainError) as failure:
+        draw(small_spec())
+    assert str(failure.value) == message
+
+
 def test_numpy_integer_counts_are_counts():
-    spec = small_spec(n=np.int64(60), n_outliers=np.int32(3), n_replications=np.int64(2))
-    assert [type(count) for count in (spec.n, spec.n_outliers, spec.n_replications)] == [int] * 3
+    spec = small_spec(n=np.int64(60), n_outliers=np.int32(3), n_replications=np.int64(2),
+                      seed=np.int64(11))
+    counts = (spec.n, spec.n_outliers, spec.n_replications, spec.seed)
+    assert [type(count) for count in counts] == [int] * 4
     expected = rt.run_simulation(small_spec(n_replications=2)).records
     assert rt.run_simulation(spec, jobs=np.int64(1)).records == expected
+    index = np.int64(1)
+    assert np.array_equal(replicate_data(spec, index), replicate_data(spec, 1))
 
 
 @pytest.mark.parametrize("jobs, message", [
@@ -1202,6 +1305,7 @@ def test_numpy_integer_counts_are_counts():
     (1.5, "jobs must be an integer, got 1.5"),
     ("2", "jobs must be an integer, got '2'"),
     (None, "jobs must be an integer, got None"),
+    (True, "jobs must be an integer, got True"),
 ])
 def test_run_simulation_rejects_a_jobs_that_is_below_1_or_not_an_integer(jobs, message):
     with pytest.raises(DomainError) as failure:

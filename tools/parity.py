@@ -7,7 +7,7 @@ Run from the root of a git checkout. Each revision is exported with
 bench_pairs.export, and bench_pairs.import_as imports its src/robust_t into
 this one process as robust_t_parent and robust_t_change; without --workdir
 the exports go under a temp directory that is removed when the run ends.
-Each side records the estimators._fit_batch outcome of every fit of four
+Each side records the estimators._fit_batch outcome of every fit of five
 sets:
 
 * case_i: case I, n = 200 plus 5 outliers, 2 replicates, ML plus q
@@ -19,7 +19,10 @@ sets:
   sides fit the same arrays;
 * held_nu: nu held, so no nu search runs: case_i's replicates of seeds
   100-119 by ML and q 0.8 and 0.9 at fixed_nu = 3 (120 fits), then the
-  large set's three fits at fixed_nu = 500, above NU_BRACKET (3 fits).
+  large set's three fits at fixed_nu = 500, above NU_BRACKET (3 fits);
+* failing: case I, n = 5 with no outliers, 30 replicates, seed 5, ML plus q
+  0.7 and 0.9 (90 fits, some of which fail), so that failed fits and their
+  records are compared too.
 
 Per set it prints one JSON line: the fits; the failures on each side; the
 fits whose failure state, iteration count or (converged, nu_clamped)
@@ -33,7 +36,7 @@ the set's nu search that counting_nu_search takes. Every line also holds
 each side's src_lines, the line count of src/robust_t/*.py, and
 public_names, the length of robust_t.__all__.
 
-For case_i, case_ii and held_nu the line also holds, under "simulation",
+For case_i, case_ii, held_nu and failing the line also holds, under "simulation",
 the parity of run_simulation on the same specs (one report per seed): for
 each MethodSummary field and each ReplicateRecord field (as record_<name>),
 the largest |d| between parent and change (0 where both are NaN, inf where
@@ -54,8 +57,8 @@ import numpy as np
 
 from bench_pairs import export, export_dir, import_as  # a sibling of this script
 
-SETS = ("case_i", "case_ii", "large", "held_nu")
-SIMULATED = ("case_i", "case_ii", "held_nu")
+SETS = ("case_i", "case_ii", "large", "held_nu", "failing")
+SIMULATED = ("case_i", "case_ii", "held_nu", "failing")
 # the large set's (method, q), and the nu held_nu fits them at, above NU_BRACKET's 200
 LARGE_LABELS = (("ml", 1.0), ("mlq", 0.9), ("mlq", 0.7))
 LARGE_HELD_NU = 500.0
@@ -115,15 +118,16 @@ def counting_nu_search(estimators):
 def simulated_specs(rt) -> dict:
     """The SimulationSpecs of each set of SIMULATED, by the package rt: one batch per spec."""
 
-    def specs(case, seeds, replicates, grid, **fit):
-        return [rt.SimulationSpec(true_params=rt.preset_case(case), n=200, n_outliers=5,
+    def specs(case, seeds, replicates, grid, n=200, n_outliers=5, **fit):
+        return [rt.SimulationSpec(true_params=rt.preset_case(case), n=n, n_outliers=n_outliers,
                                   n_replications=replicates, q_grid=grid, seed=seed,
                                   fit_config=rt.FitConfig(**fit))
                 for seed in seeds]
 
     return {"case_i": specs(1, range(100, 160), 2, _grid(0.8, 10)),
             "case_ii": specs(2, [7], 30, _grid(0.7, 15)),
-            "held_nu": specs(1, range(100, 120), 2, (0.8, 0.9), fixed_nu=3.0)}
+            "held_nu": specs(1, range(100, 120), 2, (0.8, 0.9), fixed_nu=3.0),
+            "failing": specs(1, [5], 30, (0.7, 0.9), n=5, n_outliers=0)}
 
 
 def record_outcomes(rt, large_dataset) -> dict:
